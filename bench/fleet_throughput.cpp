@@ -16,9 +16,11 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -40,12 +42,28 @@ std::string socket_path(const std::string& tag) {
          tag + ".sock";
 }
 
-std::string temp_cache_dir(const std::string& tag) {
-  std::string templ = "/tmp/pimcomp-fleet-bench-" + tag + "-XXXXXX";
-  char* made = ::mkdtemp(templ.data());
-  if (made == nullptr) throw std::runtime_error("mkdtemp failed");
-  return templ;
-}
+/// A fresh cache directory, removed with its contents when the bench
+/// leaves the scope (declare it before the daemon that writes into it).
+class TempCacheDir {
+ public:
+  explicit TempCacheDir(const std::string& tag)
+      : path_("/tmp/pimcomp-fleet-bench-" + tag + "-XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed");
+    }
+  }
+  ~TempCacheDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempCacheDir(const TempCacheDir&) = delete;
+  TempCacheDir& operator=(const TempCacheDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// One single-scenario squeezenet compile; the seed varies the cache key,
 /// so distinct seeds are cold compiles and a repeated seed is a cache hit.
@@ -114,11 +132,11 @@ int main() {
   };
 
   // --- One worker daemon with a disk cache. --------------------------------
-  const std::string warm_dir = temp_cache_dir("warm");
+  const TempCacheDir warm_dir("warm");
   serve::ServerOptions daemon_options;
   daemon_options.unix_path = socket_path("daemon");
   daemon_options.jobs = 2;
-  daemon_options.cache.dir = warm_dir;
+  daemon_options.cache.dir = warm_dir.path();
   serve::CompileServer daemon(daemon_options);
   daemon.start();
 
@@ -147,11 +165,11 @@ int main() {
   // A fresh daemon whose only peer is the warmed one: every request below
   // misses memory and disk locally and is resolved over the wire from the
   // peer's disk tier — the cost of *not* recomputing a mapping.
-  const std::string fresh_dir = temp_cache_dir("fresh");
+  const TempCacheDir fresh_dir("fresh");
   serve::ServerOptions fresh_options;
   fresh_options.unix_path = socket_path("fresh");
   fresh_options.jobs = 2;
-  fresh_options.cache.dir = fresh_dir;
+  fresh_options.cache.dir = fresh_dir.path();
   fresh_options.cache.peers = {daemon.endpoint()};
   serve::CompileServer fresh(fresh_options);
   fresh.start();

@@ -237,7 +237,8 @@ PopulationEvaluator::PopulationEvaluator(const Workload& workload,
       cores_(workload.hardware().core_count),
       parts_(workload.partition_count()),
       max_nodes_per_core_(max_nodes_per_core),
-      genes_stride_(workload.hardware().core_count * max_nodes_per_core) {
+      core_slots_(std::min(max_nodes_per_core, workload.partition_count())),
+      genes_stride_(workload.hardware().core_count * core_slots_) {
   PIMCOMP_CHECK(slots >= 1, "PopulationEvaluator needs at least one slot");
   PIMCOMP_CHECK(max_nodes_per_core >= 1,
                 "max_nodes_per_core must be positive");
@@ -252,7 +253,7 @@ PopulationEvaluator::PopulationEvaluator(const Workload& workload,
   node_cursor_.resize(s * static_cast<std::size_t>(parts_));
   penalty_.resize(s * static_cast<std::size_t>(cores_));
   if (mode_ == PipelineMode::kHighThroughput) {
-    staircase_.resize(s * static_cast<std::size_t>(max_nodes_per_core_));
+    staircase_.resize(s * static_cast<std::size_t>(core_slots_));
   } else {
     finish_.resize(s * static_cast<std::size_t>(parts_));
     duration_.resize(s * static_cast<std::size_t>(parts_));
@@ -361,7 +362,7 @@ double PopulationEvaluator::evaluate(int slot) {
     // Fig 5 staircase per core — mirrors ht_core_times(); the max that
     // ht_fitness takes afterwards folds into the loop.
     std::pair<int, int>* staircase =
-        &staircase_[base * static_cast<std::size_t>(max_nodes_per_core_)];
+        &staircase_[base * static_cast<std::size_t>(core_slots_)];
     double worst = 0.0;
     for (int core = 0; core < cores_; ++core) {
       int len = 0;

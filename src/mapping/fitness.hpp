@@ -90,13 +90,15 @@ class LLFitnessContext {
 /// Data-oriented fitness evaluation over a whole population. The GA keeps
 /// one evaluator per island, sized to the island's population: every
 /// per-gene quantity the per-candidate estimators recompute through
-/// MappingSolution's pointer-chasing accessors — gene lists, per-node host
-/// core sets (the O(cores x genes) `cores_of` scans), per-node replication
-/// and cycle counts, per-core load/penalty accumulators — is flattened into
-/// contiguous population-sized stripes allocated once and reused across
-/// generations. `load()` gathers a candidate into its slot; `evaluate()`
-/// then runs the Fig 5 / Fig 6 estimator entirely on the slot's stripes
-/// without allocating.
+/// MappingSolution's accessors — gene lists, per-node host core sets (one
+/// freshly allocated `cores_of` vector per node and call), per-node
+/// replication and cycle counts, per-core load/penalty accumulators — is
+/// flattened into contiguous population-sized stripes allocated once and
+/// reused across generations. Gene stripes are sized like MappingSolution's
+/// gene store, min(max_nodes_per_core, partitions) slots per core, so a
+/// large wire-supplied max_nodes_per_core cannot inflate them. `load()`
+/// gathers a candidate into its slot; `evaluate()` then runs the Fig 5 /
+/// Fig 6 estimator entirely on the slot's stripes without allocating.
 ///
 /// Slots share no mutable state, so a generation's changed children can be
 /// loaded and evaluated as a lock-free parallel-for over distinct slots.
@@ -131,7 +133,8 @@ class PopulationEvaluator {
   int cores_;
   int parts_;
   int max_nodes_per_core_;
-  int genes_stride_;  ///< cores_ * max_nodes_per_core_: max genes per slot
+  int core_slots_;    ///< min(max_nodes_per_core_, parts_): genes per core
+  int genes_stride_;  ///< cores_ * core_slots_: max genes per slot
 
   // Chromosome stripes, core-major compact per slot (genes_stride_ wide).
   std::vector<int> gene_part_;  ///< partition index of each gene's node
@@ -151,7 +154,7 @@ class PopulationEvaluator {
 
   // evaluate() scratch (never read across calls).
   std::vector<double> penalty_;  ///< per-core accumulation penalties
-  std::vector<std::pair<int, int>> staircase_;  ///< HT; max_nodes wide
+  std::vector<std::pair<int, int>> staircase_;  ///< HT; core_slots_ wide
   std::vector<double> finish_;    ///< LL; parts_ wide
   std::vector<double> duration_;  ///< LL; parts_ wide
 };

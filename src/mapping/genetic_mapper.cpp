@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -25,6 +26,15 @@ std::string to_string(PipelineMode mode) {
 }
 
 namespace {
+
+/// Vectors the breed loop would otherwise allocate per call, owned by one
+/// island (or one initialization) and reused across calls. Each helper
+/// clears what it uses; none of them nest on the same vector.
+struct Scratch {
+  std::vector<int> cores;         ///< a node's host cores
+  std::vector<int> placed_cores;  ///< place_replica's scatter rollback log
+  std::vector<int> misaligned;    ///< mutate_merge's remainder hosts
+};
 
 /// Finds a core that can accept `ag_count` AGs of `node`, trying a few random
 /// probes before falling back to a full scan from a random offset. Returns
@@ -50,11 +60,12 @@ int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
 /// first, keeping the node's host-core set small — every extra host core
 /// multiplies the row-forwarding fan-out its providers pay. Returns false
 /// (leaving the solution unchanged) when placement is impossible.
-bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
-                   bool prefer_locality = false) {
+bool place_replica(MappingSolution& s, Rng& rng, Scratch& scratch,
+                   const NodePartition& p, bool prefer_locality = false) {
   const int ags = p.ags_per_replica();
   if (prefer_locality) {
-    for (int core : s.cores_of(p.node)) {
+    s.cores_of(p.node, scratch.cores);
+    for (int core : scratch.cores) {
       if (s.can_add(core, p.node, ags)) {
         s.add(core, p.node, ags);
         return true;
@@ -67,8 +78,8 @@ bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
     return true;
   }
   // Scatter AG by AG; roll back on failure.
-  std::vector<int> placed_cores;
-  placed_cores.reserve(static_cast<std::size_t>(ags));
+  std::vector<int>& placed_cores = scratch.placed_cores;
+  placed_cores.clear();
   for (int i = 0; i < ags; ++i) {
     const int c = find_feasible_core(s, rng, p.node, 1);
     if (c < 0) {
@@ -83,9 +94,11 @@ bool place_replica(MappingSolution& s, Rng& rng, const NodePartition& p,
 
 /// Removes one full replica's worth of AGs from random cores holding the
 /// node. The caller guarantees replication >= 2.
-void remove_replica(MappingSolution& s, Rng& rng, const NodePartition& p) {
+void remove_replica(MappingSolution& s, Rng& rng, Scratch& scratch,
+                    const NodePartition& p) {
   int remaining = p.ags_per_replica();
-  std::vector<int> cores = s.cores_of(p.node);
+  std::vector<int>& cores = scratch.cores;
+  s.cores_of(p.node, cores);
   rng.shuffle(cores);
   for (int c : cores) {
     if (remaining == 0) break;
@@ -161,7 +174,7 @@ std::vector<int> replication_targets(const Workload& workload, Rng& rng,
 /// placement failure.
 MappingSolution random_individual(const Workload& workload,
                                   const MapperOptions& options, Rng& rng,
-                                  double target_fill) {
+                                  Scratch& scratch, double target_fill) {
   // LL mode prefers tight host-core sets (row-forwarding fan-out); HT mode
   // benefits from spreading AGs to parallelize MVM issue.
   const bool prefer_locality = options.mode == PipelineMode::kLowLatency;
@@ -175,7 +188,7 @@ MappingSolution random_individual(const Workload& workload,
               return a->xbars_per_replica() > b->xbars_per_replica();
             });
   for (const NodePartition* p : order) {
-    if (!place_replica(s, rng, *p, prefer_locality)) {
+    if (!place_replica(s, rng, scratch, *p, prefer_locality)) {
       throw CapacityError(
           "cannot place one replica of every node; raise core_count or "
           "max_nodes_per_core (node " +
@@ -194,7 +207,7 @@ MappingSolution random_individual(const Workload& workload,
     const int target =
         targets[static_cast<std::size_t>(workload.partition_index(p->node))];
     if (s.replication(p->node) >= std::min(target, p->windows) ||
-        !place_replica(s, rng, *p, prefer_locality)) {
+        !place_replica(s, rng, scratch, *p, prefer_locality)) {
       growable.erase(growable.begin() + pick);
     }
   }
@@ -204,8 +217,8 @@ MappingSolution random_individual(const Workload& workload,
 /// Mutation I: grow a random node's replication. The step size scales with
 /// the current replication (geometric moves) so heavily-windowed nodes can
 /// reach their useful replication range within a GA run.
-bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
-                 bool prefer_locality) {
+bool mutate_grow(MappingSolution& s, Rng& rng, Scratch& scratch,
+                 const Workload& workload, bool prefer_locality) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
@@ -214,7 +227,7 @@ bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
   const int step = 1 + rng.uniform_int(std::max(1, current / 2));
   bool grew = false;
   for (int i = 0; i < step && s.replication(p.node) < p.windows; ++i) {
-    if (!place_replica(s, rng, p, prefer_locality)) break;
+    if (!place_replica(s, rng, scratch, p, prefer_locality)) break;
     grew = true;
   }
   return grew;
@@ -222,7 +235,8 @@ bool mutate_grow(MappingSolution& s, Rng& rng, const Workload& workload,
 
 /// Mutation II: shrink a random node's replication (geometric step, never
 /// below one replica).
-bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
+bool mutate_shrink(MappingSolution& s, Rng& rng, Scratch& scratch,
+                   const Workload& workload) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
@@ -230,7 +244,7 @@ bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
   if (current < 2) return false;
   const int step = 1 + rng.uniform_int(std::max(1, (current - 1) / 2));
   for (int i = 0; i < step && s.replication(p.node) >= 2; ++i) {
-    remove_replica(s, rng, p);
+    remove_replica(s, rng, scratch, p);
   }
   return true;
 }
@@ -238,7 +252,7 @@ bool mutate_shrink(MappingSolution& s, Rng& rng, const Workload& workload) {
 /// Mutation III: spread part of a random gene to other cores.
 bool mutate_spread(MappingSolution& s, Rng& rng) {
   const int core = rng.uniform_int(s.core_count());
-  const auto& genes = s.genes(core);
+  const std::span<const Gene> genes = s.genes(core);
   if (genes.empty()) return false;
   const Gene gene = genes[static_cast<std::size_t>(rng.pick_index(genes))];
   if (gene.ag_count < 2) return false;
@@ -259,11 +273,13 @@ bool mutate_spread(MappingSolution& s, Rng& rng) {
 /// ags-per-replica), pulling a remainder onto another remainder's core so
 /// the stitched accumulation group becomes core-local — the move that
 /// directly removes cross-core partial-sum traffic.
-bool mutate_merge(MappingSolution& s, Rng& rng, const Workload& workload) {
+bool mutate_merge(MappingSolution& s, Rng& rng, Scratch& scratch,
+                  const Workload& workload) {
   const int pick = rng.uniform_int(workload.partition_count());
   const NodePartition& p =
       workload.partitions()[static_cast<std::size_t>(pick)];
-  std::vector<int> cores = s.cores_of(p.node);
+  std::vector<int>& cores = scratch.cores;
+  s.cores_of(p.node, cores);
   if (cores.size() < 2) return false;
 
   const int per_replica = p.ags_per_replica();
@@ -278,7 +294,8 @@ bool mutate_merge(MappingSolution& s, Rng& rng, const Workload& workload) {
   int dst = -1;
   if (per_replica > 1 && rng.bernoulli(0.5)) {
     // Alignment merge: move one remainder onto another remainder's core.
-    std::vector<int> misaligned;
+    std::vector<int>& misaligned = scratch.misaligned;
+    misaligned.clear();
     for (int core : cores) {
       if (count_on(core) % per_replica != 0) misaligned.push_back(core);
     }
@@ -335,8 +352,9 @@ std::size_t worst_index(const std::vector<Individual>& population) {
   return worst;
 }
 
-/// One island of the model: a sub-population, its private RNG stream, its
-/// SoA evaluator, and its convergence record. Between migration barriers
+/// One island of the model: a sub-population and the buffer its next
+/// generation is bred into, its private RNG stream, its SoA evaluator, its
+/// breed-loop scratch, and its convergence record. Between migration barriers
 /// every field is touched only by the parallel_for index that owns the
 /// island; migration runs on the orchestrating thread after the barrier
 /// (parallel_for's completion handshake provides the happens-before), so no
@@ -347,9 +365,17 @@ struct Island {
   Rng rng;
   int population_target = 0;
   std::vector<Individual> population;
+  /// The generation being bred. Elites and children are copy-assigned into
+  /// its existing solutions, then it is swapped with `population`, so a
+  /// steady-state generation allocates nothing.
+  std::vector<Individual> next;
   std::unique_ptr<PopulationEvaluator> evaluator;
   std::vector<double> best_history;  ///< best fitness after each generation
   int evaluations = 0;
+
+  Scratch scratch;
+  std::vector<std::size_t> ranking;  ///< elitism order
+  std::vector<int> pending;          ///< slots awaiting evaluation
 };
 
 /// The pool the islands run on when the caller does not inject one.
@@ -462,8 +488,10 @@ MappingSolution GeneticMapper::map(const Workload& workload,
     Island& island = islands[static_cast<std::size_t>(k)];
     island.population.reserve(
         static_cast<std::size_t>(island.population_target));
-    std::vector<int> pending;
-    pending.reserve(static_cast<std::size_t>(island.population_target));
+    island.best_history.reserve(
+        static_cast<std::size_t>(config_.generations));
+    std::vector<int>& pending = island.pending;
+    pending.clear();
     if (baseline_seed != nullptr && island.population_target > 1) {
       island.population.push_back({*baseline_seed, 0.0});
       pending.push_back(0);
@@ -477,12 +505,16 @@ MappingSolution GeneticMapper::map(const Workload& workload,
       if (options.cancel != nullptr) {
         options.cancel->throw_if_cancelled("ga population initialization");
       }
-      MappingSolution s =
-          random_individual(workload, options, island.rng, config_.target_fill);
+      MappingSolution s = random_individual(workload, options, island.rng,
+                                            island.scratch,
+                                            config_.target_fill);
       pending.push_back(static_cast<int>(island.population.size()));
       island.population.push_back({std::move(s), 0.0});
     }
     evaluate_batch(island, island.population, pending, inner_pool);
+    // The breed buffer's solutions take their shape from the population
+    // once; every generation after copies into them.
+    island.next = island.population;
   };
 
   std::vector<int> ops;
@@ -507,19 +539,27 @@ MappingSolution GeneticMapper::map(const Workload& workload,
                            std::to_string(config_.generations));
     }
     std::vector<Individual>& population = island.population;
+    std::vector<Individual>& next = island.next;
     const int target = island.population_target;
-    std::vector<Individual> next;
-    next.reserve(population.size());
+    // Copy-assigns `parent` into the next slot of `next`, reusing that
+    // slot's storage.
+    int filled = 0;
+    auto breed_from = [&](const Individual& parent) -> Individual& {
+      Individual& child = next[static_cast<std::size_t>(filled++)];
+      child = parent;
+      return child;
+    };
     // Elitism: carry the best individuals unchanged (no crossover; the
     // paper skips it as impractical for this encoding).
-    std::vector<std::size_t> ranking(population.size());
+    std::vector<std::size_t>& ranking = island.ranking;
+    ranking.resize(population.size());
     for (std::size_t i = 0; i < ranking.size(); ++i) ranking[i] = i;
     std::sort(ranking.begin(), ranking.end(),
               [&](std::size_t a, std::size_t b) {
                 return population[a].fitness < population[b].fitness;
               });
     for (int e = 0; e < island_elite && e < target; ++e) {
-      next.push_back(population[ranking[static_cast<std::size_t>(e)]]);
+      breed_from(population[ranking[static_cast<std::size_t>(e)]]);
     }
 
     auto tournament = [&]() -> const Individual& {
@@ -535,9 +575,10 @@ MappingSolution GeneticMapper::map(const Workload& workload,
       return population[winner];
     };
 
-    std::vector<int> pending;
-    while (static_cast<int>(next.size()) < target) {
-      Individual child = tournament();
+    std::vector<int>& pending = island.pending;
+    pending.clear();
+    while (filled < target) {
+      Individual& child = breed_from(tournament());
       const int mutation_count = island.rng.uniform_range(
           1, std::max(1, config_.mutations_per_child));
       bool changed = false;
@@ -545,24 +586,26 @@ MappingSolution GeneticMapper::map(const Workload& workload,
         switch (ops[static_cast<std::size_t>(island.rng.pick_index(ops))]) {
           case 0:
             changed |=
-                mutate_grow(child.solution, island.rng, workload,
+                mutate_grow(child.solution, island.rng, island.scratch,
+                            workload,
                             options.mode == PipelineMode::kLowLatency);
             break;
           case 1:
-            changed |= mutate_shrink(child.solution, island.rng, workload);
+            changed |= mutate_shrink(child.solution, island.rng,
+                                     island.scratch, workload);
             break;
           case 2: changed |= mutate_spread(child.solution, island.rng); break;
           case 3:
-            changed |= mutate_merge(child.solution, island.rng, workload);
+            changed |= mutate_merge(child.solution, island.rng,
+                                    island.scratch, workload);
             break;
           default: break;
         }
       }
-      if (changed) pending.push_back(static_cast<int>(next.size()));
-      next.push_back(std::move(child));
+      if (changed) pending.push_back(filled - 1);
     }
     evaluate_batch(island, next, pending, inner_pool);
-    population = std::move(next);
+    population.swap(next);
     island.best_history.push_back(
         population[best_index(population)].fitness);
   };

@@ -1,6 +1,7 @@
 #include "mapping/mapping_solution.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -12,17 +13,36 @@ MappingSolution::MappingSolution(const Workload& workload,
                                  int max_nodes_per_core)
     : workload_(&workload),
       core_count_(workload.hardware().core_count),
-      max_nodes_per_core_(max_nodes_per_core) {
+      max_nodes_per_core_(max_nodes_per_core),
+      stride_(std::min(max_nodes_per_core, workload.partition_count())),
+      host_words_((core_count_ + 63) / 64) {
   PIMCOMP_CHECK(max_nodes_per_core >= 1,
                 "max_nodes_per_core must be positive");
-  genes_.resize(static_cast<std::size_t>(core_count_));
-  xbars_used_.assign(static_cast<std::size_t>(core_count_), 0);
-  total_ags_.assign(static_cast<std::size_t>(workload.partition_count()), 0);
+  const auto cores = static_cast<std::size_t>(core_count_);
+  const auto parts = static_cast<std::size_t>(workload.partition_count());
+  genes_.resize(cores * static_cast<std::size_t>(stride_));
+  gene_count_.assign(cores, 0);
+  xbars_used_.assign(cores, 0);
+  total_ags_.assign(parts, 0);
+  hosts_.assign(parts * static_cast<std::size_t>(host_words_), 0);
 }
 
-const std::vector<Gene>& MappingSolution::genes(int core) const {
+Gene* MappingSolution::core_genes(int core) {
+  return genes_.data() + static_cast<std::size_t>(core) * stride_;
+}
+
+std::uint64_t* MappingSolution::host_bits(int part) {
+  return hosts_.data() + static_cast<std::size_t>(part) * host_words_;
+}
+
+const std::uint64_t* MappingSolution::host_bits(int part) const {
+  return hosts_.data() + static_cast<std::size_t>(part) * host_words_;
+}
+
+std::span<const Gene> MappingSolution::genes(int core) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return genes_[static_cast<std::size_t>(core)];
+  return {genes_.data() + static_cast<std::size_t>(core) * stride_,
+          static_cast<std::size_t>(gene_count_[static_cast<std::size_t>(core)])};
 }
 
 bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
@@ -34,15 +54,10 @@ bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
       workload_->hardware().xbars_per_core) {
     return false;
   }
-  if (!has_node(core, node) &&
-      gene_count(core) >= max_nodes_per_core_) {
-    return false;
-  }
+  if (!has_node(core, node)) return gene_count(core) < max_nodes_per_core_;
   // Guard the integer gene encoding bound.
-  for (const Gene& g : genes_[static_cast<std::size_t>(core)]) {
-    if (g.node == node && g.ag_count + ag_count > kMaxAgCountPerGene) {
-      return false;
-    }
+  for (const Gene& g : genes(core)) {
+    if (g.node == node) return g.ag_count + ag_count <= kMaxAgCountPerGene;
   }
   return true;
 }
@@ -51,33 +66,42 @@ void MappingSolution::add(int core, NodeId node, int ag_count) {
   PIMCOMP_CHECK(can_add(core, node, ag_count),
                 "MappingSolution::add called with infeasible placement");
   const NodePartition& p = workload_->partition_of(node);
-  auto& core_genes = genes_[static_cast<std::size_t>(core)];
-  auto it = std::find_if(core_genes.begin(), core_genes.end(),
-                         [node](const Gene& g) { return g.node == node; });
-  if (it == core_genes.end()) {
-    core_genes.push_back(Gene{node, ag_count});
+  const int part = workload_->partition_index(node);
+  Gene* slots = core_genes(core);
+  int& count = gene_count_[static_cast<std::size_t>(core)];
+  Gene* it = std::find_if(slots, slots + count,
+                          [node](const Gene& g) { return g.node == node; });
+  if (it == slots + count) {
+    slots[count++] = Gene{node, ag_count};
+    host_bits(part)[core / 64] |= std::uint64_t{1} << (core % 64);
   } else {
     it->ag_count += ag_count;
   }
   xbars_used_[static_cast<std::size_t>(core)] += ag_count * p.xbars_per_ag;
-  total_ags_[static_cast<std::size_t>(workload_->partition_index(node))] +=
-      ag_count;
+  total_ags_[static_cast<std::size_t>(part)] += ag_count;
 }
 
 int MappingSolution::remove(int core, NodeId node, int ag_count) {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   PIMCOMP_ASSERT(ag_count > 0, "ag_count must be positive");
-  auto& core_genes = genes_[static_cast<std::size_t>(core)];
-  auto it = std::find_if(core_genes.begin(), core_genes.end(),
-                         [node](const Gene& g) { return g.node == node; });
-  if (it == core_genes.end()) return 0;
+  if (!has_node(core, node)) return 0;
+  const int part = workload_->partition_index(node);
+  Gene* slots = core_genes(core);
+  int& count = gene_count_[static_cast<std::size_t>(core)];
+  Gene* it = std::find_if(slots, slots + count,
+                          [node](const Gene& g) { return g.node == node; });
   const int removed = std::min(it->ag_count, ag_count);
   it->ag_count -= removed;
-  if (it->ag_count == 0) core_genes.erase(it);
+  if (it->ag_count == 0) {
+    // Shift the later genes left to keep placement order: mutations pick
+    // genes by index, so the order is part of the GA's trajectory.
+    std::copy(it + 1, slots + count, it);
+    --count;
+    host_bits(part)[core / 64] &= ~(std::uint64_t{1} << (core % 64));
+  }
   const NodePartition& p = workload_->partition_of(node);
   xbars_used_[static_cast<std::size_t>(core)] -= removed * p.xbars_per_ag;
-  total_ags_[static_cast<std::size_t>(workload_->partition_index(node))] -=
-      removed;
+  total_ags_[static_cast<std::size_t>(part)] -= removed;
   return removed;
 }
 
@@ -108,22 +132,32 @@ int MappingSolution::free_xbars(int core) const {
 
 int MappingSolution::gene_count(int core) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return static_cast<int>(genes_[static_cast<std::size_t>(core)].size());
+  return gene_count_[static_cast<std::size_t>(core)];
 }
 
 bool MappingSolution::has_node(int core, NodeId node) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  const auto& core_genes = genes_[static_cast<std::size_t>(core)];
-  return std::any_of(core_genes.begin(), core_genes.end(),
-                     [node](const Gene& g) { return g.node == node; });
+  const int part = workload_->partition_index(node);
+  if (part < 0) return false;
+  return (host_bits(part)[core / 64] >> (core % 64) & 1U) != 0;
 }
 
 std::vector<int> MappingSolution::cores_of(NodeId node) const {
   std::vector<int> cores;
-  for (int c = 0; c < core_count_; ++c) {
-    if (has_node(c, node)) cores.push_back(c);
-  }
+  cores_of(node, cores);
   return cores;
+}
+
+void MappingSolution::cores_of(NodeId node, std::vector<int>& out) const {
+  out.clear();
+  const int part = workload_->partition_index(node);
+  if (part < 0) return;
+  const std::uint64_t* bits = host_bits(part);
+  for (int w = 0; w < host_words_; ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      out.push_back(w * 64 + std::countr_zero(word));
+    }
+  }
 }
 
 std::int64_t MappingSolution::total_xbars_used() const {
@@ -137,8 +171,10 @@ void MappingSolution::validate() const {
   std::vector<int> recount(static_cast<std::size_t>(
                                workload_->partition_count()),
                            0);
+  std::int64_t gene_total = 0;
   for (int c = 0; c < core_count_; ++c) {
-    const auto& core_genes = genes_[static_cast<std::size_t>(c)];
+    const std::span<const Gene> core_genes = genes(c);
+    gene_total += static_cast<std::int64_t>(core_genes.size());
     if (static_cast<int>(core_genes.size()) > max_nodes_per_core_) {
       throw Error("core " + std::to_string(c) + " holds " +
                   std::to_string(core_genes.size()) +
@@ -155,6 +191,10 @@ void MappingSolution::validate() const {
                       std::to_string(g.node));
         }
       }
+      if (!has_node(c, g.node)) {
+        throw Error("core " + std::to_string(c) + " host bitset misses node " +
+                    std::to_string(g.node));
+      }
       const NodePartition& p = workload_->partition_of(g.node);
       xbars += g.ag_count * p.xbars_per_ag;
       recount[static_cast<std::size_t>(workload_->partition_index(g.node))] +=
@@ -168,6 +208,13 @@ void MappingSolution::validate() const {
                   std::to_string(xbars) + " crossbars, budget is " +
                   std::to_string(hw.xbars_per_core));
     }
+  }
+  // Every gene's bit is set (checked above); equal totals rule out strays.
+  std::int64_t bits_set = 0;
+  for (std::uint64_t word : hosts_) bits_set += std::popcount(word);
+  if (bits_set != gene_total) {
+    throw Error("host-core bitsets hold " + std::to_string(bits_set) +
+                " bits for " + std::to_string(gene_total) + " genes");
   }
   for (const NodePartition& p : workload_->partitions()) {
     const int total =
@@ -216,8 +263,8 @@ std::vector<AgInstance> MappingSolution::instantiate() const {
     // the trailing replicas, which also carry the shortest window ranges.
     std::int64_t next = 0;
     std::vector<std::pair<int, int>> remainders;  // (core, leftover AGs)
-    for (int c = 0; c < core_count_; ++c) {
-      for (const Gene& g : genes_[static_cast<std::size_t>(c)]) {
+    for (int c : cores_of(p.node)) {
+      for (const Gene& g : genes(c)) {
         if (g.node != p.node) continue;
         const int whole = g.ag_count / per_replica;
         for (int k = 0; k < whole * per_replica; ++k) emit(c, next++);
@@ -236,7 +283,7 @@ std::vector<std::int64_t> MappingSolution::encode() const {
   std::vector<std::int64_t> chromosome(
       static_cast<std::size_t>(core_count_) * max_nodes_per_core_, 0);
   for (int c = 0; c < core_count_; ++c) {
-    const auto& core_genes = genes_[static_cast<std::size_t>(c)];
+    const std::span<const Gene> core_genes = genes(c);
     for (std::size_t i = 0; i < core_genes.size(); ++i) {
       chromosome[static_cast<std::size_t>(c) * max_nodes_per_core_ + i] =
           encode_gene(core_genes[i]);

@@ -2,6 +2,7 @@
 #define PIMCOMP_MAPPING_MAPPING_SOLUTION_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,13 @@ namespace pimcomp {
 ///    max_node_num_in_core chromosome bound);
 ///  * each node's total AG count is a positive multiple of its
 ///    ags-per-replica, i.e. replication is integral and >= 1.
+///
+/// Storage is flat so that copying a solution into another of the same
+/// shape (the GA's per-child copy) reuses the destination's buffers and
+/// allocates nothing: genes live in one core-major array with a fixed
+/// per-core stride of min(max_nodes_per_core, partition_count) slots (a
+/// core never holds two genes of one node), and each partition keeps a
+/// bitset of its host cores.
 class MappingSolution {
  public:
   MappingSolution(const Workload& workload, int max_nodes_per_core);
@@ -32,8 +40,9 @@ class MappingSolution {
   int core_count() const { return core_count_; }
   int max_nodes_per_core() const { return max_nodes_per_core_; }
 
-  /// Genes resident on a core (each a distinct node).
-  const std::vector<Gene>& genes(int core) const;
+  /// Genes resident on a core (each a distinct node), in placement order.
+  /// The span is invalidated by the next add/remove on that core.
+  std::span<const Gene> genes(int core) const;
 
   // --- Mutation primitives (used by mappers) -------------------------------
 
@@ -61,8 +70,12 @@ class MappingSolution {
   int free_xbars(int core) const;
   int gene_count(int core) const;
   bool has_node(int core, NodeId node) const;
-  /// Cores currently holding at least one AG of `node`.
+  /// Cores currently holding at least one AG of `node`, ascending.
+  /// O(core_count / 64 + hosts) via the node's host-core bitset.
   std::vector<int> cores_of(NodeId node) const;
+  /// Same, written into a caller-owned vector (cleared first) so hot loops
+  /// reuse its capacity.
+  void cores_of(NodeId node, std::vector<int>& out) const;
 
   /// Total crossbars used across all cores.
   std::int64_t total_xbars_used() const;
@@ -100,12 +113,20 @@ class MappingSolution {
   std::string to_string() const;
 
  private:
+  Gene* core_genes(int core);
+  std::uint64_t* host_bits(int part);
+  const std::uint64_t* host_bits(int part) const;
+
   const Workload* workload_;
   int core_count_;
   int max_nodes_per_core_;
-  std::vector<std::vector<Gene>> genes_;  // per core
-  std::vector<int> xbars_used_;           // per core cache
-  std::vector<int> total_ags_;            // per partition index cache
+  int stride_;      // gene slots per core: min(max_nodes, partitions)
+  int host_words_;  // 64-bit words per host-core bitset
+  std::vector<Gene> genes_;           // core_count_ * stride_, core-major
+  std::vector<int> gene_count_;       // per core: occupied slots
+  std::vector<int> xbars_used_;       // per core cache
+  std::vector<int> total_ags_;        // per partition index cache
+  std::vector<std::uint64_t> hosts_;  // per partition: host-core bitset
 };
 
 }  // namespace pimcomp

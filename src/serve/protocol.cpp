@@ -80,6 +80,14 @@ constexpr long long kMaxWireInputSize = 1 << 16;
 /// ~10 years in ms: deadlines past this are configuration errors, not
 /// budgets.
 constexpr long long kMaxWireDeadlineMs = 315'360'000'000LL;
+/// JSON numbers travel as doubles, which hold integers exactly only below
+/// 2^53; a larger seed would arrive rounded and compile a different key.
+constexpr std::uint64_t kMaxWireSeed = (std::uint64_t{1} << 53) - 1;
+
+std::string seed_range_error(const std::string& got) {
+  return "options.seed wants 0.." + std::to_string(kMaxWireSeed) +
+         " (the integers a JSON double holds exactly), got " + got;
+}
 
 /// Rejects requests declaring a protocol newer than this build speaks —
 /// one wording for every request type.
@@ -136,6 +144,9 @@ Json options_to_json(const CompileOptions& options) {
   if (!options.backend.empty()) json["backend"] = options.backend;
   json["max_nodes_per_core"] = options.max_nodes_per_core;
   json["ht_flush_windows"] = options.ht_flush_windows;
+  if (options.seed > kMaxWireSeed) {
+    throw ServeError(seed_range_error(std::to_string(options.seed)));
+  }
   json["seed"] = static_cast<std::int64_t>(options.seed);
 
   Json ga = Json::object();
@@ -182,8 +193,13 @@ CompileOptions options_from_json(const Json& json,
   options.ht_flush_windows =
       bounded_int(json, "ht_flush_windows", options.ht_flush_windows, 1,
                   kMaxWireGaBudget, "options");
-  options.seed = static_cast<std::uint64_t>(
-      json.get("seed", static_cast<std::int64_t>(options.seed)));
+  if (json.contains("seed")) {
+    const double seed = json.at("seed").as_number();
+    if (!(seed >= 0.0 && seed <= static_cast<double>(kMaxWireSeed))) {
+      throw ServeError(seed_range_error(json.at("seed").dump(-1)));
+    }
+    options.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
+  }
 
   if (json.contains("ga")) {
     const Json& ga = json.at("ga");

@@ -20,7 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "backend/instruction_stream.hpp"
 #include "common/thread_pool.hpp"
+#include "core/compile_report.hpp"
 #include "core/session.hpp"
 #include "graph/builder.hpp"
 #include "graph/zoo/zoo.hpp"
@@ -232,6 +234,51 @@ TEST(IslandGa, IslandsNoWorseThanSequentialAtEqualBudget) {
       }
     }
     EXPECT_LE(sum[1], sum[0]);
+  }
+}
+
+TEST(IslandGa, MaxNodesBeyondPartitionCountChangesNothing) {
+  // A core never holds two genes of one node, so a max_nodes_per_core past
+  // the partition count (the wire accepts up to 4096) is the same bound as
+  // the partition count itself: same search, same program. Gene storage and
+  // evaluator stripes are sized by the smaller of the two, so the large
+  // value costs no memory either.
+  Graph graph = zoo::build("squeezenet", 32);
+  graph.finalize();
+  const HardwareConfig hw =
+      fit_core_count(graph, HardwareConfig::puma_default(), 3.0);
+  const int partitions = Workload(graph, hw).partition_count();
+  const Compiler compiler(std::move(graph), hw);
+  for (const auto mode :
+       {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
+    SCOPED_TRACE(to_string(mode));
+    std::vector<std::string> programs;
+    for (const int max_nodes : {partitions, 4096}) {
+      CompileOptions options;
+      options.mode = mode;
+      options.max_nodes_per_core = max_nodes;
+      options.backend = "isa-json";
+      options.ga.population = 12;
+      options.ga.generations = 6;
+      options.seed = 5;
+      const CompileResult result = compiler.compile(options);
+      Json report = compile_result_to_json(result);
+      report["stage_times"] = Json::object();
+      // The stream's mapping key hashes the options, max_nodes included.
+      InstructionStream stream = *result.stream;
+      stream.mapping_key = 0;
+      std::string program =
+          report.dump(-1) + "\n" + stream.to_json().dump(-1);
+      for (int c = 0; c < result.solution.core_count(); ++c) {
+        for (const Gene& g : result.solution.genes(c)) {
+          program += " " + std::to_string(c) + ":" + g.to_string();
+        }
+      }
+      program += " evaluations=" +
+                 std::to_string(result.ga_stats.evaluations);
+      programs.push_back(std::move(program));
+    }
+    EXPECT_EQ(programs[0], programs[1]);
   }
 }
 

@@ -50,6 +50,9 @@ TEST_F(LoggingTest, ConcurrentSetLevelAndLogIsRaceFree) {
   // Pre-fix, TSan reports a data race on level_ here.
   std::ostringstream captured;
   auto* old = std::cerr.rdbuf(captured.rdbuf());
+  // Start from a threshold kWarn cannot pass: at the default (kWarn) the
+  // writer could log before the flipper's first set_level.
+  Logger::set_level(LogLevel::kError);
   Thread flipper([] {
     for (int i = 0; i < 2000; ++i) {
       Logger::set_level(i % 2 == 0 ? LogLevel::kOff : LogLevel::kError);

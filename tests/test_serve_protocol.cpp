@@ -103,6 +103,33 @@ TEST(ServeProtocol, OptionsRejectBadMode) {
   EXPECT_THROW(serve::options_from_json(json), ServeError);
 }
 
+TEST(ServeProtocol, SeedsTravelExactlyOrAreRejected) {
+  // 2^53-1 is the largest integer a JSON double holds exactly.
+  CompileOptions options;
+  options.seed = (std::uint64_t{1} << 53) - 1;
+  EXPECT_EQ(
+      serve::options_from_json(wire(serve::options_to_json(options))).seed,
+      options.seed);
+
+  // 2^53 would reach the daemon as some neighbour: the client refuses to
+  // encode it, and a hand-written frame carrying it is refused on decode.
+  options.seed = std::uint64_t{1} << 53;
+  EXPECT_THROW(serve::options_to_json(options), ServeError);
+  for (const char* frame :
+       {R"({"seed": 9007199254740992})", R"({"seed": 9007199254740993})",
+        R"({"seed": 1e300})", R"({"seed": -1})"}) {
+    EXPECT_THROW(serve::options_from_json(Json::parse(frame)), ServeError)
+        << frame;
+  }
+  try {
+    serve::options_from_json(Json::parse(R"({"seed": 9007199254740992})"));
+  } catch (const ServeError& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    EXPECT_NE(message.find("options.seed"), std::string::npos) << message;
+  }
+}
+
 TEST(ServeProtocol, AbsurdWireNumericsAreRejected) {
   // One request must never be able to OOM the shared daemon: allocation
   // drivers carry the same sanity ceilings as the CLI.
