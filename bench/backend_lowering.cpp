@@ -4,8 +4,8 @@
 // resulting artifact through its JSON codec — the costs a lowering-enabled
 // compile, the disk cache, and the serve protocol's v4 artifact frames add
 // on top of a plain compile. A final column executes the stream through
-// the `sim` backend against the legacy simulator on the original schedule;
-// the two reports must stay bit-identical (the bench aborts otherwise).
+// the `sim` backend against the simulator on the original schedule; the
+// two reports must stay bit-identical (the bench aborts otherwise).
 //
 // PIMCOMP_BENCH_JSON=path writes the measurements as a machine-readable
 // artifact (one row per model), same idiom as table2_compile_time.
@@ -92,8 +92,7 @@ int main() {
     const double legacy_s = seconds_since(t0);
 
     if (backend_sim.to_string() != legacy.to_string()) {
-      std::cerr << name << ": sim backend diverged from the legacy "
-                << "simulator\n";
+      std::cerr << name << ": sim backend diverged from the simulator\n";
       return 1;
     }
 
@@ -122,8 +121,8 @@ int main() {
   table.print();
   std::cout << "\nLowering and both codec directions are linear in the "
                "instruction count and stay far below one mapping "
-               "generation; the sim backend's interpreter matches the "
-               "legacy simulator bit for bit.\n";
+               "generation; the sim backend matches the simulator on the "
+               "original schedule bit for bit.\n";
 
   if (const char* json_path = std::getenv("PIMCOMP_BENCH_JSON")) {
     Json out = Json::object();

@@ -15,9 +15,9 @@
 #      "remote"), the mapping stage must never run, and the reports must
 #      be byte-identical to the router batch modulo wall-clock stage
 #      times.
-#   3. A raw requester that declares protocol version 4 gets a done frame
-#      gated back to version 4 — fleet features are opt-in on the wire
-#      and pre-v5 clients round-trip unchanged.
+#   3. A raw requester that declares protocol version 4 gets exactly one
+#      error frame through the router, naming both versions; a v6 request
+#      on the same connection then compiles normally.
 #
 # Run from the repo root after a build:
 #
@@ -218,40 +218,50 @@ print("network cache OK: 4 remote hit(s), 0 mapping invocations,",
       "byte-identical reports")
 EOF
 
-# Pre-v5 gating: a version-4 requester gets a version-4 done frame back
-# through the router — no fleet-era framing leaks into old clients.
+# One wire version: a version-4 requester is refused with one error frame
+# naming both versions, and the connection stays usable for a v6 request.
 python3 - "$ROUTER_SOCK" "$TOKEN" <<'EOF'
 import json, socket, sys
 
 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 sock.connect(sys.argv[1])
-request = {
-    "type": "compile", "version": 4, "id": 11, "auth": sys.argv[2],
-    "model": "squeezenet", "input_size": 32, "simulate": False,
-    "scenarios": [{"label": "v4",
-                   "options": {"mode": "ll", "parallelism": 4,
-                               "ga": {"population": 6, "generations": 3}}}],
-}
-sock.sendall((json.dumps(request) + "\n").encode())
+buf = b""
 
-frames, buf = [], b""
-while not (frames and frames[-1].get("type") in ("done", "error")):
-    chunk = sock.recv(65536)
-    assert chunk, "router closed the connection mid-request"
-    buf += chunk
-    while b"\n" in buf:
+def exchange(version, request_id):
+    global buf
+    request = {
+        "type": "compile", "version": version, "id": request_id,
+        "auth": sys.argv[2],
+        "model": "squeezenet", "input_size": 32, "simulate": False,
+        "scenarios": [{"label": f"v{version}",
+                       "options": {"mode": "ll", "parallelism": 4,
+                                   "ga": {"population": 6,
+                                          "generations": 3}}}],
+    }
+    sock.sendall((json.dumps(request) + "\n").encode())
+    frames = []
+    while not (frames and frames[-1].get("type") in ("done", "error")):
+        while b"\n" not in buf:
+            chunk = sock.recv(65536)
+            assert chunk, "router closed the connection mid-request"
+            buf += chunk
         line, buf = buf.split(b"\n", 1)
         if line.strip():
             frames.append(json.loads(line))
-sock.close()
+    return frames
 
-done = frames[-1]
-assert done["type"] == "done", f"v4 request failed: {done}"
-assert done.get("version") == 4, \
-    f"done frame not gated to the requester's version: {done}"
-kinds = [f["type"] for f in frames if f["type"] not in ("event", "cache_hit")]
-assert kinds == ["outcome", "done"], kinds
-print("v4 gating OK: done frame answered at version 4 through the router")
+old = exchange(4, 11)
+assert [f["type"] for f in old] == ["error"], old
+assert old[0].get("id") == 11, old[0]
+assert "v4" in old[0]["error"] and "v6" in old[0]["error"], old[0]
+
+current = exchange(6, 12)
+done = current[-1]
+assert done["type"] == "done", f"v6 request failed: {done}"
+assert done.get("version") == 6 and done.get("ok") == 1, done
+sock.close()
+print("version gate OK: v4 refused with", repr(old[0]["error"]),
+      "and a v6 request on the same connection compiled")
 EOF
 
 # Graceful drain: TERM the router, then the daemons; all must exit 0.

@@ -3,9 +3,9 @@
 # a Unix socket, submits a two-scenario batch — one feasible, one
 # deliberately infeasible (a 1-core / 1-crossbar machine) — through
 # `pimcomp_cli submit`, and asserts exactly one success and one structured
-# per-scenario error. A second leg speaks the wire protocol directly and
-# checks the v4 artifact/done framing (version-gated, so a pre-v4 daemon
-# still passes). Run from the repo root after a build:
+# per-scenario error. A second leg speaks the wire protocol directly,
+# declaring version 6, and checks the artifact frame and the done frame's
+# version and artifact count. Run from the repo root after a build:
 #
 #   scripts/serve_smoke.sh [build-dir]
 set -euo pipefail
@@ -87,18 +87,16 @@ print("serve smoke OK:",
       f"'{bad[0]['scenario']}' rejected with: {bad[0]['error'][:90]}")
 EOF
 
-# v4 wire check with a raw client: a requester that declares version 4 and
+# Wire check with a raw client: a requester that declares version 6 and
 # selects a lowering backend gets an artifact frame right after its outcome,
 # and the done frame advertises the protocol version and artifact count.
-# The assertions are version-gated on the done frame so the script still
-# passes against a pre-v4 daemon (which never emits those fields).
 python3 - "$SOCK" <<'EOF'
 import json, socket, sys
 
 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 sock.connect(sys.argv[1])
 request = {
-    "type": "compile", "version": 4, "id": 7,
+    "type": "compile", "version": 6, "id": 7,
     "model": "squeezenet", "input_size": 32, "simulate": False,
     "scenarios": [{"label": "lowered",
                    "options": {"mode": "ll", "parallelism": 4,
@@ -121,19 +119,16 @@ sock.close()
 done = frames[-1]
 assert done["type"] == "done", f"request failed: {done}"
 kinds = [f["type"] for f in frames if f["type"] != "event"]
-if done.get("version", 3) >= 4:
-    assert kinds == ["outcome", "artifact", "done"], kinds
-    assert done.get("artifacts") == 1, done
-    stream = next(f for f in frames if f["type"] == "artifact")["artifact"]
-    assert stream.get("isa") == 1, stream
-    assert stream.get("backend") == "isa-json", stream
-    assert stream.get("total_ops", 0) > 0, stream
-    print("v4 smoke OK: artifact frame carried",
-          f"{stream['total_ops']} ops; done advertises version",
-          f"{done['version']} with {done['artifacts']} artifact(s)")
-else:
-    assert kinds == ["outcome", "done"], kinds
-    print("v4 smoke skipped: pre-v4 daemon answered a legacy done frame")
+assert kinds == ["outcome", "artifact", "done"], kinds
+assert done.get("version") == 6, done
+assert done.get("artifacts") == 1, done
+stream = next(f for f in frames if f["type"] == "artifact")["artifact"]
+assert stream.get("isa") == 1, stream
+assert stream.get("backend") == "isa-json", stream
+assert stream.get("total_ops", 0) > 0, stream
+print("wire smoke OK: artifact frame carried",
+      f"{stream['total_ops']} ops; done advertises version",
+      f"{done['version']} with {done['artifacts']} artifact(s)")
 EOF
 
 # Graceful shutdown: SIGTERM must drain and exit 0.

@@ -38,8 +38,8 @@ Opcode opcode_from_op_kind(OpKind kind);
 OpKind op_kind_from_opcode(Opcode opcode);
 
 /// One lowered instruction. Field-for-field lossless against
-/// schedule/operation.hpp's Operation so the `sim` backend can replay the
-/// exact arithmetic of the legacy simulator:
+/// schedule/operation.hpp's Operation, so the `sim` backend can run a
+/// stream on the simulator by converting it back (to_schedule()):
 ///  * `ag` is the wait handle — the Array Group whose most recent MVM must
 ///    complete before this instruction starts (for MVM: the AG it runs on);
 ///  * `tag` is the logical channel class for SEND/RECV pairing;

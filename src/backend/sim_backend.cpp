@@ -1,42 +1,16 @@
-// The `sim` backend: src/sim/'s cycle-accurate model rebuilt as an
-// interpreter of the instruction-stream artifact. Lowering is the reference
-// emission; execute() replays the stream with the exact arithmetic, event
-// ordering and aggregation of the legacy Simulator — integer picosecond
-// clocks and identically-ordered double accumulations — so its reports are
-// bit-identical to Simulator::run() on the schedule the stream was lowered
-// from (the acceptance contract tests/test_backend.cpp pins).
+// The `sim` backend: executes an instruction-stream artifact on src/sim/'s
+// cycle-accurate engine. Every opcode maps one-to-one onto an operation
+// kind, so execute() rebuilds the schedule the stream was lowered from and
+// runs Simulator on it — one engine, hence reports bit-identical to
+// Simulator::run() on that schedule (tests/test_backend.cpp pins this).
 
-#include <algorithm>
-#include <queue>
-#include <sstream>
-#include <vector>
-
-#include "arch/energy_model.hpp"
-#include "arch/noc.hpp"
 #include "backend/backend.hpp"
 #include "common/error.hpp"
-#include "common/statistics.hpp"
-#include "sim/channel.hpp"
+#include "sim/simulator.hpp"
 
 namespace pimcomp {
 
 namespace {
-
-/// Transfer duration of `bytes` at `gbps` (GB/s) in picoseconds.
-Picoseconds bandwidth_time(std::int64_t bytes, double gbps) {
-  if (bytes <= 0) return 0;
-  return static_cast<Picoseconds>(static_cast<double>(bytes) * 1000.0 / gbps);
-}
-
-struct CoreState {
-  std::size_t pc = 0;
-  Picoseconds clock = 0;        ///< completion of the last in-order op
-  Picoseconds issue_clock = 0;  ///< next MVM issue slot
-  Picoseconds last_event = 0;   ///< latest completion incl. MVM drains
-  Picoseconds busy = 0;
-  TimeWeightedAverage usage;
-  Picoseconds last_usage_time = 0;
-};
 
 class SimBackend : public Backend {
  public:
@@ -53,290 +27,12 @@ class SimBackend : public Backend {
   bool can_execute() const override { return true; }
 
   SimReport execute(const InstructionStream& stream,
-                    const HardwareConfig& hw) const override;
+                    const HardwareConfig& hw) const override {
+    stream.validate();
+    return Simulator(hw, {stream.parallelism_degree, stream.mode})
+        .run(stream.to_schedule());
+  }
 };
-
-SimReport SimBackend::execute(const InstructionStream& stream,
-                              const HardwareConfig& hw) const {
-  stream.validate();
-  HardwareConfig hw_validated = hw;
-  hw_validated.validate();
-  const HardwareConfig& hw_ = hw_validated;
-  PIMCOMP_CHECK(stream.parallelism_degree >= 1,
-                "parallelism degree must be >= 1");
-
-  const int cores = stream.core_count();
-  PIMCOMP_CHECK(cores > 0, "instruction stream has no cores");
-  PIMCOMP_CHECK(cores <= hw_.core_count,
-                "instruction stream uses more cores than the hardware has");
-
-  const EnergyModel energy(hw_);
-  const NocModel noc(hw_);
-  const Picoseconds t_mvm = hw_.mvm_latency;
-  const Picoseconds t_issue =
-      hw_.mvm_issue_interval(stream.parallelism_degree);
-  const std::int64_t act_bytes = hw_.activation_bits / 8;
-
-  std::vector<CoreState> cs(static_cast<std::size_t>(cores));
-  std::vector<Picoseconds> ag_done(static_cast<std::size_t>(stream.ag_count),
-                                   0);
-  ChannelNetwork channels;
-  Picoseconds gmem_free = 0;
-
-  SimReport report;
-
-  auto record_usage = [&](CoreState& core, Picoseconds t,
-                          std::int64_t usage) {
-    const Picoseconds at = std::max(t, core.last_usage_time);
-    core.usage.record(at, static_cast<double>(usage));
-    core.last_usage_time = at;
-  };
-
-  auto execute_inst = [&](int c, const Instruction& inst) {
-    CoreState& core = cs[static_cast<std::size_t>(c)];
-    const Picoseconds dep =
-        (inst.opcode != Opcode::kMvm && inst.ag >= 0)
-            ? ag_done[static_cast<std::size_t>(inst.ag)]
-            : 0;
-    Picoseconds effect_time = 0;
-
-    switch (inst.opcode) {
-      case Opcode::kMvm: {
-        PIMCOMP_ASSERT(inst.ag >= 0 && inst.ag < stream.ag_count,
-                       "MVM references an unknown AG");
-        Picoseconds start = std::max(core.issue_clock, core.clock);
-        start = std::max(start, ag_done[static_cast<std::size_t>(inst.ag)]);
-        core.issue_clock = start + t_issue;
-        ag_done[static_cast<std::size_t>(inst.ag)] = start + t_mvm;
-        core.last_event = std::max(core.last_event, start + t_mvm);
-        core.busy += t_issue;
-        report.dynamic_energy.mvm +=
-            energy.mvm_energy_per_xbar() * inst.xbars;
-        ++report.mvm_ops;
-        effect_time = start;
-        break;
-      }
-      case Opcode::kValu: {
-        const Picoseconds start = std::max(core.clock, dep);
-        const double ns =
-            static_cast<double>(inst.elements) / hw_.vfu_ops_per_ns;
-        const Picoseconds dur = from_ns(ns);
-        core.clock = start + dur;
-        core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
-        report.dynamic_energy.vfu +=
-            energy.vfu_energy_per_element() *
-            static_cast<double>(inst.elements);
-        report.dynamic_energy.local_memory +=
-            energy.local_mem_energy_per_byte() *
-            static_cast<double>(2 * inst.elements * act_bytes);
-        ++report.vfu_ops;
-        effect_time = core.clock;
-        break;
-      }
-      case Opcode::kLoad:
-      case Opcode::kStore: {
-        Picoseconds start = std::max(core.clock, dep);
-        start = std::max(start, gmem_free);
-        const Picoseconds dur =
-            bandwidth_time(inst.bytes, hw_.global_memory_gbps);
-        gmem_free = start + dur;
-        core.clock = start + dur;
-        core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
-        report.dynamic_energy.global_memory +=
-            energy.global_mem_energy_per_byte() *
-            static_cast<double>(inst.bytes);
-        report.dynamic_energy.local_memory +=
-            energy.local_mem_energy_per_byte() *
-            static_cast<double>(inst.bytes);
-        report.global_traffic_bytes += inst.bytes;
-        effect_time = core.clock;
-        break;
-      }
-      case Opcode::kSend: {
-        const Picoseconds start = std::max(core.clock, dep);
-        const Picoseconds inject =
-            bandwidth_time(inst.bytes, hw_.local_memory_gbps);
-        core.clock = start + inject;
-        core.busy += inject;
-        const Picoseconds arrival =
-            core.clock + noc.transfer_latency(c, inst.peer, inst.bytes);
-        channels.send(c, inst.peer, inst.tag, arrival, inst.bytes);
-        core.last_event = std::max(core.last_event, core.clock);
-        report.dynamic_energy.noc +=
-            energy.noc_energy_per_flit_hop() *
-            static_cast<double>(noc.flits(inst.bytes) *
-                                std::max(1, noc.hops(c, inst.peer)));
-        if (noc.crosses_chip(c, inst.peer)) {
-          report.dynamic_energy.noc +=
-              energy.ht_energy_per_byte() * static_cast<double>(inst.bytes);
-        }
-        report.dynamic_energy.local_memory +=
-            energy.local_mem_energy_per_byte() *
-            static_cast<double>(inst.bytes);
-        ++report.comm_messages;
-        report.comm_bytes += inst.bytes;
-        effect_time = core.clock;
-        break;
-      }
-      case Opcode::kRecv: {
-        const ChannelNetwork::Message msg =
-            channels.pop(inst.peer, c, inst.tag);
-        if (msg.bytes != inst.bytes) {
-          std::ostringstream oss;
-          oss << "channel byte mismatch on " << inst.peer << "->" << c
-              << ": sent " << msg.bytes << ", receiver expected "
-              << inst.bytes;
-          throw SimulationError(oss.str());
-        }
-        Picoseconds start = std::max(core.clock, msg.arrival);
-        start = std::max(start, dep);
-        const Picoseconds dur =
-            bandwidth_time(inst.bytes, hw_.local_memory_gbps);
-        core.clock = start + dur;
-        core.last_event = std::max(core.last_event, core.clock);
-        core.busy += dur;
-        report.dynamic_energy.local_memory +=
-            energy.local_mem_energy_per_byte() *
-            static_cast<double>(inst.bytes);
-        effect_time = core.clock;
-        break;
-      }
-    }
-
-    if (inst.local_usage >= 0) {
-      record_usage(core, effect_time, inst.local_usage);
-    }
-  };
-
-  // Globally time-ordered execution, identical to the legacy simulator:
-  // always advance the core whose next instruction can start earliest so
-  // shared-resource arbitration (the global-memory bandwidth server) stays
-  // causal. Cores blocked on empty channels park until a matching SEND.
-  auto next_ready = [&](int c) -> Picoseconds {
-    const CoreState& core = cs[static_cast<std::size_t>(c)];
-    const auto& program = stream.cores[static_cast<std::size_t>(c)];
-    PIMCOMP_ASSERT(core.pc < program.size(), "next_ready past program end");
-    const Instruction& inst = program[core.pc];
-    const Picoseconds dep =
-        (inst.opcode != Opcode::kMvm && inst.ag >= 0)
-            ? ag_done[static_cast<std::size_t>(inst.ag)]
-            : 0;
-    switch (inst.opcode) {
-      case Opcode::kMvm:
-        return std::max({core.issue_clock, core.clock,
-                         ag_done[static_cast<std::size_t>(inst.ag)]});
-      case Opcode::kRecv:
-        // Caller guarantees a message is queued.
-        return std::max(core.clock, dep);
-      default:
-        return std::max(core.clock, dep);
-    }
-  };
-
-  // Min-heap of (ready time, core); parked cores wait for channel arrivals.
-  std::priority_queue<std::pair<Picoseconds, int>,
-                      std::vector<std::pair<Picoseconds, int>>,
-                      std::greater<>>
-      ready_queue;
-  std::vector<bool> parked(static_cast<std::size_t>(cores), false);
-  std::vector<bool> queued(static_cast<std::size_t>(cores), false);
-
-  auto enqueue = [&](int c) {
-    const CoreState& core = cs[static_cast<std::size_t>(c)];
-    const auto& program = stream.cores[static_cast<std::size_t>(c)];
-    if (core.pc >= program.size()) return;
-    const Instruction& inst = program[core.pc];
-    if (inst.opcode == Opcode::kRecv &&
-        !channels.has_message(inst.peer, c, inst.tag)) {
-      parked[static_cast<std::size_t>(c)] = true;
-      return;
-    }
-    parked[static_cast<std::size_t>(c)] = false;
-    if (!queued[static_cast<std::size_t>(c)]) {
-      ready_queue.push({next_ready(c), c});
-      queued[static_cast<std::size_t>(c)] = true;
-    }
-  };
-
-  for (int c = 0; c < cores; ++c) enqueue(c);
-
-  while (!ready_queue.empty()) {
-    const auto [key, c] = ready_queue.top();
-    ready_queue.pop();
-    queued[static_cast<std::size_t>(c)] = false;
-    CoreState& core = cs[static_cast<std::size_t>(c)];
-    const auto& program = stream.cores[static_cast<std::size_t>(c)];
-    if (core.pc >= program.size()) continue;
-    const Instruction& inst = program[core.pc];
-    execute_inst(c, inst);
-    ++core.pc;
-    if (inst.opcode == Opcode::kSend &&
-        parked[static_cast<std::size_t>(inst.peer)]) {
-      enqueue(inst.peer);
-    }
-    enqueue(c);
-  }
-
-  for (int c = 0; c < cores; ++c) {
-    const CoreState& core = cs[static_cast<std::size_t>(c)];
-    const auto& program = stream.cores[static_cast<std::size_t>(c)];
-    if (core.pc < program.size()) {
-      const Instruction& inst = program[core.pc];
-      std::ostringstream oss;
-      oss << "deadlock: core " << c << " blocked at instruction " << core.pc
-          << "/" << program.size() << " (" << to_string(inst.opcode)
-          << " from core " << inst.peer << ", node " << inst.node << "); "
-          << channels.in_flight() << " messages in flight";
-      throw SimulationError(oss.str());
-    }
-  }
-
-  // --- Aggregate (identical order to Simulator::run) -----------------------
-  report.core_finish.resize(static_cast<std::size_t>(cores), 0);
-  report.core_busy.resize(static_cast<std::size_t>(cores), 0);
-  double usage_sum = 0.0;
-  for (int c = 0; c < cores; ++c) {
-    CoreState& core = cs[static_cast<std::size_t>(c)];
-    const bool active = !stream.cores[static_cast<std::size_t>(c)].empty();
-    report.core_finish[static_cast<std::size_t>(c)] = core.last_event;
-    report.core_busy[static_cast<std::size_t>(c)] = core.busy;
-    report.makespan = std::max(report.makespan, core.last_event);
-    if (active) {
-      ++report.active_cores;
-      usage_sum += core.usage.finish(core.last_event);
-      report.peak_local_memory_bytes =
-          std::max(report.peak_local_memory_bytes,
-                   static_cast<std::int64_t>(core.usage.peak()));
-    }
-  }
-  if (report.active_cores > 0) {
-    report.avg_local_memory_bytes = usage_sum / report.active_cores;
-  }
-
-  // Spill traffic estimated by the schedule-time memory planner.
-  for (std::int64_t spill : stream.spill_bytes) {
-    report.spill_traffic_bytes += spill;
-  }
-  report.global_traffic_bytes += report.spill_traffic_bytes;
-
-  // Leakage: HT cores leak over their own busy window (independent pipeline
-  // stages); LL cores stay powered until the inference completes.
-  Picojoules leakage = 0.0;
-  for (int c = 0; c < cores; ++c) {
-    if (stream.cores[static_cast<std::size_t>(c)].empty()) continue;
-    const Picoseconds active_time =
-        stream.mode == PipelineMode::kHighThroughput
-            ? report.core_finish[static_cast<std::size_t>(c)]
-            : report.makespan;
-    leakage += energy.core_leakage_energy(1, active_time);
-  }
-  leakage += energy.chip_leakage_energy(hw_.chip_count(), report.makespan);
-  report.leakage_energy = leakage;
-
-  return report;
-}
 
 }  // namespace
 

@@ -20,8 +20,8 @@
 /// Conventions (see docs/concurrency.md for the full rules and the global
 /// lock hierarchy):
 ///  * every mutex in src/ is a pimcomp::Mutex or pimcomp::RecursiveMutex —
-///    scripts/check_concurrency_lint.py bans the naked std types outside
-///    this header;
+///    pimcomp_analyze.py's concurrency checker bans the naked std types
+///    outside this header;
 ///  * every field a mutex protects carries PIMCOMP_GUARDED_BY(that_mutex);
 ///  * private helpers that expect a lock already held are suffixed
 ///    `_locked` and annotated PIMCOMP_REQUIRES(that_mutex);

@@ -49,7 +49,8 @@ struct RouterOptions {
 /// frontend socket, but holds no compiler state: every compile request is
 /// forwarded to one backend daemon and its event/outcome/artifact/done
 /// frames are relayed back verbatim (ids untouched, so the client cannot
-/// tell the difference; the done frame's version gating is the backend's).
+/// tell the difference; the backend also answers a request declaring a
+/// foreign protocol version, so that one-line error is relayed too).
 ///
 /// Sharding is content-addressed: the request is resolved exactly like a
 /// daemon would resolve it (serve::resolve_compile_request) and the

@@ -89,11 +89,11 @@ std::string seed_range_error(const std::string& got) {
          " (the integers a JSON double holds exactly), got " + got;
 }
 
-/// Rejects requests declaring a protocol newer than this build speaks —
-/// one wording for every request type.
+/// Rejects requests declaring any protocol but the one this build speaks —
+/// one wording for every request type. An absent version means current.
 void require_supported_version(const Json& json) {
   const int version = json.get("version", kProtocolVersion);
-  if (version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     throw ServeError("request speaks protocol v" + std::to_string(version) +
                      ", this server speaks v" +
                      std::to_string(kProtocolVersion));
@@ -139,8 +139,8 @@ Json options_to_json(const CompileOptions& options) {
   json["memory_policy"] = policy_to_string(options.memory_policy);
   json["mapper"] = options.mapper;
   if (!options.scheduler.empty()) json["scheduler"] = options.scheduler;
-  // Emitted only when selected (like "scheduler"): a pre-v4 server rejects
-  // the key, and requests that don't lower shouldn't declare it.
+  // Emitted only when selected (like "scheduler"): requests that don't
+  // lower shouldn't declare it.
   if (!options.backend.empty()) json["backend"] = options.backend;
   json["max_nodes_per_core"] = options.max_nodes_per_core;
   json["ht_flush_windows"] = options.ht_flush_windows;
@@ -362,7 +362,6 @@ CompileRequest request_from_json(const Json& json) {
                       "input_size", "cores", "hardware", "simulate",
                       "priority", "deadline_ms", "auth", "scenarios"});
   CompileRequest request;
-  request.protocol_version = json.get("version", kProtocolVersion);
   request.id = require_id(json);
   request.model = json.get("model", std::string());
   if (json.contains("graph")) request.graph = json.at("graph");
@@ -540,14 +539,8 @@ Json to_json(const DoneMessage& message) {
   json["id"] = message.id;
   json["ok"] = message.ok_count;
   json["errors"] = message.error_count;
-  if (message.protocol_version >= 4) {
-    // Advisory v4 fields, withheld from older requesters so their done
-    // frames stay byte-identical to what v3 servers emitted. The version
-    // echoes min(ours, theirs): a v4 requester keeps seeing "version": 4,
-    // byte-identical to a v4 server's frame.
-    json["version"] = std::min(kProtocolVersion, message.protocol_version);
-    json["artifacts"] = message.artifact_count;
-  }
+  json["version"] = kProtocolVersion;
+  json["artifacts"] = message.artifact_count;
   return json;
 }
 
@@ -626,9 +619,7 @@ ServerMessage server_message_from_json(const Json& json) {
     message.id = require_id(json);
     message.ok_count = json.get("ok", 0);
     message.error_count = json.get("errors", 0);
-    // Tolerant reads: v3 servers emit neither field.
     message.artifact_count = json.get("artifacts", 0);
-    message.protocol_version = json.get("version", 3);
     return message;
   }
   if (type == "error") {

@@ -14,26 +14,18 @@
 
 namespace pimcomp::serve {
 
-/// Bumped when a message shape changes incompatibly. The server rejects
-/// requests declaring a newer version than it speaks. v2 added the
-/// machine-readable `error_kind` on failed outcomes and the request-level
-/// `priority` hint; v3 added the cache tier attribution ("source") on
-/// cache events plus the `cache_store` event kind — the server keeps
-/// `cache_store` frames away from requests declaring v1/v2, whose
-/// event parsers would reject the unknown kind; v4 added the `backend`
-/// options key and `artifact` frames carrying lowered instruction streams
-/// — both withheld from pre-v4 requesters, plus the advisory `version`
-/// and `artifacts` fields on `done`; v5 added the fleet vocabulary — the
-/// `cache_get`/`cache_put`/`stats` request types with their
-/// `cache_result`/`stats` replies, the request-level `deadline_ms` budget
-/// (expired jobs fail with error_kind "deadline"), and the `auth` token
-/// field — all reachable only through the new request types or new keys,
-/// so every frame a pre-v5 requester triggers stays byte-identical (the
-/// advisory `done` version echoes min(ours, theirs)). Older requests are
-/// still accepted. v6 added the island-model GA knobs — the
-/// `options.ga.islands` and `options.ga.migration_interval` request keys
-/// (absent keys mean the server defaults, so pre-v6 requests parse
-/// unchanged; the keys also appear in the echoed options of v6 replies).
+/// The one wire version this build speaks. Requests declaring any other
+/// version (compile, cache_get, cache_put, stats) are rejected with a
+/// one-line error naming both; an absent `version` means current, and ping
+/// is version-free because its pong is how a client learns ours. Every
+/// requester is in-tree, so a shape change bumps this and all of them move
+/// together. Changelog: v2 added `error_kind` on failed outcomes and the
+/// request `priority`; v3 the cache `source` attribution and the
+/// `cache_store` event kind; v4 the `backend` options key, `artifact`
+/// frames and the `version`/`artifacts` fields on `done`; v5 the fleet
+/// vocabulary (`cache_get`/`cache_put`/`stats` with their replies,
+/// `deadline_ms`, `auth`); v6 the island-model GA knobs
+/// (`options.ga.islands`, `options.ga.migration_interval`).
 inline constexpr int kProtocolVersion = 6;
 
 // ---------------------------------------------------------------------------
@@ -97,10 +89,6 @@ struct CompileRequest {
   /// daemon/router was started with --auth-token. Empty = none sent.
   std::string auth;
   std::vector<ScenarioSpec> scenarios;
-  /// Version the requester declared (parsed from the wire; defaults to
-  /// ours). The server tailors advisory frames to it — pre-v3 parsers
-  /// never see a `cache_store` event.
-  int protocol_version = kProtocolVersion;
 };
 
 /// Parses one scenario entry ({"label": ..., "options": {...},
@@ -112,7 +100,7 @@ ScenarioSpec scenario_spec_from_json(const Json& json, std::size_t index,
 
 Json to_json(const CompileRequest& request);
 /// Throws ServeError on structural problems (no model and no graph, empty
-/// scenario list, unsupported protocol version).
+/// scenario list, a declared version other than kProtocolVersion).
 CompileRequest request_from_json(const Json& json);
 
 /// Connection liveness probe; the server echoes a pong with the same id.
@@ -194,11 +182,9 @@ struct OutcomeMessage {
   Json simulation;         ///< ok && request.simulate only
 };
 
-/// One lowered instruction stream (v4+): emitted right after the outcome
-/// of a scenario whose options selected a lowering backend, carrying the
-/// backend/instruction_stream.hpp artifact JSON verbatim. Never sent to
-/// requests declaring v1..v3 — their dispatchers would reject the unknown
-/// frame type.
+/// One lowered instruction stream: emitted right after the outcome of a
+/// scenario whose options selected a lowering backend, carrying the
+/// backend/instruction_stream.hpp artifact JSON verbatim.
 struct ArtifactMessage {
   std::int64_t id = 0;
   std::string label;
@@ -206,17 +192,13 @@ struct ArtifactMessage {
   Json artifact;  ///< InstructionStream::to_json()
 };
 
-/// End of a request: every scenario has reported its outcome.
-/// `protocol_version` is the *requester's* declared version (not
-/// serialized as-is): to_json emits the advisory "version" and
-/// "artifacts" fields only when it is >= 4, keeping the frame
-/// byte-identical for older requesters.
+/// End of a request: every scenario has reported its outcome. The frame
+/// also carries the server's `version`.
 struct DoneMessage {
   std::int64_t id = 0;
   int ok_count = 0;
   int error_count = 0;
   int artifact_count = 0;  ///< artifact frames that preceded this done
-  int protocol_version = kProtocolVersion;
 };
 
 /// Request-level failure (malformed JSON, unknown model, bad hardware):

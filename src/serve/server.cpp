@@ -87,10 +87,6 @@ struct CompileServer::RequestState {
   std::int64_t id = 0;
   bool simulate = true;
   std::size_t total = 0;
-  /// Version the requester declared. Artifact frames (and the advisory v4
-  /// done fields) are only emitted when this is >= 4 — an older dispatcher
-  /// would reject the unknown frame type.
-  int protocol_version = kProtocolVersion;
 
   Mutex mutex;
   std::vector<CompileJob> jobs PIMCOMP_GUARDED_BY(mutex);
@@ -150,10 +146,9 @@ struct CompileServer::Reader {
 
 void CompileServer::JobRouter::add(std::uint64_t tag,
                                    std::weak_ptr<Connection> connection,
-                                   std::int64_t request_id,
-                                   int protocol_version) {
+                                   std::int64_t request_id) {
   MutexLock lock(mutex_);
-  routes_[tag] = Route{std::move(connection), request_id, protocol_version};
+  routes_[tag] = Route{std::move(connection), request_id};
 }
 
 void CompileServer::JobRouter::remove(std::uint64_t tag) {
@@ -185,12 +180,6 @@ void CompileServer::JobRouter::route(const PipelineEvent& event) {
     MutexLock lock(mutex_);
     const auto it = routes_.find(event.tag);
     if (it == routes_.end()) return;  // request already finished/unroutable
-    if (event.kind == PipelineEvent::Kind::kCacheStore &&
-        it->second.protocol_version < 3) {
-      // A pre-v3 event parser rejects the cache_store kind outright; the
-      // frame is advisory, so an old client simply doesn't get it.
-      return;
-    }
     connection = it->second.connection.lock();
     request_id = it->second.request_id;
   }
@@ -668,7 +657,6 @@ void CompileServer::handle_compile(
     std::vector<Scenario> batch;
     bool simulate = true;
     int priority = 0;
-    int protocol_version = serve::kProtocolVersion;
     std::chrono::steady_clock::time_point deadline{};
   };
   Prepared prepared;
@@ -689,7 +677,6 @@ void CompileServer::handle_compile(
     }
     prepared.simulate = request.simulate;
     prepared.priority = request.priority;
-    prepared.protocol_version = request.protocol_version;
     if (request.deadline_ms > 0) {
       // Anchored at parse time: queueing delay counts against the budget,
       // which is the point — a deadline bounds how stale a reply may be.
@@ -716,7 +703,6 @@ void CompileServer::handle_compile(
   request_state->id = id;
   request_state->simulate = prepared.simulate;
   request_state->total = prepared.batch.size();
-  request_state->protocol_version = prepared.protocol_version;
   {
     MutexLock lock(connection->mutex);
     connection->requests.erase(
@@ -733,8 +719,7 @@ void CompileServer::handle_compile(
     const std::uint64_t tag = prepared.entry->next_tag.fetch_add(1);
     // Route before submit: the first observer event may fire before
     // submit() even returns.
-    prepared.entry->router.add(tag, connection, id,
-                               prepared.protocol_version);
+    prepared.entry->router.add(tag, connection, id);
 
     JobOptions job_options;
     job_options.index = static_cast<int>(i);
@@ -773,8 +758,7 @@ void CompileServer::on_job_complete(
     if (outcome.ok()) {
       message.ok = true;
       message.compile = compile_result_to_json(*outcome.result);
-      if (request->protocol_version >= 4 &&
-          outcome.result->stream != nullptr) {
+      if (outcome.result->stream != nullptr) {
         artifact = outcome.result->stream->to_json();
       }
       // Simulation is skipped for a broken connection: nobody will receive
@@ -884,8 +868,7 @@ void CompileServer::flush_outcomes(
       ++requests_served_;
       enqueue_frame(connection,
                     to_json(DoneMessage{request->id, ok_count, error_count,
-                                        artifact_count,
-                                        request->protocol_version}),
+                                        artifact_count}),
                     /*advisory=*/false);
     }
     return;

@@ -152,11 +152,8 @@ class CompileServer {
   /// reader can never stall the pipeline.
   class JobRouter final : public PipelineObserver {
    public:
-    /// `protocol_version` is the requester's declared version: pre-v3
-    /// parsers reject the `cache_store` event kind, so those frames are
-    /// filtered per route instead of sent.
     void add(std::uint64_t tag, std::weak_ptr<Connection> connection,
-             std::int64_t request_id, int protocol_version);
+             std::int64_t request_id);
     void remove(std::uint64_t tag);
 
     void on_stage_begin(const StageInfo& info) override;
@@ -168,7 +165,6 @@ class CompileServer {
     struct Route {
       std::weak_ptr<Connection> connection;
       std::int64_t request_id = 0;
-      int protocol_version = 0;
     };
     void route(const PipelineEvent& event);
 

@@ -30,7 +30,6 @@ struct CoreState {
   Picoseconds busy = 0;
   TimeWeightedAverage usage;
   Picoseconds last_usage_time = 0;
-  bool started = false;
 };
 
 }  // namespace
@@ -194,10 +193,9 @@ SimReport Simulator::run(const Schedule& schedule) const {
       case OpKind::kMvm:
         return std::max({core.issue_clock, core.clock,
                          ag_done[static_cast<std::size_t>(op.ag)]});
-      case OpKind::kCommRecv:
-        // Caller guarantees a message is queued.
-        return std::max(core.clock, dep);
       default:
+        // A RECV is only queued once its message is, so it too waits on
+        // nothing but the in-order clock and its AG dependency.
         return std::max(core.clock, dep);
     }
   };

@@ -32,9 +32,12 @@ struct SimOptions {
 ///  * on-chip local memory occupancy over time;
 ///  * dynamic energy per operation and leakage over active time.
 ///
-/// The execution loop sweeps cores round-robin, running each program
-/// in order until it blocks on an empty channel; absence of progress with
-/// unfinished programs raises SimulationError (deadlock) with diagnostics.
+/// The execution loop always advances the core whose next operation can
+/// start earliest (a min-heap keyed on ready time); a core whose next op is
+/// a RECV on an empty channel parks until the matching SEND executes. When
+/// the heap empties with unfinished programs, SimulationError (deadlock)
+/// is raised with diagnostics. This is the only execution engine: the `sim`
+/// backend runs instruction streams through it as well.
 class Simulator {
  public:
   Simulator(const HardwareConfig& hw, const SimOptions& options);

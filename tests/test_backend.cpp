@@ -1,15 +1,17 @@
 // The backend subsystem's acceptance surface: the registry ships the two
 // built-in backends, every zoo model lowers into an instruction stream that
 // round-trips its JSON artifact losslessly, tampered or foreign artifacts
-// are rejected, the `sim` backend's reports are bit-identical to the legacy
-// simulator, lowered streams survive the disk cache byte-identically, and
-// two small models' artifact fingerprints are pinned as goldens (the
+// are rejected, the `sim` backend's reports are bit-identical to the
+// simulator's on the source schedule and its execution errors surface as
+// SimulationError, lowered streams survive the disk cache byte-identically,
+// and two small models' artifact fingerprints are pinned as goldens (the
 // kIsaVersion bump protocol, mirroring tests/test_fingerprint_goldens.cpp).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -216,7 +218,7 @@ TEST(InstructionStream, ValidationCatchesTampering) {
 }
 
 // ---------------------------------------------------------------------------
-// The sim backend is the legacy simulator, bit for bit.
+// The sim backend is the simulator, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(SimBackend, BitIdenticalWithLegacySimulatorOnEveryZooModel) {
@@ -236,9 +238,9 @@ TEST(SimBackend, BitIdenticalWithLegacySimulatorOnEveryZooModel) {
     const SimReport replay =
         BackendRegistry::create("sim")->execute(*result.stream, hw);
 
-    // EXPECT_EQ (not NEAR) throughout: the interpreter must execute the
-    // same integer/double arithmetic in the same order, so every field —
-    // including the accumulated energies — matches exactly.
+    // EXPECT_EQ (not NEAR) throughout: the stream must carry every field
+    // the engine reads, so every report field — including the accumulated
+    // energies — matches exactly.
     EXPECT_EQ(replay.makespan, legacy.makespan);
     EXPECT_EQ(replay.core_finish, legacy.core_finish);
     EXPECT_EQ(replay.core_busy, legacy.core_busy);
@@ -261,6 +263,47 @@ TEST(SimBackend, BitIdenticalWithLegacySimulatorOnEveryZooModel) {
     EXPECT_EQ(replay.comm_bytes, legacy.comm_bytes);
     EXPECT_EQ(replay.active_cores, legacy.active_cores);
   }
+}
+
+/// Wraps hand-written programs in a schedule whose lowering validate()s
+/// (per-core metadata sized to the core count).
+Schedule comm_schedule(std::vector<std::vector<Operation>> programs) {
+  Schedule schedule;
+  schedule.programs = std::move(programs);
+  for (const std::vector<Operation>& program : schedule.programs) {
+    schedule.total_ops += static_cast<std::int64_t>(program.size());
+  }
+  schedule.spill_bytes.assign(schedule.programs.size(), 0);
+  schedule.peak_local_bytes.assign(schedule.programs.size(), 0);
+  return schedule;
+}
+
+Operation comm(OpKind kind, int peer, std::int64_t bytes) {
+  Operation op;
+  op.kind = kind;
+  op.peer = peer;
+  op.bytes = bytes;
+  return op;
+}
+
+TEST(SimBackend, ExecutionErrorsSurfaceAsSimulationError) {
+  HardwareConfig hw = HardwareConfig::puma_default();
+  hw.core_count = 2;
+  const std::unique_ptr<Backend> sim = BackendRegistry::create("sim");
+
+  // Both cores wait for a message that is never sent.
+  const InstructionStream deadlock = InstructionStream::from_schedule(
+      comm_schedule({{comm(OpKind::kCommRecv, 1, 64)},
+                     {comm(OpKind::kCommRecv, 0, 64)}}),
+      PipelineMode::kHighThroughput, 20, "sim", 0);
+  EXPECT_THROW(sim->execute(deadlock, hw), SimulationError);
+
+  // The receiver expects a different payload than the sender sent.
+  const InstructionStream mismatch = InstructionStream::from_schedule(
+      comm_schedule({{comm(OpKind::kCommSend, 1, 100)},
+                     {comm(OpKind::kCommRecv, 0, 200)}}),
+      PipelineMode::kHighThroughput, 20, "sim", 0);
+  EXPECT_THROW(sim->execute(mismatch, hw), SimulationError);
 }
 
 // ---------------------------------------------------------------------------

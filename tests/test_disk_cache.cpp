@@ -451,7 +451,24 @@ TEST(DiskCache, EvictionRacingConcurrentLoadMtimeBumpKeepsHotKeyAndSaneState) {
       }
     }
   });
+  // The race only means something while the bumps keep landing, and a
+  // loader starved by a busy machine stops them for longer than two
+  // stores take. So before every store, wait until one whole load — its
+  // mtime bump included — began after the previous store returned: the
+  // loader's hit after the next one. The first wait also keeps the store
+  // loop from starting before the loader's first hit. The wait is bounded,
+  // so a broken load fails the assertions below instead of hanging.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto wait_for_fresh_bump = [&] {
+    const std::uint64_t seen = hot_hits.load();
+    while (hot_hits.load() < seen + 2 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  };
   for (int n = 1; n <= 24; ++n) {
+    wait_for_fresh_bump();
     CacheEntry entry;
     entry.artifact = fixed_size_artifact(n);
     store.store(static_cast<std::uint64_t>(n), entry);

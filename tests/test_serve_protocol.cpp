@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cache/cache_store.hpp"
 #include "core/session.hpp"
@@ -325,17 +326,6 @@ TEST(ServeProtocol, RequestNeedsModelOrGraphAndScenarios) {
   EXPECT_THROW(serve::request_from_json(both), ServeError);
 }
 
-TEST(ServeProtocol, RequestRejectsNewerProtocolVersion) {
-  Json json = Json::object();
-  json["type"] = "compile";
-  json["version"] = serve::kProtocolVersion + 1;
-  json["model"] = "vgg16";
-  Json scenarios = Json::array();
-  scenarios.push_back(Json::object());
-  json["scenarios"] = scenarios;
-  EXPECT_THROW(serve::request_from_json(json), ServeError);
-}
-
 // ---------------------------------------------------------------------------
 // Server messages.
 // ---------------------------------------------------------------------------
@@ -443,8 +433,8 @@ TEST(ServeProtocol, ErrorKindRoundTripsEveryValue) {
 }
 
 TEST(ServeProtocol, BackendOptionsKeyIsOptInOnTheWire) {
-  // No backend selected: the key is absent, so the serialized options are
-  // byte-compatible with what a pre-v4 server's known-key check accepts.
+  // No backend selected: the key is absent, so requests that don't lower
+  // serialize exactly as they did before the key existed.
   EXPECT_FALSE(serve::options_to_json(CompileOptions{}).contains("backend"));
 
   CompileOptions lowered;
@@ -474,37 +464,86 @@ TEST(ServeProtocol, ArtifactFrameRoundTrips) {
   EXPECT_EQ(artifact.artifact.get("isa", 0), 1);
 }
 
-TEST(ServeProtocol, DoneFrameGatesV4FieldsOnRequesterVersion) {
+TEST(ServeProtocol, DoneFrameAlwaysCarriesVersionAndArtifacts) {
   DoneMessage done;
   done.id = 5;
   done.ok_count = 2;
   done.error_count = 1;
   done.artifact_count = 2;
+  const Json json = wire(serve::to_json(done));
+  EXPECT_EQ(json.get("version", 0), serve::kProtocolVersion);
+  EXPECT_EQ(json.get("artifacts", -1), 2);
+  const DoneMessage parsed =
+      std::get<DoneMessage>(serve::server_message_from_json(json));
+  EXPECT_EQ(parsed.ok_count, 2);
+  EXPECT_EQ(parsed.error_count, 1);
+  EXPECT_EQ(parsed.artifact_count, 2);
+}
 
-  // A v3 requester's done frame is byte-identical to the historical shape.
-  done.protocol_version = 3;
-  const Json v3 = serve::to_json(done);
-  EXPECT_FALSE(v3.contains("version"));
-  EXPECT_FALSE(v3.contains("artifacts"));
-  // A v3 frame parses with the tolerant defaults.
-  const DoneMessage from_v3 =
-      std::get<DoneMessage>(serve::server_message_from_json(wire(v3)));
-  EXPECT_EQ(from_v3.ok_count, 2);
-  EXPECT_EQ(from_v3.artifact_count, 0);
+/// One well-formed frame of every request type that declares a version,
+/// each paired with its parser.
+struct VersionedRequest {
+  const char* type;
+  Json frame;
+  void (*parse)(const Json&);
+};
 
-  // A v4 requester sees the advisory version echo min(ours, theirs) — its
-  // done frames stay byte-identical to what a v4 server sent (v5 gating).
-  done.protocol_version = 4;
-  const Json v4 = serve::to_json(done);
-  EXPECT_EQ(v4.get("version", 0), 4);
-  EXPECT_EQ(v4.get("artifacts", 0), 2);
-  const DoneMessage from_v4 =
-      std::get<DoneMessage>(serve::server_message_from_json(wire(v4)));
-  EXPECT_EQ(from_v4.artifact_count, 2);
+std::vector<VersionedRequest> versioned_requests() {
+  CompileRequest compile;
+  compile.model = "squeezenet";
+  compile.scenarios.push_back(serve::ScenarioSpec{});
+  serve::CacheGetRequest get;
+  get.key = 7;
+  serve::CachePutRequest put;
+  put.key = 7;
+  put.artifact = Json::object();
+  return {
+      {"compile", serve::to_json(compile),
+       [](const Json& json) { serve::request_from_json(json); }},
+      {"cache_get", serve::to_json(get),
+       [](const Json& json) { serve::cache_get_request_from_json(json); }},
+      {"cache_put", serve::to_json(put),
+       [](const Json& json) { serve::cache_put_request_from_json(json); }},
+      {"stats", serve::to_json(serve::StatsRequest{}),
+       [](const Json& json) { serve::stats_request_from_json(json); }},
+  };
+}
 
-  // A current-version requester sees ours.
-  done.protocol_version = serve::kProtocolVersion;
-  EXPECT_EQ(serve::to_json(done).get("version", 0), serve::kProtocolVersion);
+TEST(ServeProtocol, EveryRequestTypeRejectsAnyOtherDeclaredVersion) {
+  for (VersionedRequest& request : versioned_requests()) {
+    SCOPED_TRACE(request.type);
+    ASSERT_EQ(request.frame.get("version", 0), serve::kProtocolVersion);
+    EXPECT_NO_THROW(request.parse(wire(request.frame)));
+    // Every older version, and the next one.
+    for (int version = 1; version <= serve::kProtocolVersion + 1; ++version) {
+      if (version == serve::kProtocolVersion) continue;
+      SCOPED_TRACE(version);
+      request.frame["version"] = version;
+      try {
+        request.parse(wire(request.frame));
+        FAIL() << "a v" << version << " request must be rejected";
+      } catch (const ServeError& e) {
+        // One line naming both versions.
+        const std::string expected =
+            "request speaks protocol v" + std::to_string(version) +
+            ", this server speaks v" +
+            std::to_string(serve::kProtocolVersion);
+        EXPECT_EQ(std::string(e.what()), expected);
+      }
+    }
+  }
+}
+
+TEST(ServeProtocol, EveryRequestTypeAcceptsAnAbsentVersion) {
+  for (VersionedRequest& request : versioned_requests()) {
+    SCOPED_TRACE(request.type);
+    Json frame = Json::object();
+    for (const auto& [key, value] : request.frame.items()) {
+      if (key != "version") frame[key] = value;
+    }
+    ASSERT_FALSE(frame.contains("version"));
+    EXPECT_NO_THROW(request.parse(wire(frame)));
+  }
 }
 
 TEST(ServeProtocol, RequestPriorityRoundTripsAndIsBounded) {

@@ -31,8 +31,8 @@ Four checkers run over the tree from one driver:
   concurrency   The PR-7 concurrency lint (no naked std::mutex family, raw
                 std::thread types, .detach(), synchronization includes
                 outside src/common/thread_annotations.hpp, no unreviewed
-                mutable statics), absorbed behind this driver; the old
-                scripts/check_concurrency_lint.py entry point is a shim.
+                mutable statics), absorbed into this tool; the
+                concurrency_lint ctest case runs it alone.
 
 Engines: `--engine regex` (default fallback) runs everywhere on the stdlib;
 `--engine libclang` parses struct definitions from the clang AST via
