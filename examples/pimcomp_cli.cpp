@@ -59,9 +59,8 @@
 //   pimcomp_cli cache stats --server ENDPOINT [--auth-token TOKEN] [--json]
 //
 // Serving (see docs/serving.md for the wire protocol and fleet topology):
-//   pimcomp_cli serve (--unix PATH | --port N [--host ADDR])
-//                     [--jobs N|auto] [--max-sessions N] [--cache-dir PATH]
-//                     [--peer ENDPOINT]... [--auth-token TOKEN]
+//   pimcomp_cli serve DAEMON-FLAGS     pimcompd under another name: the same
+//                     frontend (serve::run_daemon); `serve --help` lists them
 //   pimcomp_cli submit --server (unix:PATH | HOST:PORT) <model|graph.json>
 //                     [compile options: --mode --parallelism --mapper
 //                      --policy --input --cores --pop --gens --seed
@@ -81,8 +80,8 @@
 //   ./build/examples/pimcomp_cli submit --server unix:/tmp/pimcompd.sock \
 //       squeezenet --input 64 --parallelism 1,20
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -98,7 +97,6 @@
 #include "core/session.hpp"
 #include "core/stream_printer.hpp"
 #include "core/trace.hpp"
-#include "graph/serialize.hpp"
 #include "graph/zoo/zoo.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -122,9 +120,7 @@ using namespace pimcomp;
       << " lower <model|graph.json> [compile options] [--backend KEY]\n"
          "       [--out FILE] [--run] [--json] [--cache-dir PATH]\n"
          "   or: " << argv0
-      << " serve (--unix PATH | --port N [--host ADDR])\n"
-         "       [--jobs N|auto] [--max-sessions N] [--cache-dir PATH]\n"
-         "       [--peer ENDPOINT]... [--auth-token TOKEN]\n"
+      << " serve DAEMON-FLAGS   (" << argv0 << " serve --help lists them)\n"
          "   or: " << argv0
       << " submit --server (unix:PATH | HOST:PORT) <model|graph.json>\n"
          "       [compile options] [--scenarios FILE] [--no-simulate]\n"
@@ -143,89 +139,16 @@ using namespace pimcomp;
   std::exit(2);
 }
 
-/// Strict decimal parse: the whole token must be numeric and >= min_value.
-/// Rejects the silent-zero behavior of atoi ("--pop abc" compiled with 0).
-long long parse_integer(const std::string& flag, const std::string& token,
-                        long long min_value) {
-  const std::optional<long long> value = parse_decimal(token);
-  if (!value.has_value()) {
-    fail(flag + " needs a number, got '" + token + "'");
-  }
-  if (*value < min_value) {
-    fail(flag + " must be >= " + std::to_string(min_value) + ", got '" +
-         token + "'");
-  }
-  return *value;
-}
-
-int parse_int(const std::string& flag, const std::string& token,
-              long long min_value,
-              long long max_value = std::numeric_limits<int>::max()) {
-  const long long value = parse_integer(flag, token, min_value);
-  if (value > max_value) {
-    fail(flag + " is out of range: '" + token + "' (max " +
-         std::to_string(max_value) + ")");
-  }
-  return static_cast<int>(value);
-}
-
-/// Worker-thread count: a positive integer or the literal 'auto' (one
-/// worker per hardware thread). '0' used to mean auto and now errors, so a
-/// script relying on the old magic number fails loudly instead of silently
-/// changing meaning if we ever repurpose it. The rule itself lives in
-/// serve::parse_jobs_flag so pimcompd and this binary cannot drift.
-int parse_jobs(const std::string& flag, const std::string& token) {
-  (void)flag;
-  try {
-    return serve::parse_jobs_flag(token);
-  } catch (const serve::ServeError& e) {
-    fail(e.what());
-  }
-}
-
-/// Comma-separated positive parallelism degrees; rejects empty lists and
-/// empty/garbage entries ("1,,2", "1,2,").
+/// Comma-separated positive parallelism degrees; rejects empty/garbage
+/// entries ("1,,2", "1,2,").
 std::vector<int> parse_parallelism_list(const std::string& flag,
                                         const std::string& token) {
-  constexpr long long kMaxParallelism = 1 << 20;
   std::vector<int> values;
   for (const std::string& piece : split(token, ',')) {
-    values.push_back(parse_int(flag, piece, 1, kMaxParallelism));
-  }
-  if (values.empty()) {
-    fail(flag + " needs a non-empty comma-separated list of degrees");
+    values.push_back(static_cast<int>(
+        parse_int_flag(flag, piece, 1, serve::kMaxWireParallelism)));
   }
   return values;
-}
-
-// Sanity ceilings: values past these make the backend allocate per-core /
-// per-individual state until the machine keels over, long before any
-// meaningful compile.
-constexpr long long kMaxCores = 1 << 20;
-constexpr long long kMaxGaBudget = 1'000'000;
-constexpr long long kMaxGaIslands = 4096;  // matches the wire bound
-
-bool is_zoo_model(const std::string& name) {
-  for (const std::string& m : zoo::model_names()) {
-    if (m == name) return true;
-  }
-  return false;
-}
-
-/// The CLI's zoo resolution when --input is omitted — one definition for
-/// local and submit mode (the header's "default 64/96").
-int default_zoo_input(const std::string& model) {
-  return model == "inception-v3" ? 96 : 64;
-}
-
-/// The CLI's compile defaults (LL mode, 40x60 GA) — one definition for
-/// local and submit mode, layered under every flag and scenario file.
-CompileOptions default_cli_options() {
-  CompileOptions options;
-  options.mode = PipelineMode::kLowLatency;
-  options.ga.population = 40;
-  options.ga.generations = 60;
-  return options;
 }
 
 /// The one registry-listing shape every --list-* flag prints ("name: k1
@@ -259,60 +182,105 @@ std::string require_registry_key(const char* what, const std::string& key,
   return key;
 }
 
-/// The compile-options flag surface shared verbatim by local compilation,
-/// `lower`, and `submit` (one copy, so the modes cannot drift): --mode,
+/// The compile surface shared verbatim by local compilation, `lower`, and
+/// `submit` (one copy, so the modes cannot drift): <model> plus --mode,
 /// --parallelism, --mapper, --scheduler, --backend, --policy, --input,
 /// --cores, --pop, --gens, --seed, --ga-islands, --ga-migration-interval.
-/// Returns true when `arg` was consumed.
-/// Registry keys are validated against the local registries in every mode
-/// (the daemon ships the same strategy set).
-bool parse_compile_flag(const std::string& arg,
-                        const std::function<std::string()>& next,
-                        const char* argv0, CompileOptions& options,
-                        std::vector<int>& parallelism_sweep, int& input_size,
-                        int& cores) {
-  if (arg == "--mode") {
-    const std::string v = next();
-    if (v == "ht") options.mode = PipelineMode::kHighThroughput;
-    else if (v == "ll") options.mode = PipelineMode::kLowLatency;
-    else usage(argv0);
-  } else if (arg == "--parallelism") {
-    parallelism_sweep = parse_parallelism_list(arg, next());
-    options.parallelism_degree = parallelism_sweep.front();
-  } else if (arg == "--mapper") {
-    options.mapper =
-        require_registry_key("mapper", next(), &MapperRegistry::contains);
-  } else if (arg == "--scheduler") {
-    options.scheduler = require_registry_key("scheduler", next(),
-                                             &SchedulerRegistry::contains);
-  } else if (arg == "--backend") {
-    options.backend =
-        require_registry_key("backend", next(), &BackendRegistry::contains);
-  } else if (arg == "--policy") {
-    const std::string v = next();
-    if (v == "naive") options.memory_policy = MemoryPolicy::kNaive;
-    else if (v == "add") options.memory_policy = MemoryPolicy::kAddReuse;
-    else if (v == "ag") options.memory_policy = MemoryPolicy::kAgReuse;
-    else usage(argv0);
-  } else if (arg == "--input") {
-    input_size = parse_int(arg, next(), 1);
-  } else if (arg == "--cores") {
-    cores = parse_int(arg, next(), 1, kMaxCores);
-  } else if (arg == "--pop") {
-    options.ga.population = parse_int(arg, next(), 1, kMaxGaBudget);
-  } else if (arg == "--gens") {
-    options.ga.generations = parse_int(arg, next(), 0, kMaxGaBudget);
-  } else if (arg == "--ga-islands") {
-    options.ga.islands = parse_int(arg, next(), 1, kMaxGaIslands);
-  } else if (arg == "--ga-migration-interval") {
-    options.ga.migration_interval = parse_int(arg, next(), 1, kMaxGaBudget);
-  } else if (arg == "--seed") {
-    options.seed = static_cast<std::uint64_t>(parse_integer(arg, next(), 0));
-  } else {
-    return false;
+/// Every value that also travels on the wire is bounded by the wire's own
+/// table (serve/protocol.hpp). Registry keys are validated against the
+/// local registries in every mode (the daemon ships the same strategy set).
+struct CompileFlags {
+  std::string model;
+  /// The CLI's defaults (LL mode, 40x60 GA), layered under every flag and
+  /// scenario file.
+  CompileOptions options = [] {
+    CompileOptions defaults;
+    defaults.mode = PipelineMode::kLowLatency;
+    defaults.ga.population = 40;
+    defaults.ga.generations = 60;
+    return defaults;
+  }();
+  std::vector<int> parallelism_sweep;  ///< >1 entries = a batch
+  int input_size = 0;                  ///< 0 = 64 (inception-v3: 96)
+  int cores = 0;                       ///< 0 = auto-fit, 3x headroom
+
+  /// Returns true when `arg` was consumed.
+  bool parse(const std::string& arg, const serve::FlagValue& next,
+             const char* argv0) {
+    if (arg == "--mode") {
+      const std::string v = next();
+      if (v == "ht") options.mode = PipelineMode::kHighThroughput;
+      else if (v == "ll") options.mode = PipelineMode::kLowLatency;
+      else usage(argv0);
+    } else if (arg == "--parallelism") {
+      parallelism_sweep = parse_parallelism_list(arg, next());
+      options.parallelism_degree = parallelism_sweep.front();
+    } else if (arg == "--mapper") {
+      options.mapper =
+          require_registry_key("mapper", next(), &MapperRegistry::contains);
+    } else if (arg == "--scheduler") {
+      options.scheduler = require_registry_key("scheduler", next(),
+                                               &SchedulerRegistry::contains);
+    } else if (arg == "--backend") {
+      options.backend =
+          require_registry_key("backend", next(), &BackendRegistry::contains);
+    } else if (arg == "--policy") {
+      const std::string v = next();
+      if (v == "naive") options.memory_policy = MemoryPolicy::kNaive;
+      else if (v == "add") options.memory_policy = MemoryPolicy::kAddReuse;
+      else if (v == "ag") options.memory_policy = MemoryPolicy::kAgReuse;
+      else usage(argv0);
+    } else if (arg == "--input") {
+      input_size = static_cast<int>(
+          parse_int_flag(arg, next(), 1, serve::kMaxWireInputSize));
+    } else if (arg == "--cores") {
+      cores = static_cast<int>(
+          parse_int_flag(arg, next(), 1, serve::kMaxWireCores));
+    } else if (arg == "--pop") {
+      options.ga.population = static_cast<int>(
+          parse_int_flag(arg, next(), 1, serve::kMaxWireGaBudget));
+    } else if (arg == "--gens") {
+      options.ga.generations = static_cast<int>(
+          parse_int_flag(arg, next(), 0, serve::kMaxWireGaBudget));
+    } else if (arg == "--ga-islands") {
+      options.ga.islands = static_cast<int>(
+          parse_int_flag(arg, next(), 1, serve::kMaxWireGaIslands));
+    } else if (arg == "--ga-migration-interval") {
+      options.ga.migration_interval = static_cast<int>(
+          parse_int_flag(arg, next(), 1, serve::kMaxWireGaBudget));
+    } else if (arg == "--seed") {
+      // Local compiles take any non-negative 64-bit seed; `submit` meets
+      // the wire's 2^53 bound when it encodes the request.
+      options.seed = static_cast<std::uint64_t>(parse_int_flag(
+          arg, next(), 0, std::numeric_limits<long long>::max()));
+    } else if (!arg.empty() && arg[0] != '-' && model.empty()) {
+      model = arg;
+    } else {
+      return false;
+    }
+    return true;
   }
-  return true;
-}
+
+  /// The one resolution of <model>, --input and --cores: `submit` sends
+  /// this request, while local compilation and `lower` resolve it through
+  /// serve::resolve_compile_request exactly as a daemon would.
+  serve::CompileRequest request() const {
+    serve::CompileRequest request;
+    const std::vector<std::string> zoo_models = zoo::model_names();
+    if (std::find(zoo_models.begin(), zoo_models.end(), model) !=
+        zoo_models.end()) {
+      request.model = model;
+      // Sending 0 would resolve the canonical 224-class resolution — a
+      // vastly bigger compile than the CLI's default.
+      request.input_size =
+          input_size != 0 ? input_size : (model == "inception-v3" ? 96 : 64);
+    } else {
+      request.graph = json_from_file(model);
+    }
+    request.cores = cores;
+    return request;
+  }
+};
 
 void write_trace(const TraceRecorder& recorder, const std::string& path) {
   try {
@@ -322,17 +290,6 @@ void write_trace(const TraceRecorder& recorder, const std::string& path) {
   } catch (const std::exception& e) {
     std::cerr << "pimcomp: failed to write trace file: " << e.what() << '\n';
   }
-}
-
-// ---------------------------------------------------------------------------
-// `pimcomp_cli serve`
-// ---------------------------------------------------------------------------
-
-int run_serve(int argc, char** argv, const char* argv0) {
-  (void)argv0;
-  // One daemon frontend for both binaries: flag grammar, lifecycle, and
-  // diagnostics live in serve::run_daemon (pimcompd delegates identically).
-  return serve::run_daemon(argc, argv, "pimcomp serve");
 }
 
 // ---------------------------------------------------------------------------
@@ -365,13 +322,9 @@ void print_event(const PipelineEvent& event) {
 
 int run_submit(int argc, char** argv, const char* argv0) {
   std::string server_endpoint;
-  std::string model;
   std::string scenarios_path;
   std::string trace_path;
-  CompileOptions options = default_cli_options();
-  std::vector<int> parallelism_sweep;
-  int input_size = 0;
-  int cores = 0;
+  CompileFlags flags;
   int timeout_seconds = 0;  // 0 = wait forever (the historical behavior)
   int priority = 0;
   long long deadline_ms = 0;  // 0 = no deadline
@@ -385,10 +338,7 @@ int run_submit(int argc, char** argv, const char* argv0) {
       if (i + 1 >= argc) usage(argv0);
       return argv[++i];
     };
-    if (parse_compile_flag(arg, next, argv0, options, parallelism_sweep,
-                           input_size, cores)) {
-      continue;
-    }
+    if (flags.parse(arg, next, argv0)) continue;
     if (arg == "--server") {
       server_endpoint = next();
     } else if (arg == "--scenarios") {
@@ -399,48 +349,38 @@ int run_submit(int argc, char** argv, const char* argv0) {
       // Scripting guard: a hung or wedged daemon turns into exit code 2
       // after this many seconds of frame silence instead of hanging the
       // pipeline that invoked us.
-      timeout_seconds = parse_int(arg, next(), 1, 24 * 3600);
+      timeout_seconds =
+          static_cast<int>(parse_int_flag(arg, next(), 1, 24 * 3600));
     } else if (arg == "--priority") {
-      priority = parse_int(arg, next(), -1000, 1000);
+      priority = static_cast<int>(parse_int_flag(
+          arg, next(), serve::kMinWirePriority, serve::kMaxWirePriority));
     } else if (arg == "--deadline-ms") {
       // Freshness guard: a scenario still queued when the budget expires
       // is dropped by the daemon with error_kind "deadline" instead of
       // burning compile time on an answer nobody is waiting for.
-      deadline_ms = parse_integer(arg, next(), 1);
+      deadline_ms = parse_int_flag(arg, next(), 1, serve::kMaxWireDeadlineMs);
     } else if (arg == "--auth-token") {
       auth_token = next();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--json") {
       emit_json = true;
-    } else if (!arg.empty() && arg[0] != '-' && model.empty()) {
-      model = arg;
     } else {
       usage(argv0);
     }
   }
-  if (server_endpoint.empty()) fail("submit needs --server (unix:PATH|HOST:PORT)");
-  if (model.empty()) fail("submit needs a model name or graph.json path");
+  if (server_endpoint.empty())
+    fail("submit needs --server (unix:PATH|HOST:PORT)");
+  if (flags.model.empty()) fail("submit needs a model name or graph.json path");
 
   try {
-    serve::CompileRequest request;
-    if (is_zoo_model(model)) {
-      request.model = model;
-      // Same default as local mode: sending 0 would let the server resolve
-      // the canonical 224-class resolution — a vastly bigger compile than
-      // `pimcomp_cli <model>` runs.
-      request.input_size =
-          input_size != 0 ? input_size : default_zoo_input(model);
-    } else {
-      request.graph = json_from_file(model);
-    }
-    request.cores = cores;
+    serve::CompileRequest request = flags.request();
     request.simulate = simulate;
     request.priority = priority;
     request.deadline_ms = deadline_ms;
 
     if (!scenarios_path.empty()) {
-      if (!parallelism_sweep.empty()) {
+      if (!flags.parallelism_sweep.empty()) {
         fail("--scenarios and --parallelism are mutually exclusive");
       }
       const Json entries = json_from_file(scenarios_path);
@@ -452,28 +392,29 @@ int run_submit(int argc, char** argv, const char* argv0) {
         // only {"parallelism": 40} inherits --mode/--pop/--gens/--seed
         // instead of silently reverting to GaConfig's 100x200 defaults.
         request.scenarios.push_back(
-            serve::scenario_spec_from_json(entries.at(i), i, options));
+            serve::scenario_spec_from_json(entries.at(i), i, flags.options));
       }
     } else {
-      if (parallelism_sweep.empty()) {
-        parallelism_sweep.push_back(options.parallelism_degree);
+      if (flags.parallelism_sweep.empty()) {
+        flags.parallelism_sweep.push_back(flags.options.parallelism_degree);
       }
-      for (int parallelism : parallelism_sweep) {
+      for (int parallelism : flags.parallelism_sweep) {
         serve::ScenarioSpec spec;
         spec.label = "P=" + std::to_string(parallelism);
-        spec.options = options;
+        spec.options = flags.options;
         spec.options.parallelism_degree = parallelism;
         request.scenarios.push_back(std::move(spec));
       }
     }
 
-    serve::CompileClient client = serve::CompileClient::connect(server_endpoint);
+    serve::CompileClient client =
+        serve::CompileClient::connect(server_endpoint);
     if (timeout_seconds > 0) client.set_timeout(timeout_seconds);
     if (!auth_token.empty()) client.set_auth_token(auth_token);
     TraceRecorder recorder;
     const serve::CompileReply reply =
         client.submit(request, [&](const PipelineEvent& event) {
-          recorder.record(event);
+          recorder.on_event(event);
           if (!emit_json) print_event(event);
         });
 
@@ -491,7 +432,7 @@ int run_submit(int argc, char** argv, const char* argv0) {
       }
       std::cout << out.dump(2) << '\n';
     } else {
-      Table table(model + " via " + server_endpoint);
+      Table table(flags.model + " via " + server_endpoint);
       table.set_header({"scenario", "compile (s)", "latency (us)",
                         "throughput (inf/s)"});
       for (const serve::OutcomeMessage& outcome : reply.outcomes) {
@@ -529,13 +470,10 @@ int run_submit(int argc, char** argv, const char* argv0) {
 // ---------------------------------------------------------------------------
 
 int run_lower(int argc, char** argv, const char* argv0) {
-  std::string model;
   std::string out_path;
-  CompileOptions options = default_cli_options();
+  CompileFlags flags;
+  CompileOptions& options = flags.options;
   options.backend = "isa-json";  // the reference emitter, unless overridden
-  std::vector<int> parallelism_sweep;
-  int input_size = 0;
-  int cores = 0;
   bool run_stream = false;
   bool emit_json = false;
 
@@ -545,10 +483,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
       if (i + 1 >= argc) usage(argv0);
       return argv[++i];
     };
-    if (parse_compile_flag(arg, next, argv0, options, parallelism_sweep,
-                           input_size, cores)) {
-      continue;
-    }
+    if (flags.parse(arg, next, argv0)) continue;
     if (arg == "--out") {
       out_path = next();
     } else if (arg == "--run") {
@@ -560,31 +495,20 @@ int run_lower(int argc, char** argv, const char* argv0) {
     } else if (arg == "--list-backends") {
       list_backends();
       return 0;
-    } else if (!arg.empty() && arg[0] != '-' && model.empty()) {
-      model = arg;
     } else {
       usage(argv0);
     }
   }
-  if (model.empty()) fail("lower needs a model name or graph.json path");
-  if (parallelism_sweep.size() > 1) {
+  if (flags.model.empty()) fail("lower needs a model name or graph.json path");
+  if (flags.parallelism_sweep.size() > 1) {
     fail("lower takes a single --parallelism value");
   }
 
   try {
-    Graph graph = is_zoo_model(model)
-                      ? zoo::build(model, input_size != 0
-                                              ? input_size
-                                              : default_zoo_input(model))
-                      : load_graph(model);
-    HardwareConfig hw = HardwareConfig::puma_default();
-    if (cores > 0) {
-      hw.core_count = cores;
-    } else {
-      hw = fit_core_count(graph, hw, 3.0);
-    }
-
-    CompilerSession session(std::move(graph), hw, options.cache);
+    serve::ResolvedRequest resolved =
+        serve::resolve_compile_request(flags.request());
+    CompilerSession session(std::move(resolved.graph), resolved.hardware,
+                            options.cache);
     const CompileResult result = session.compile(options);
     PIMCOMP_CHECK(result.stream != nullptr,
                   "backend '" + options.backend +
@@ -604,7 +528,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
       // Re-instantiate the backend that lowered the stream to execute it;
       // a pure emitter (isa-json) refuses with a pointer at 'sim'.
       const SimReport sim = BackendRegistry::create(options.backend)
-                                ->execute(stream, hw);
+                                ->execute(stream, resolved.hardware);
       report["simulation"] = sim_report_to_json(sim);
       if (!emit_json) std::cout << sim.to_string() << '\n';
     }
@@ -615,7 +539,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
       for (const auto& [key, value] : report.items()) out[key] = value;
       std::cout << out.dump(2) << '\n';
     } else if (out_path.empty()) {
-      std::cout << "lowered '" << model << "' via " << stream.backend
+      std::cout << "lowered '" << flags.model << "' via " << stream.backend
                 << ": " << stream.total_ops << " ops over "
                 << stream.core_count() << " cores (isa v" << kIsaVersion
                 << ", fingerprint "
@@ -774,46 +698,26 @@ int run_cache(int argc, char** argv, const char* argv0) {
 // Local compilation (the original mode).
 // ---------------------------------------------------------------------------
 
-int run_local(int argc, char** argv) {
-  const char* argv0 = argv[0];
-  if (argc == 2 && std::string(argv[1]) == "--list-mappers") {
-    list_mappers();
-    return 0;
-  }
-  if (argc == 2 && std::string(argv[1]) == "--list-schedulers") {
-    list_schedulers();
-    return 0;
-  }
-  if (argc == 2 && std::string(argv[1]) == "--list-backends") {
-    list_backends();
-    return 0;
-  }
-  if (argc < 2) usage(argv0);
-  const std::string model = argv[1];
-
-  CompileOptions options = default_cli_options();
-  std::vector<int> parallelism_sweep;  // >1 entries = a session batch
+int run_local(int argc, char** argv, const char* argv0) {
+  CompileFlags flags;
+  CompileOptions& options = flags.options;
   int jobs = 1;
-  int input_size = 0;
-  int cores = 0;
   int dump_core = -1;
   bool emit_json = false;
   std::string trace_path;
 
-  for (int i = 2; i < argc; ++i) {
+  for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv0);
       return argv[++i];
     };
-    if (parse_compile_flag(arg, next, argv0, options, parallelism_sweep,
-                           input_size, cores)) {
-      continue;
-    }
+    if (flags.parse(arg, next, argv0)) continue;
     if (arg == "--jobs") {
-      jobs = parse_jobs(arg, next());
+      jobs = serve::parse_jobs_flag(next());
     } else if (arg == "--dump-stream") {
-      dump_core = parse_int(arg, next(), 0);
+      dump_core = static_cast<int>(
+          parse_int_flag(arg, next(), 0, std::numeric_limits<int>::max()));
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--json") {
@@ -834,27 +738,19 @@ int run_local(int argc, char** argv) {
     }
   }
 
+  if (flags.model.empty()) usage(argv0);
+
   try {
-    Graph graph = is_zoo_model(model)
-                      ? zoo::build(model, input_size != 0
-                                              ? input_size
-                                              : default_zoo_input(model))
-                      : load_graph(model);
-
-    HardwareConfig hw = HardwareConfig::puma_default();
-    if (cores > 0) {
-      hw.core_count = cores;
-    } else {
-      hw = fit_core_count(graph, hw, 3.0);
-    }
-
-    CompilerSession session(std::move(graph), hw, options.cache);
+    serve::ResolvedRequest resolved =
+        serve::resolve_compile_request(flags.request());
+    CompilerSession session(std::move(resolved.graph), resolved.hardware,
+                            options.cache);
     session.set_jobs(jobs);
 
     TraceRecorder recorder;
     if (!trace_path.empty()) session.set_observer(&recorder);
 
-    if (parallelism_sweep.size() > 1) {
+    if (flags.parallelism_sweep.size() > 1) {
       // A parallelism sweep through the asynchronous job API: every point
       // is submitted up front as a CompileJob on the session's resident
       // --jobs workers, then awaited in submission order — per-scenario
@@ -864,13 +760,13 @@ int run_local(int argc, char** argv) {
         fail("--dump-stream needs a single --parallelism value");
       }
       std::vector<CompileJob> sweep_jobs;
-      for (std::size_t i = 0; i < parallelism_sweep.size(); ++i) {
+      for (std::size_t i = 0; i < flags.parallelism_sweep.size(); ++i) {
         CompileOptions point = options;
-        point.parallelism_degree = parallelism_sweep[i];
+        point.parallelism_degree = flags.parallelism_sweep[i];
         JobOptions job_options;
         job_options.index = static_cast<int>(i);
         sweep_jobs.push_back(session.submit(
-            point, "P=" + std::to_string(parallelism_sweep[i]),
+            point, "P=" + std::to_string(flags.parallelism_sweep[i]),
             job_options));
       }
       for (const CompileJob& job : sweep_jobs) job.wait();
@@ -906,7 +802,7 @@ int run_local(int argc, char** argv) {
         std::cout << out.dump(2) << '\n';
       } else {
         const bool ht = options.mode == PipelineMode::kHighThroughput;
-        Table table(model + " parallelism sweep (" +
+        Table table(flags.model + " parallelism sweep (" +
                     std::string(ht ? "HT" : "LL") + " mode, jobs=" +
                     std::to_string(session.jobs()) + ")");
         table.set_header({"scenario", "compile (s)",
@@ -974,20 +870,18 @@ int run_local(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2) {
-    const std::string subcommand = argv[1];
-    if (subcommand == "lower") {
-      return run_lower(argc - 2, argv + 2, argv[0]);
-    }
-    if (subcommand == "serve") {
-      return run_serve(argc - 2, argv + 2, argv[0]);
-    }
-    if (subcommand == "submit") {
-      return run_submit(argc - 2, argv + 2, argv[0]);
-    }
-    if (subcommand == "cache") {
-      return run_cache(argc - 2, argv + 2, argv[0]);
-    }
+  const std::string subcommand = argc >= 2 ? argv[1] : "";
+  if (subcommand == "serve") {
+    return serve::run_daemon(argc - 2, argv + 2, "pimcomp serve");
   }
-  return run_local(argc, argv);
+  try {
+    if (subcommand == "lower") return run_lower(argc - 2, argv + 2, argv[0]);
+    if (subcommand == "submit") return run_submit(argc - 2, argv + 2, argv[0]);
+    if (subcommand == "cache") return run_cache(argc - 2, argv + 2, argv[0]);
+    return run_local(argc - 1, argv + 1, argv[0]);
+  } catch (const ConfigError& e) {
+    // A bad flag value: every mode parses its flags before its own
+    // runtime try block, so only flag errors arrive here.
+    fail(e.what());
+  }
 }

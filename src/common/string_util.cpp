@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/error.hpp"
+
 namespace pimcomp {
 
 std::string format_double(double value, int digits) {
@@ -66,6 +68,16 @@ std::optional<long long> parse_decimal(const std::string& token) {
   }
   if (consumed != token.size()) return std::nullopt;
   return value;
+}
+
+long long parse_int_flag(const std::string& flag, const std::string& token,
+                         long long min, long long max) {
+  const std::optional<long long> value = parse_decimal(token);
+  if (!value.has_value() || *value < min || *value > max) {
+    throw ConfigError(flag + " wants an integer in [" + std::to_string(min) +
+                      ", " + std::to_string(max) + "], got '" + token + "'");
+  }
+  return *value;
 }
 
 }  // namespace pimcomp

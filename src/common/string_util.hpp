@@ -28,9 +28,14 @@ std::string join(const std::vector<std::string>& parts,
 
 /// Strict base-10 integer parse: the whole token must be numeric (no
 /// trailing characters, no empty string), else nullopt. The single home of
-/// the stoll+fully-consumed idiom every flag/endpoint parser shares —
-/// range checks and error wording stay with the callers.
+/// the stoll+fully-consumed idiom every flag/endpoint parser shares.
 std::optional<long long> parse_decimal(const std::string& token);
+
+/// The one integer-flag rule of every frontend (pimcomp_cli, pimcompd,
+/// pimcomp_router): `token` must be a decimal integer in [min, max], else
+/// ConfigError "<flag> wants an integer in [min, max], got '<token>'".
+long long parse_int_flag(const std::string& flag, const std::string& token,
+                         long long min, long long max);
 
 }  // namespace pimcomp
 

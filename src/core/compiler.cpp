@@ -1,28 +1,9 @@
 #include "core/compiler.hpp"
 
-#include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
 
 namespace pimcomp {
-
-std::string to_string(MapperKind kind) {
-  switch (kind) {
-    case MapperKind::kGenetic: return "pimcomp-ga";
-    case MapperKind::kPumaLike: return "puma-like";
-    case MapperKind::kGreedy: return "greedy-norep";
-  }
-  return "unknown";
-}
-
-std::string registry_key(MapperKind kind) {
-  switch (kind) {
-    case MapperKind::kGenetic: return "ga";
-    case MapperKind::kPumaLike: return "puma";
-    case MapperKind::kGreedy: return "greedy";
-  }
-  throw ConfigError("unknown mapper kind");
-}
 
 std::string CompileOptions::scheduler_key() const {
   if (!scheduler.empty()) return scheduler;

@@ -20,20 +20,6 @@ namespace pimcomp {
 class PipelineObserver;     // core/pipeline.hpp
 struct InstructionStream;   // backend/instruction_stream.hpp
 
-/// Legacy names of the three built-in stage-2+3 strategies. New code selects
-/// strategies through the string keys of MapperRegistry (core/pipeline.hpp);
-/// the enum survives as a typed alias for the built-ins.
-enum class MapperKind {
-  kGenetic,   ///< PIMCOMP's GA (the paper's contribution)
-  kPumaLike,  ///< the paper's baseline: pipeline-balanced + greedy packing
-  kGreedy,    ///< no replication, first-fit (ablation)
-};
-
-std::string to_string(MapperKind kind);
-
-/// MapperRegistry key of a built-in strategy ("ga", "puma", "greedy").
-std::string registry_key(MapperKind kind);
-
 /// Everything a user chooses for one compilation (paper Fig 3 left box +
 /// "Application Scenario").
 struct CompileOptions {

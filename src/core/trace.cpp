@@ -112,40 +112,24 @@ PipelineEvent event_from_json(const Json& json) {
 }
 
 void EventBridge::on_stage_begin(const StageInfo& info) {
-  if (sink_) sink_(PipelineEvent::stage_begin(info));
+  on_event(PipelineEvent::stage_begin(info));
 }
 
 void EventBridge::on_stage_end(const StageInfo& info) {
-  if (sink_) sink_(PipelineEvent::stage_end(info));
+  on_event(PipelineEvent::stage_end(info));
 }
 
 void EventBridge::on_cache_hit(const CacheEvent& event) {
-  if (sink_) sink_(PipelineEvent::cache_hit(event));
+  on_event(PipelineEvent::cache_hit(event));
 }
 
 void EventBridge::on_cache_store(const CacheEvent& event) {
-  if (sink_) sink_(PipelineEvent::cache_store(event));
+  on_event(PipelineEvent::cache_store(event));
 }
 
 TraceRecorder::TraceRecorder() : start_(std::chrono::steady_clock::now()) {}
 
-void TraceRecorder::on_stage_begin(const StageInfo& info) {
-  record(PipelineEvent::stage_begin(info));
-}
-
-void TraceRecorder::on_stage_end(const StageInfo& info) {
-  record(PipelineEvent::stage_end(info));
-}
-
-void TraceRecorder::on_cache_hit(const CacheEvent& event) {
-  record(PipelineEvent::cache_hit(event));
-}
-
-void TraceRecorder::on_cache_store(const CacheEvent& event) {
-  record(PipelineEvent::cache_store(event));
-}
-
-void TraceRecorder::record(const PipelineEvent& event) {
+void TraceRecorder::on_event(const PipelineEvent& event) {
   events_.push_back(event);
   at_seconds_.push_back(seconds_since(start_));
 }

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,42 +50,31 @@ PipelineEvent::Kind event_kind_from_string(const std::string& s);
 Json event_to_json(const PipelineEvent& event);
 PipelineEvent event_from_json(const Json& json);
 
-/// Bridges PipelineObserver callbacks into a single event sink, so consumers
-/// (socket writers, trace files, progress bars) handle one callback instead
-/// of three. The sink runs on the pipeline's thread under the session's
-/// observer serialization, exactly like a raw observer.
+/// Bridges the four PipelineObserver callbacks into one on_event() hook, so
+/// consumers (socket writers, trace files) handle one reified event instead
+/// of four callbacks. on_event runs on the pipeline's thread under the
+/// session's observer serialization, exactly like a raw observer.
 class EventBridge : public PipelineObserver {
  public:
-  using Sink = std::function<void(const PipelineEvent&)>;
+  void on_stage_begin(const StageInfo& info) final;
+  void on_stage_end(const StageInfo& info) final;
+  void on_cache_hit(const CacheEvent& event) final;
+  void on_cache_store(const CacheEvent& event) final;
 
-  explicit EventBridge(Sink sink) : sink_(std::move(sink)) {}
-
-  void on_stage_begin(const StageInfo& info) override;
-  void on_stage_end(const StageInfo& info) override;
-  void on_cache_hit(const CacheEvent& event) override;
-  void on_cache_store(const CacheEvent& event) override;
-
- private:
-  Sink sink_;
+  virtual void on_event(const PipelineEvent& event) = 0;
 };
 
 /// Collects a timeline of events with wall-clock offsets from construction.
 /// Install as a session/compiler observer (local runs) or feed received
-/// server events through record() (remote runs); to_json() is the --trace
+/// server events through on_event() (remote runs); to_json() is the --trace
 /// file format:
 ///   {"events": [{"at_s": 0.0012, "event": "stage_begin", ...}, ...]}
-class TraceRecorder : public PipelineObserver {
+class TraceRecorder : public EventBridge {
  public:
   TraceRecorder();
 
-  void on_stage_begin(const StageInfo& info) override;
-  void on_stage_end(const StageInfo& info) override;
-  void on_cache_hit(const CacheEvent& event) override;
-  void on_cache_store(const CacheEvent& event) override;
-
-  /// Appends an already-reified event (e.g. one streamed from a compile
-  /// server), stamped at the current wall-clock offset.
-  void record(const PipelineEvent& event);
+  /// Appends the event, stamped at the current wall-clock offset.
+  void on_event(const PipelineEvent& event) override;
 
   std::size_t size() const { return events_.size(); }
   const std::vector<PipelineEvent>& events() const { return events_; }

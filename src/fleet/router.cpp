@@ -404,76 +404,36 @@ Json Router::stats_payload() const {
 // ---------------------------------------------------------------------------
 
 int run_router(int argc, char** argv, const std::string& program) {
-  const auto usage = [&program]() -> int {
-    std::cerr << "usage: " << program
-              << " (--unix PATH | --port N [--host ADDR])\n"
-                 "       --backend ENDPOINT [--backend ENDPOINT]...\n"
-                 "       [--auth-token TOKEN] [--health-interval SECONDS]\n";
-    return 2;
-  };
-  const auto parse_int_flag = [&program](const std::string& flag,
-                                         const std::string& token,
-                                         long long min,
-                                         long long max) -> std::optional<int> {
-    const std::optional<long long> value = parse_decimal(token);
-    if (!value.has_value() || *value < min || *value > max) {
-      std::cerr << program << ": " << flag << " wants an integer in [" << min
-                << ", " << max << "], got '" << token << "'\n";
-      return std::nullopt;
-    }
-    return static_cast<int>(*value);
-  };
-
   RouterOptions options;
-  bool endpoint_given = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_next = i + 1 < argc;
-    if (arg == "--unix" && has_next) {
-      options.unix_path = argv[++i];
-      endpoint_given = true;
-    } else if (arg == "--port" && has_next) {
-      const std::optional<int> port = parse_int_flag(arg, argv[++i], 0, 65535);
-      if (!port.has_value()) return 2;
-      options.port = *port;
-      endpoint_given = true;
-    } else if (arg == "--host" && has_next) {
-      options.host = argv[++i];
-    } else if (arg == "--backend" && has_next) {
-      options.backends.push_back(argv[++i]);
-    } else if (arg == "--auth-token" && has_next) {
-      options.auth_token = argv[++i];
-    } else if (arg == "--health-interval" && has_next) {
-      const std::optional<int> interval =
-          parse_int_flag(arg, argv[++i], 1, 3600);
-      if (!interval.has_value()) return 2;
-      options.health_interval_seconds = *interval;
-    } else {
-      return usage();
-    }
+  serve::ListenFlags listen;
+  const std::string synopsis =
+      "(--unix PATH | --port N [--host ADDR])\n"
+      "       --backend ENDPOINT [--backend ENDPOINT]...\n"
+      "       [--auth-token TOKEN] [--health-interval SECONDS]";
+  const int status = serve::parse_serve_flags(
+      argc, argv, program, synopsis, listen,
+      [&options](const std::string& flag, const serve::FlagValue& value) {
+        if (flag == "--backend") {
+          options.backends.push_back(value());
+        } else if (flag == "--health-interval") {
+          options.health_interval_seconds =
+              static_cast<int>(parse_int_flag(flag, value(), 1, 3600));
+        } else {
+          return false;
+        }
+        return true;
+      });
+  if (status != 0) return status;
+  if (options.backends.empty()) {
+    std::cerr << "usage: " << program << ' ' << synopsis << '\n';
+    return 2;
   }
-  if (!endpoint_given || options.backends.empty()) return usage();
-
-  try {
-    serve::block_shutdown_signals();
-
-    Router router(std::move(options));
-    router.start();
-    std::cout << program << " listening on " << router.endpoint()
-              << std::endl;
-
-    const int signal = serve::wait_for_shutdown_signal();
-    std::cout << program << ": caught signal " << signal
-              << ", draining" << std::endl;
-    router.stop();
-    std::cout << program << ": served " << router.requests_served()
-              << " request(s) over " << router.connections_accepted()
-              << " connection(s)" << std::endl;
-  } catch (const std::exception& e) {
-    std::cerr << program << ": " << e.what() << '\n';
-    return 1;
-  }
-  return 0;
+  options.unix_path = listen.unix_path;
+  options.host = listen.host;
+  options.port = listen.port;
+  options.auth_token = listen.auth_token;
+  return serve::serve_until_signal<Router>(program, std::move(options),
+                                           "draining");
 }
 
 }  // namespace pimcomp::fleet

@@ -65,25 +65,6 @@ std::int64_t require_id(const Json& json) {
   return json.get("id", static_cast<std::int64_t>(0));
 }
 
-// Sanity ceilings on wire numerics (mirroring the CLI's): values past
-// these make the backend allocate per-core / per-individual / per-pixel
-// state until the daemon keels over — and one request must never be able
-// to take the shared daemon down.
-constexpr long long kMaxWireCores = 1 << 20;
-constexpr long long kMaxWireParallelism = 1 << 20;
-constexpr long long kMaxWireGaBudget = 1'000'000;
-/// Islands bound (v6): each island costs a population-sized SoA evaluator,
-/// so the cap is far tighter than the generation/population budget.
-constexpr long long kMaxWireGaIslands = 4096;
-constexpr long long kMaxWireDimension = 1 << 20;   // xbar/core geometry
-constexpr long long kMaxWireInputSize = 1 << 16;
-/// ~10 years in ms: deadlines past this are configuration errors, not
-/// budgets.
-constexpr long long kMaxWireDeadlineMs = 315'360'000'000LL;
-/// JSON numbers travel as doubles, which hold integers exactly only below
-/// 2^53; a larger seed would arrive rounded and compile a different key.
-constexpr std::uint64_t kMaxWireSeed = (std::uint64_t{1} << 53) - 1;
-
 std::string seed_range_error(const std::string& got) {
   return "options.seed wants 0.." + std::to_string(kMaxWireSeed) +
          " (the integers a JSON double holds exactly), got " + got;
@@ -376,8 +357,8 @@ CompileRequest request_from_json(const Json& json) {
   request.cores = bounded_int(json, "cores", 0, 0, kMaxWireCores, "request");
   if (json.contains("hardware")) request.hardware = json.at("hardware");
   request.simulate = json.get("simulate", true);
-  request.priority =
-      bounded_int(json, "priority", 0, -1000, 1000, "request");
+  request.priority = bounded_int(json, "priority", 0, kMinWirePriority,
+                                 kMaxWirePriority, "request");
   if (json.contains("deadline_ms")) {
     const std::int64_t deadline = json.at("deadline_ms").as_int();
     if (deadline < 0 || deadline > kMaxWireDeadlineMs) {

@@ -29,6 +29,32 @@ namespace pimcomp::serve {
 inline constexpr int kProtocolVersion = 6;
 
 // ---------------------------------------------------------------------------
+// Value ranges of the wire numerics: the one table both the request decoder
+// and every frontend flag that fills such a value read. Values past these
+// make the backend allocate per-core / per-individual / per-pixel state
+// until the process keels over, and one request must never be able to take
+// a shared daemon down.
+// ---------------------------------------------------------------------------
+
+inline constexpr long long kMaxWireCores = 1 << 20;
+inline constexpr long long kMaxWireParallelism = 1 << 20;
+inline constexpr long long kMaxWireGaBudget = 1'000'000;
+/// Each island costs a population-sized SoA evaluator, so the cap is far
+/// tighter than the generation/population budget.
+inline constexpr long long kMaxWireGaIslands = 4096;
+inline constexpr long long kMaxWireDimension = 1 << 20;  // xbar/core geometry
+inline constexpr long long kMaxWireInputSize = 1 << 16;
+/// ~10 years in ms: deadlines past this are configuration errors, not
+/// budgets.
+inline constexpr long long kMaxWireDeadlineMs = 315'360'000'000LL;
+/// Job-queue priority range (CompileRequest::priority).
+inline constexpr long long kMinWirePriority = -1000;
+inline constexpr long long kMaxWirePriority = 1000;
+/// JSON numbers travel as doubles, which hold integers exactly only below
+/// 2^53; a larger seed would arrive rounded and compile a different key.
+inline constexpr std::uint64_t kMaxWireSeed = (std::uint64_t{1} << 53) - 1;
+
+// ---------------------------------------------------------------------------
 // Field (de)serialization shared by requests and tooling.
 // ---------------------------------------------------------------------------
 

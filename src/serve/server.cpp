@@ -156,23 +156,7 @@ void CompileServer::JobRouter::remove(std::uint64_t tag) {
   routes_.erase(tag);
 }
 
-void CompileServer::JobRouter::on_stage_begin(const StageInfo& info) {
-  route(PipelineEvent::stage_begin(info));
-}
-
-void CompileServer::JobRouter::on_stage_end(const StageInfo& info) {
-  route(PipelineEvent::stage_end(info));
-}
-
-void CompileServer::JobRouter::on_cache_hit(const CacheEvent& event) {
-  route(PipelineEvent::cache_hit(event));
-}
-
-void CompileServer::JobRouter::on_cache_store(const CacheEvent& event) {
-  route(PipelineEvent::cache_store(event));
-}
-
-void CompileServer::JobRouter::route(const PipelineEvent& event) {
+void CompileServer::JobRouter::on_event(const PipelineEvent& event) {
   if (event.tag == 0) return;  // not one of our jobs (direct session use)
   std::shared_ptr<Connection> connection;
   std::int64_t request_id = 0;
@@ -1091,116 +1075,106 @@ int wait_for_shutdown_signal() {
   return signal;
 }
 
-int run_daemon(int argc, char** argv, const std::string& program) {
-  const auto usage = [&program]() -> int {
-    std::cerr << "usage: " << program
-              << " (--unix PATH | --port N [--host ADDR])\n"
-                 "       [--jobs N|auto] [--readers N] [--max-sessions N]\n"
-                 "       [--cache-dir PATH] [--peer ENDPOINT]...\n"
-                 "       [--auth-token TOKEN]\n";
-    return 2;
-  };
-  const auto parse_int_flag = [&program](const std::string& flag,
-                                         const std::string& token, long long min,
-                                         long long max) -> std::optional<int> {
-    const std::optional<long long> value = parse_decimal(token);
-    if (!value.has_value() || *value < min || *value > max) {
-      std::cerr << program << ": " << flag << " wants an integer in [" << min
-                << ", " << max << "], got '" << token << "'\n";
-      return std::nullopt;
-    }
-    return static_cast<int>(*value);
-  };
-
-  ServerOptions options;
-  bool endpoint_given = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_next = i + 1 < argc;
-    if (arg == "--unix" && has_next) {
-      options.unix_path = argv[++i];
-      endpoint_given = true;
-    } else if (arg == "--port" && has_next) {
-      const std::optional<int> port = parse_int_flag(arg, argv[++i], 0, 65535);
-      if (!port.has_value()) return 2;
-      options.port = *port;
-      endpoint_given = true;
-    } else if (arg == "--host" && has_next) {
-      options.host = argv[++i];
-    } else if (arg == "--jobs" && has_next) {
-      try {
-        options.jobs = parse_jobs_flag(argv[++i]);
-      } catch (const ServeError& e) {
-        std::cerr << program << ": " << e.what() << '\n';
-        return 2;
-      }
-    } else if (arg == "--readers" && has_next) {
-      const std::optional<int> readers = parse_int_flag(arg, argv[++i], 1, 64);
-      if (!readers.has_value()) return 2;
-      options.readers = *readers;
-    } else if (arg == "--max-sessions" && has_next) {
-      const std::optional<int> max =
-          parse_int_flag(arg, argv[++i], 1, 1 << 16);
-      if (!max.has_value()) return 2;
-      options.max_sessions = static_cast<std::size_t>(*max);
-    } else if (arg == "--cache-dir" && has_next) {
-      // Persistent mapping cache: previously compiled configurations —
-      // including ones from before a restart, or from another daemon on
-      // the same directory — are served from disk instead of re-mapped.
-      options.cache.dir = argv[++i];
-    } else if (arg == "--peer" && has_next) {
-      // Repeatable. Each peer is another pimcompd whose disk tier answers
-      // this daemon's cache misses over cache_get before anything is
-      // re-mapped locally.
-      options.cache.peers.push_back(argv[++i]);
-    } else if (arg == "--auth-token" && has_next) {
-      // One fleet-wide token: enforced on every inbound request, and
-      // attached to the outbound peer requests this daemon makes.
-      options.auth_token = argv[++i];
-      options.cache.auth_token = options.auth_token;
-    } else {
-      return usage();
-    }
-  }
-  if (!endpoint_given) return usage();
-
-  try {
-    // Mask before start() so every server thread inherits it and the
-    // signal is only ever consumed by the sigwait below.
-    block_shutdown_signals();
-
-    CompileServer server(std::move(options));
-    server.start();
-    std::cout << program << " listening on " << server.endpoint()
-              << std::endl;
-
-    const int signal = wait_for_shutdown_signal();
-    std::cout << program << ": caught signal " << signal << ", shutting down"
-              << std::endl;
-    server.stop();
-    std::cout << program << ": served " << server.requests_served()
-              << " request(s) over " << server.connections_accepted()
-              << " connection(s)" << std::endl;
-  } catch (const std::exception& e) {
-    std::cerr << program << ": " << e.what() << '\n';
-    return 1;
-  }
-  return 0;
-}
-
 int parse_jobs_flag(const std::string& value) {
   if (value == "auto") return 0;  // CompilerSession::set_jobs: 0 = hw threads
-  if (value == "0") {
-    throw ServeError(
-        "--jobs must be >= 1; use '--jobs auto' for one worker per "
-        "hardware thread");
+  try {
+    return static_cast<int>(parse_int_flag("--jobs", value, 1, 1 << 10));
+  } catch (const ConfigError& e) {
+    throw ConfigError(std::string(e.what()) +
+                      "; use '--jobs auto' for one worker per hardware "
+                      "thread");
   }
-  const std::optional<long long> parsed = parse_decimal(value);
-  if (!parsed.has_value() || *parsed < 1 || *parsed > (1 << 10)) {
-    throw ServeError("--jobs wants 1.." + std::to_string(1 << 10) +
-                     " or 'auto', got '" + value + "'");
+}
+
+namespace {
+
+/// Thrown by a FlagValue when its flag is the last argument.
+struct MissingFlagValue {};
+
+}  // namespace
+
+int parse_serve_flags(
+    int argc, char** argv, const std::string& program,
+    const std::string& synopsis, ListenFlags& listen,
+    const std::function<bool(const std::string& flag, const FlagValue& value)>&
+        own_flag) {
+  const auto usage = [&] {
+    std::cerr << "usage: " << program << ' ' << synopsis << '\n';
+    return 2;
+  };
+  try {
+    for (int i = 0; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const FlagValue value = [&]() -> std::string {
+        if (i + 1 >= argc) throw MissingFlagValue{};
+        return argv[++i];
+      };
+      if (arg == "--unix") {
+        listen.unix_path = value();
+        listen.endpoint_given = true;
+      } else if (arg == "--port") {
+        listen.port = static_cast<int>(parse_int_flag(arg, value(), 0, 65535));
+        listen.endpoint_given = true;
+      } else if (arg == "--host") {
+        listen.host = value();
+      } else if (arg == "--auth-token") {
+        listen.auth_token = value();
+      } else if (!own_flag(arg, value)) {
+        return usage();
+      }
+    }
+  } catch (const MissingFlagValue&) {
+    return usage();
+  } catch (const ConfigError& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 2;
   }
-  return static_cast<int>(*parsed);
+  return listen.endpoint_given ? 0 : usage();
+}
+
+int run_daemon(int argc, char** argv, const std::string& program) {
+  ServerOptions options;
+  ListenFlags listen;
+  const int status = parse_serve_flags(
+      argc, argv, program,
+      "(--unix PATH | --port N [--host ADDR])\n"
+      "       [--jobs N|auto] [--readers N] [--max-sessions N]\n"
+      "       [--cache-dir PATH] [--peer ENDPOINT]...\n"
+      "       [--auth-token TOKEN]",
+      listen, [&options](const std::string& flag, const FlagValue& value) {
+        if (flag == "--jobs") {
+          options.jobs = parse_jobs_flag(value());
+        } else if (flag == "--readers") {
+          options.readers =
+              static_cast<int>(parse_int_flag(flag, value(), 1, 64));
+        } else if (flag == "--max-sessions") {
+          options.max_sessions = static_cast<std::size_t>(
+              parse_int_flag(flag, value(), 1, 1 << 16));
+        } else if (flag == "--cache-dir") {
+          // Persistent mapping cache: previously compiled configurations —
+          // including ones from before a restart, or from another daemon
+          // on the same directory — are served from disk, not re-mapped.
+          options.cache.dir = value();
+        } else if (flag == "--peer") {
+          // Repeatable. Each peer is another pimcompd whose disk tier
+          // answers this daemon's cache misses over cache_get before
+          // anything is re-mapped locally.
+          options.cache.peers.push_back(value());
+        } else {
+          return false;
+        }
+        return true;
+      });
+  if (status != 0) return status;
+  options.unix_path = listen.unix_path;
+  options.host = listen.host;
+  options.port = listen.port;
+  // One fleet-wide token: enforced on every inbound request, and attached
+  // to the outbound peer requests this daemon makes.
+  options.auth_token = listen.auth_token;
+  options.cache.auth_token = listen.auth_token;
+  return serve_until_signal<CompileServer>(program, std::move(options),
+                                           "shutting down");
 }
 
 }  // namespace pimcomp::serve

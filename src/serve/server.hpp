@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
@@ -150,23 +152,19 @@ class CompileServer {
   /// observer once, at SessionEntry creation; events are best-effort
   /// (advisory frames past the outbound budget are dropped) so a slow
   /// reader can never stall the pipeline.
-  class JobRouter final : public PipelineObserver {
+  class JobRouter final : public EventBridge {
    public:
     void add(std::uint64_t tag, std::weak_ptr<Connection> connection,
              std::int64_t request_id);
     void remove(std::uint64_t tag);
 
-    void on_stage_begin(const StageInfo& info) override;
-    void on_stage_end(const StageInfo& info) override;
-    void on_cache_hit(const CacheEvent& event) override;
-    void on_cache_store(const CacheEvent& event) override;
+    void on_event(const PipelineEvent& event) override;
 
    private:
     struct Route {
       std::weak_ptr<Connection> connection;
       std::int64_t request_id = 0;
     };
-    void route(const PipelineEvent& event);
 
     Mutex mutex_;
     std::unordered_map<std::uint64_t, Route> routes_
@@ -280,36 +278,80 @@ class CompileServer {
   std::atomic<std::uint64_t> jobs_cancelled_{0};
 };
 
-/// Signal plumbing for daemon mains (pimcompd, `pimcomp_cli serve`): call
-/// block_shutdown_signals() *before* CompileServer::start() (threads inherit
-/// the mask, so SIGINT/SIGTERM can only be consumed by
-/// wait_for_shutdown_signal()), then wait and stop():
-///
-///   block_shutdown_signals();
-///   server.start();
-///   int sig = wait_for_shutdown_signal();  // blocks in sigwait
-///   server.stop();
+// ---------------------------------------------------------------------------
+// Serving frontends: pimcompd, `pimcomp_cli serve` and pimcomp_router share
+// one flag grammar and one lifecycle.
+// ---------------------------------------------------------------------------
+
+/// Masks SIGINT/SIGTERM for the calling thread and every thread it starts
+/// afterwards, so they can only be consumed by wait_for_shutdown_signal().
 void block_shutdown_signals();
 int wait_for_shutdown_signal();
 
-/// The one definition of the `--jobs` flag rule every frontend (pimcompd,
-/// `pimcomp_cli serve`/`submit`, local batches) shares: a positive worker
-/// count or the literal "auto" (returned as 0 = one per hardware thread).
-/// Throws ServeError for 0 — with a pointer at "auto" — negatives, and
-/// garbage, so the two daemon binaries can never drift apart on spelling.
+/// The `--jobs` rule of every frontend (pimcompd, `pimcomp_cli serve`,
+/// local batches): a worker count in [1, 1024] or the literal "auto"
+/// (returned as 0 = one per hardware thread). Anything else, 0 included,
+/// throws the parse_int_flag ConfigError plus a pointer at "auto".
 int parse_jobs_flag(const std::string& value);
 
-/// The complete daemon frontend shared by `pimcompd` and
-/// `pimcomp_cli serve` — one flag grammar, one lifecycle, two binaries that
-/// cannot drift. Parses `--unix PATH | --port N [--host ADDR]`,
-/// `[--jobs N|auto] [--readers N] [--max-sessions N] [--cache-dir PATH]
-/// [--peer ENDPOINT]... [--auth-token TOKEN]`
-/// from argv (NOT
-/// including the program/subcommand name), masks SIGINT/SIGTERM, starts a
-/// CompileServer, prints "<program> listening on <endpoint>" on stdout,
-/// blocks until a shutdown signal, and stops gracefully. Returns the
-/// process exit code (2 = bad usage; errors print to stderr prefixed with
-/// `program`).
+/// Yields the value of the flag being parsed.
+using FlagValue = std::function<std::string()>;
+
+/// The listen flags every serving frontend shares:
+/// `--unix PATH | --port N [--host ADDR]` and `--auth-token TOKEN`.
+struct ListenFlags {
+  std::string unix_path;
+  std::string host = "127.0.0.1";
+  int port = 0;
+  std::string auth_token;
+  bool endpoint_given = false;  ///< --unix or --port seen
+};
+
+/// Parses a serving frontend's argv (NOT including the program name): the
+/// listen flags into `listen`, every other flag through `own_flag`, which
+/// returns false for a flag it does not know. Returns 0 when the flags are
+/// usable, else 2 after printing "<program>: <error>" (a bad value) or
+/// "usage: <program> <synopsis>" (an unknown flag, a flag missing its
+/// value, or neither --unix nor --port).
+int parse_serve_flags(
+    int argc, char** argv, const std::string& program,
+    const std::string& synopsis, ListenFlags& listen,
+    const std::function<bool(const std::string& flag, const FlagValue& value)>&
+        own_flag);
+
+/// The serving lifecycle of every daemon main: masks the shutdown signals
+/// before any server thread exists, constructs and starts a `Server`,
+/// prints "<program> listening on <endpoint>", blocks until SIGINT/SIGTERM,
+/// announces "caught signal N, <stopping>", stops the server and prints its
+/// served counters. Returns 0, or 1 with the error on stderr.
+template <typename Server, typename Options>
+int serve_until_signal(const std::string& program, Options options,
+                       const char* stopping) {
+  try {
+    block_shutdown_signals();
+    Server server(std::move(options));
+    server.start();
+    std::cout << program << " listening on " << server.endpoint()
+              << std::endl;
+    const int signal = wait_for_shutdown_signal();
+    std::cout << program << ": caught signal " << signal << ", " << stopping
+              << std::endl;
+    server.stop();
+    std::cout << program << ": served " << server.requests_served()
+              << " request(s) over " << server.connections_accepted()
+              << " connection(s)" << std::endl;
+  } catch (const std::exception& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 1;
+  }
+  return 0;
+}
+
+/// The daemon frontend of `pimcompd` and `pimcomp_cli serve`: the listen
+/// flags plus `[--jobs N|auto] [--readers N] [--max-sessions N]
+/// [--cache-dir PATH] [--peer ENDPOINT]...` from argv (NOT including the
+/// program/subcommand name), then serve_until_signal over a CompileServer.
+/// Returns the process exit code (2 = bad usage).
 int run_daemon(int argc, char** argv, const std::string& program);
 
 }  // namespace pimcomp::serve

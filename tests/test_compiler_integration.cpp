@@ -73,15 +73,16 @@ TEST(Compiler, DeterministicBySeed) {
 }
 
 TEST(Compiler, AllBuiltinMappersWork) {
-  for (MapperKind kind :
-       {MapperKind::kGenetic, MapperKind::kPumaLike, MapperKind::kGreedy}) {
+  const std::pair<const char*, const char*> builtins[] = {
+      {"ga", "pimcomp-ga"}, {"puma", "puma-like"}, {"greedy", "greedy-norep"}};
+  for (const auto& [key, mapper_name] : builtins) {
     Graph g = zoo::squeezenet(64);
     Compiler compiler(std::move(g), HardwareConfig::puma_default());
     CompileOptions opt;
-    opt.mapper = registry_key(kind);
+    opt.mapper = key;
     opt.ga = tiny_ga();
     const CompileResult result = compiler.compile(opt);
-    EXPECT_EQ(result.mapper_name, to_string(kind));
+    EXPECT_EQ(result.mapper_name, mapper_name);
     EXPECT_NO_THROW(compiler.simulate(result));
   }
 }
