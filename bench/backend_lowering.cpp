@@ -72,7 +72,8 @@ int main() {
       t0 = std::chrono::steady_clock::now();
       const InstructionStream parsed = InstructionStream::from_json(artifact);
       const double decode = seconds_since(t0);
-      if (parsed.total_ops != stream.total_ops) return 1;  // defensive
+      // Defensive: the decoded stream must be the one encoded.
+      if (parsed.schedule.total_ops != stream.schedule.total_ops) return 1;
 
       if (rep == 0 || lower < lower_s) lower_s = lower;
       if (rep == 0 || encode < encode_s) encode_s = encode;
@@ -97,8 +98,8 @@ int main() {
     }
 
     table.add_row(
-        {name, std::to_string(stream.total_ops),
-         std::to_string(stream.core_count()),
+        {name, std::to_string(stream.schedule.total_ops),
+         std::to_string(stream.schedule.core_count()),
          format_double(lower_s * 1e3, 2), format_double(encode_s * 1e3, 2),
          format_double(decode_s * 1e3, 2),
          format_double(static_cast<double>(artifact_bytes) / 1024.0, 1),
@@ -106,8 +107,8 @@ int main() {
 
     Json row = Json::object();
     row["model"] = name;
-    row["total_ops"] = stream.total_ops;
-    row["cores"] = stream.core_count();
+    row["total_ops"] = stream.schedule.total_ops;
+    row["cores"] = stream.schedule.core_count();
     row["lower_s"] = lower_s;
     row["to_json_s"] = encode_s;
     row["from_json_s"] = decode_s;

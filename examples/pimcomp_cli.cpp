@@ -519,8 +519,9 @@ int run_lower(int argc, char** argv, const char* argv0) {
     if (!out_path.empty()) {
       json_to_file(artifact, out_path);
       std::cerr << "pimcomp: wrote instruction stream ("
-                << stream.total_ops << " ops over " << stream.core_count()
-                << " cores) to " << out_path << '\n';
+                << stream.schedule.total_ops << " ops over "
+                << stream.schedule.core_count() << " cores) to " << out_path
+                << '\n';
     }
 
     Json report = Json::object();
@@ -540,9 +541,9 @@ int run_lower(int argc, char** argv, const char* argv0) {
       std::cout << out.dump(2) << '\n';
     } else if (out_path.empty()) {
       std::cout << "lowered '" << flags.model << "' via " << stream.backend
-                << ": " << stream.total_ops << " ops over "
-                << stream.core_count() << " cores (isa v" << kIsaVersion
-                << ", fingerprint "
+                << ": " << stream.schedule.total_ops << " ops over "
+                << stream.schedule.core_count() << " cores (isa v"
+                << kIsaVersion << ", fingerprint "
                 << cache_key_hex(stream.content_fingerprint())
                 << "); use --out FILE or --json to capture the artifact\n";
     }

@@ -7,6 +7,9 @@
 #   3. produces byte-identical reports modulo wall-clock stage times
 #      (a cache hit reports zeroed times by convention; the cold run's are
 #      real — everything else must match exactly),
+# then that artifacts whose schedule breaks an op invariant (every VALU
+# waiting on an AG that does not exist) read as misses: a third run
+# recomputes them byte-identically and a fourth hits the healed store,
 # then checks `pimcomp_cli cache stats`/`purge` round-trip the directory,
 # and finally that a lowered instruction stream (`pimcomp_cli lower`)
 # rides the disk tier byte-identically across processes.
@@ -18,59 +21,82 @@ set -euo pipefail
 BUILD=${1:-build}
 CACHE_DIR=$(mktemp -d /tmp/pimcomp-cache-smoke-XXXXXX)
 COLD_JSON=$(mktemp /tmp/pimcomp-cache-cold-XXXXXX.json)
-WARM_JSON=$(mktemp /tmp/pimcomp-cache-warm-XXXXXX.json)
-COLD_TRACE=$(mktemp /tmp/pimcomp-cache-coldtrace-XXXXXX.json)
-WARM_TRACE=$(mktemp /tmp/pimcomp-cache-warmtrace-XXXXXX.json)
+RUN_JSON=$(mktemp /tmp/pimcomp-cache-run-XXXXXX.json)
+RUN_TRACE=$(mktemp /tmp/pimcomp-cache-trace-XXXXXX.json)
 COLD_STREAM=$(mktemp /tmp/pimcomp-cache-coldstream-XXXXXX.json)
 WARM_STREAM=$(mktemp /tmp/pimcomp-cache-warmstream-XXXXXX.json)
 
 cleanup() {
   rm -rf "$CACHE_DIR"
-  rm -f "$COLD_JSON" "$WARM_JSON" "$COLD_TRACE" "$WARM_TRACE" \
-    "$COLD_STREAM" "$WARM_STREAM"
+  rm -f "$COLD_JSON" "$RUN_JSON" "$RUN_TRACE" "$COLD_STREAM" "$WARM_STREAM"
 }
 trap cleanup EXIT
 
 COMPILE=(squeezenet --input 32 --parallelism 4,8 --pop 6 --gens 3
          --cache-dir "$CACHE_DIR" --json)
 
-"$BUILD"/examples/pimcomp_cli "${COMPILE[@]}" --trace "$COLD_TRACE" \
-  > "$COLD_JSON"
-"$BUILD"/examples/pimcomp_cli "${COMPILE[@]}" --trace "$WARM_TRACE" \
-  > "$WARM_JSON"
-
-python3 - "$COLD_TRACE" "$WARM_TRACE" "$COLD_JSON" "$WARM_JSON" <<'EOF'
+# run LEG: compiles COMPILE in a fresh process and asserts what its trace
+# shows for LEG — cold: both scenarios persisted to disk; hit: no mapping
+# stage, at least one disk hit; miss: the mapping stage ran, no disk hit.
+# Every leg's report must equal the cold one byte for byte modulo
+# wall-clock stage times (a cache hit reports zeroed times by convention).
+run() {
+  "$BUILD"/examples/pimcomp_cli "${COMPILE[@]}" --trace "$RUN_TRACE" \
+    > "$RUN_JSON"
+  [ "$1" = cold ] && cp "$RUN_JSON" "$COLD_JSON"
+  python3 - "$1" "$RUN_TRACE" "$COLD_JSON" "$RUN_JSON" <<'EOF'
 import json, sys
 
-cold_trace = json.load(open(sys.argv[1]))["events"]
-warm_trace = json.load(open(sys.argv[2]))["events"]
+leg, trace = sys.argv[1], json.load(open(sys.argv[2]))["events"]
 
-# The cold run computed and persisted both scenarios.
-cold_stores = [e for e in cold_trace
-               if e["event"] == "cache_store" and e.get("source") == "disk"]
-assert len(cold_stores) == 2, f"cold run must persist 2 artifacts: {cold_trace}"
+def count(event, key, value):
+    return sum(e["event"] == event and e.get(key) == value for e in trace)
 
-# The warm run never mapped and took its results from the disk tier.
-warm_mapping = [e for e in warm_trace
-                if e["event"] == "stage_begin" and e.get("stage") == "mapping"]
-assert not warm_mapping, f"warm run invoked the mapping stage: {warm_trace}"
-warm_disk_hits = [e for e in warm_trace
-                  if e["event"] == "cache_hit" and e.get("source") == "disk"]
-assert len(warm_disk_hits) >= 1, f"warm run saw no disk hit: {warm_trace}"
+mapped = count("stage_begin", "stage", "mapping")
+hits = count("cache_hit", "source", "disk")
+stores = count("cache_store", "source", "disk")
+expected = {"cold": stores == 2, "hit": not mapped and hits >= 1,
+            "miss": mapped and not hits}[leg]
+assert expected, f"{leg} leg: {mapped} mapping stage(s), {hits} disk " \
+    f"hit(s), {stores} disk store(s): {trace}"
 
-# Byte-identical reports modulo stage times.
-cold = json.load(open(sys.argv[3]))
-warm = json.load(open(sys.argv[4]))
-for report in cold + warm:
-    assert "error" not in report, f"scenario failed: {report}"
-    report["compile"]["stage_times"] = {}
-cold_bytes = json.dumps(cold, sort_keys=False)
-warm_bytes = json.dumps(warm, sort_keys=False)
-assert cold_bytes == warm_bytes, "warm report differs from cold report"
-print(f"cache smoke OK: {len(cold_stores)} artifacts persisted,",
-      f"{len(warm_disk_hits)} disk hit(s), 0 warm mapping invocations,",
-      "byte-identical reports")
+cold, report = (json.load(open(path)) for path in sys.argv[3:])
+for scenario in cold + report:
+    assert "error" not in scenario, f"scenario failed: {scenario}"
+    scenario["compile"]["stage_times"] = {}
+assert json.dumps(cold) == json.dumps(report), \
+    f"{leg} leg report differs from the cold report"
+print(f"cache {leg} OK: {mapped} mapping stage(s), {hits} disk hit(s),",
+      f"{stores} disk store(s), report byte-identical to cold")
 EOF
+}
+
+run cold
+run hit
+
+# Tamper with every persisted artifact: each VALU row (integer kind 1)
+# waits on AG 50000000, far outside the schedule's AG domain. The files
+# stay well-formed JSON with a valid envelope, so only the op-invariant
+# check can reject them: they must read as misses, and the recompute must
+# heal the store.
+python3 - "$CACHE_DIR" <<'EOF'
+import json, pathlib, sys
+
+tampered = 0
+for path in pathlib.Path(sys.argv[1]).rglob("*"):
+    if not path.is_file() or path.name.startswith("."):
+        continue
+    artifact = json.loads(path.read_text())
+    for program in artifact["schedule"]["programs"]:
+        for row in program:
+            if row[0] == 1:
+                row[2] = 50000000
+    path.write_text(json.dumps(artifact, separators=(",", ":")) + "\n")
+    tampered += 1
+assert tampered == 2, f"expected 2 artifacts to tamper with, got {tampered}"
+EOF
+run miss
+run hit
 
 STATS=$("$BUILD"/examples/pimcomp_cli cache stats --cache-dir "$CACHE_DIR")
 echo "$STATS"

@@ -17,6 +17,14 @@ detail::RegistryStore<BackendRegistry::Factory>& backend_store() {
 
 }  // namespace
 
+InstructionStream Backend::lower(const LowerInput& input) const {
+  PIMCOMP_CHECK(input.schedule != nullptr && input.options != nullptr,
+                "backend '" + name() + "' needs a schedule and options");
+  return InstructionStream::from_schedule(
+      *input.schedule, input.options->mode, input.options->parallelism_degree,
+      name(), input.mapping_key);
+}
+
 SimReport Backend::execute(const InstructionStream& stream,
                            const HardwareConfig& hw) const {
   (void)stream;

@@ -43,8 +43,9 @@ class Backend {
   virtual std::string name() const = 0;
 
   /// Lowers one compiled scenario. The result always validate()s and is
-  /// bound to input.mapping_key.
-  virtual InstructionStream lower(const LowerInput& input) const = 0;
+  /// bound to input.mapping_key. Default: the reference emission, the
+  /// schedule verbatim (InstructionStream::from_schedule) under name().
+  virtual InstructionStream lower(const LowerInput& input) const;
 
   /// True when execute() is implemented (the `sim` backend); pure emitters
   /// return false and execute() throws ConfigError.

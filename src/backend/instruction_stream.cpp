@@ -1,27 +1,15 @@
 #include "backend/instruction_stream.hpp"
 
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "cache/cache_store.hpp"
+#include "common/fnv1a.hpp"
 
 namespace pimcomp {
 
 namespace {
-
-/// FNV-1a over the canonical serialization (same constants as the session's
-/// fingerprint helpers — the artifact identity must be stable across
-/// processes and releases).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const char* data,
-                          std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 const char* mode_name(PipelineMode mode) {
   return mode == PipelineMode::kHighThroughput ? "ht" : "ll";
@@ -34,109 +22,27 @@ PipelineMode mode_from_name(const std::string& name) {
                                "'ll', got '" + name + "'");
 }
 
-/// One Instruction as a compact 10-tuple. Field order is part of the
-/// schema — changing it requires a kIsaVersion bump:
-///   [opcode, node, ag, window, bytes, elements, peer, tag, xbars,
-///    local_usage]
-Json instruction_to_json(const Instruction& inst) {
-  Json row = Json::array();
-  row.push_back(to_string(inst.opcode));
-  row.push_back(static_cast<std::int64_t>(inst.node));
-  row.push_back(static_cast<std::int64_t>(inst.ag));
-  row.push_back(static_cast<std::int64_t>(inst.window));
-  row.push_back(inst.bytes);
-  row.push_back(inst.elements);
-  row.push_back(static_cast<std::int64_t>(inst.peer));
-  row.push_back(static_cast<std::int64_t>(inst.tag));
-  row.push_back(static_cast<std::int64_t>(inst.xbars));
-  row.push_back(inst.local_usage);
-  return row;
+/// The ISA mnemonics, indexed by OpKind: an ISA row's column 0. The wire
+/// names are part of the schema (VALU is the VFU's instruction).
+constexpr const char* kMnemonics[] = {"MVM",  "VALU", "SEND",
+                                      "RECV", "LOAD", "STORE"};
+static_assert(std::size(kMnemonics) ==
+                  static_cast<std::size_t>(OpKind::kStoreGlobal) + 1,
+              "one mnemonic per OpKind");
+
+Json mnemonic(OpKind kind) {
+  return kMnemonics[static_cast<std::size_t>(kind)];
 }
 
-Instruction instruction_from_json(const Json& row) {
-  if (!row.is_array() || row.size() != 10) {
-    throw InstructionStreamError("instruction row must be a 10-tuple");
+OpKind kind_from_mnemonic(const Json& column) {
+  const std::string& name = column.as_string();
+  for (std::size_t k = 0; k < std::size(kMnemonics); ++k) {
+    if (name == kMnemonics[k]) return static_cast<OpKind>(k);
   }
-  Instruction inst;
-  inst.opcode = opcode_from_string(row.at(std::size_t(0)).as_string());
-  inst.node = static_cast<NodeId>(row.at(std::size_t(1)).as_int());
-  inst.ag = static_cast<std::int32_t>(row.at(std::size_t(2)).as_int());
-  inst.window = static_cast<std::int32_t>(row.at(std::size_t(3)).as_int());
-  inst.bytes = row.at(std::size_t(4)).as_int();
-  inst.elements = row.at(std::size_t(5)).as_int();
-  inst.peer = static_cast<std::int32_t>(row.at(std::size_t(6)).as_int());
-  inst.tag = static_cast<std::int32_t>(row.at(std::size_t(7)).as_int());
-  inst.xbars = static_cast<std::int32_t>(row.at(std::size_t(8)).as_int());
-  inst.local_usage = row.at(std::size_t(9)).as_int();
-  return inst;
-}
-
-Json int64_array(const std::vector<std::int64_t>& values) {
-  Json array = Json::array();
-  for (std::int64_t v : values) array.push_back(v);
-  return array;
-}
-
-std::vector<std::int64_t> int64_vector(const Json& array, const char* what) {
-  if (!array.is_array()) {
-    throw InstructionStreamError(std::string("instruction stream ") + what +
-                                 " must be an array");
-  }
-  std::vector<std::int64_t> values;
-  values.reserve(array.size());
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    values.push_back(array.at(i).as_int());
-  }
-  return values;
+  throw InstructionStreamError("unknown opcode mnemonic '" + name + "'");
 }
 
 }  // namespace
-
-std::string to_string(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kMvm: return "MVM";
-    case Opcode::kValu: return "VALU";
-    case Opcode::kSend: return "SEND";
-    case Opcode::kRecv: return "RECV";
-    case Opcode::kLoad: return "LOAD";
-    case Opcode::kStore: return "STORE";
-  }
-  return "UNKNOWN";
-}
-
-Opcode opcode_from_string(const std::string& mnemonic) {
-  if (mnemonic == "MVM") return Opcode::kMvm;
-  if (mnemonic == "VALU") return Opcode::kValu;
-  if (mnemonic == "SEND") return Opcode::kSend;
-  if (mnemonic == "RECV") return Opcode::kRecv;
-  if (mnemonic == "LOAD") return Opcode::kLoad;
-  if (mnemonic == "STORE") return Opcode::kStore;
-  throw InstructionStreamError("unknown opcode mnemonic '" + mnemonic + "'");
-}
-
-Opcode opcode_from_op_kind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kMvm: return Opcode::kMvm;
-    case OpKind::kVfu: return Opcode::kValu;
-    case OpKind::kCommSend: return Opcode::kSend;
-    case OpKind::kCommRecv: return Opcode::kRecv;
-    case OpKind::kLoadGlobal: return Opcode::kLoad;
-    case OpKind::kStoreGlobal: return Opcode::kStore;
-  }
-  throw InstructionStreamError("unknown operation kind");
-}
-
-OpKind op_kind_from_opcode(Opcode opcode) {
-  switch (opcode) {
-    case Opcode::kMvm: return OpKind::kMvm;
-    case Opcode::kValu: return OpKind::kVfu;
-    case Opcode::kSend: return OpKind::kCommSend;
-    case Opcode::kRecv: return OpKind::kCommRecv;
-    case Opcode::kLoad: return OpKind::kLoadGlobal;
-    case Opcode::kStore: return OpKind::kStoreGlobal;
-  }
-  throw InstructionStreamError("unknown opcode");
-}
 
 void InstructionStream::validate() const {
   if (backend.empty()) {
@@ -146,136 +52,23 @@ void InstructionStream::validate() const {
     throw InstructionStreamError(
         "instruction stream parallelism degree must be >= 1");
   }
-  if (ag_count < 0) {
-    throw InstructionStreamError("instruction stream ag_count is negative");
+  if (const auto violation = schedule_violation(schedule)) {
+    throw InstructionStreamError("instruction stream " + *violation);
   }
-  const int cores_n = core_count();
-  if (static_cast<int>(spill_bytes.size()) != cores_n ||
-      static_cast<int>(peak_local_bytes.size()) != cores_n) {
-    throw InstructionStreamError(
-        "instruction stream per-core metadata does not match its core "
-        "count (" + std::to_string(cores_n) + " cores, " +
-        std::to_string(spill_bytes.size()) + " spill entries, " +
-        std::to_string(peak_local_bytes.size()) + " peak entries)");
-  }
-  std::int64_t ops = 0;
-  for (int c = 0; c < cores_n; ++c) {
-    for (const Instruction& inst : cores[static_cast<std::size_t>(c)]) {
-      ++ops;
-      const bool is_comm =
-          inst.opcode == Opcode::kSend || inst.opcode == Opcode::kRecv;
-      if (inst.opcode == Opcode::kMvm) {
-        if (inst.ag < 0 || inst.ag >= ag_count) {
-          throw InstructionStreamError(
-              "MVM on core " + std::to_string(c) +
-              " references AG " + std::to_string(inst.ag) + " outside [0, " +
-              std::to_string(ag_count) + ")");
-        }
-        if (inst.xbars < 0) {
-          throw InstructionStreamError("MVM with negative crossbar count");
-        }
-      } else if (inst.ag < -1 || inst.ag >= ag_count) {
-        throw InstructionStreamError(
-            to_string(inst.opcode) + " on core " + std::to_string(c) +
-            " waits on AG " + std::to_string(inst.ag) + " outside [-1, " +
-            std::to_string(ag_count) + ")");
-      }
-      if (is_comm && (inst.peer < 0 || inst.peer >= cores_n)) {
-        throw InstructionStreamError(
-            to_string(inst.opcode) + " on core " + std::to_string(c) +
-            " targets peer " + std::to_string(inst.peer) + " outside [0, " +
-            std::to_string(cores_n) + ")");
-      }
-      if (inst.bytes < 0) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with negative payload bytes");
-      }
-      if (inst.elements < 0) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with negative element count");
-      }
-      if (inst.local_usage < -1) {
-        throw InstructionStreamError(to_string(inst.opcode) +
-                                     " with local usage below -1");
-      }
-    }
-  }
-  if (ops != total_ops) {
-    throw InstructionStreamError(
-        "instruction stream total_ops (" + std::to_string(total_ops) +
-        ") disagrees with its own instruction lists (" +
-        std::to_string(ops) + ")");
-  }
-}
-
-Schedule InstructionStream::to_schedule() const {
-  Schedule schedule;
-  schedule.ag_count = ag_count;
-  schedule.total_ops = total_ops;
-  schedule.spill_bytes = spill_bytes;
-  schedule.peak_local_bytes = peak_local_bytes;
-  schedule.programs.reserve(cores.size());
-  for (const std::vector<Instruction>& program : cores) {
-    std::vector<Operation> ops;
-    ops.reserve(program.size());
-    for (const Instruction& inst : program) {
-      Operation op;
-      op.kind = op_kind_from_opcode(inst.opcode);
-      op.node = inst.node;
-      op.ag = inst.ag;
-      op.window = inst.window;
-      op.bytes = inst.bytes;
-      op.elements = inst.elements;
-      op.peer = inst.peer;
-      op.tag = inst.tag;
-      op.xbars = inst.xbars;
-      op.local_usage = inst.local_usage;
-      ops.push_back(op);
-    }
-    schedule.programs.push_back(std::move(ops));
-  }
-  return schedule;
 }
 
 InstructionStream InstructionStream::from_schedule(
     const Schedule& schedule, PipelineMode mode, int parallelism_degree,
     const std::string& backend, std::uint64_t mapping_key) {
-  InstructionStream stream;
-  stream.backend = backend;
-  stream.mapping_key = mapping_key;
-  stream.mode = mode;
-  stream.parallelism_degree = parallelism_degree;
-  stream.ag_count = schedule.ag_count;
-  stream.total_ops = schedule.total_ops;
-  stream.spill_bytes = schedule.spill_bytes;
-  stream.peak_local_bytes = schedule.peak_local_bytes;
-  stream.cores.reserve(schedule.programs.size());
-  for (const std::vector<Operation>& program : schedule.programs) {
-    std::vector<Instruction> insts;
-    insts.reserve(program.size());
-    for (const Operation& op : program) {
-      Instruction inst;
-      inst.opcode = opcode_from_op_kind(op.kind);
-      inst.node = op.node;
-      inst.ag = op.ag;
-      inst.window = op.window;
-      inst.bytes = op.bytes;
-      inst.elements = op.elements;
-      inst.peer = op.peer;
-      inst.tag = op.tag;
-      inst.xbars = op.xbars;
-      inst.local_usage = op.local_usage;
-      insts.push_back(inst);
-    }
-    stream.cores.push_back(std::move(insts));
-  }
+  InstructionStream stream{backend, mapping_key, mode, parallelism_degree,
+                           schedule};
   stream.validate();
   return stream;
 }
 
 std::uint64_t InstructionStream::content_fingerprint() const {
   const std::string canonical = to_json().dump(-1);
-  return fnv1a_bytes(kFnvOffset, canonical.data(), canonical.size());
+  return fnv1a(kFnv1aOffset, canonical.data(), canonical.size());
 }
 
 Json InstructionStream::to_json() const {
@@ -287,19 +80,19 @@ Json InstructionStream::to_json() const {
   json["mapping_key"] = cache_key_hex(mapping_key);
   json["mode"] = mode_name(mode);
   json["parallelism"] = parallelism_degree;
-  json["ag_count"] = ag_count;
-  json["total_ops"] = total_ops;
-  json["spill_bytes"] = int64_array(spill_bytes);
-  json["peak_local_bytes"] = int64_array(peak_local_bytes);
-  Json cores_json = Json::array();
-  for (const std::vector<Instruction>& program : cores) {
+  json["ag_count"] = schedule.ag_count;
+  json["total_ops"] = schedule.total_ops;
+  json["spill_bytes"] = int64_array(schedule.spill_bytes);
+  json["peak_local_bytes"] = int64_array(schedule.peak_local_bytes);
+  Json cores = Json::array();
+  for (const std::vector<Operation>& program : schedule.programs) {
     Json rows = Json::array();
-    for (const Instruction& inst : program) {
-      rows.push_back(instruction_to_json(inst));
+    for (const Operation& op : program) {
+      rows.push_back(operation_to_row(op, mnemonic));
     }
-    cores_json.push_back(std::move(rows));
+    cores.push_back(std::move(rows));
   }
-  json["cores"] = std::move(cores_json);
+  json["cores"] = std::move(cores);
   return json;
 }
 
@@ -326,28 +119,33 @@ InstructionStream InstructionStream::from_json(const Json& json) {
   stream.mapping_key = *key;
   stream.mode = mode_from_name(json.get("mode", std::string()));
   stream.parallelism_degree = static_cast<int>(json.get("parallelism", 0));
-  stream.ag_count = static_cast<int>(json.at("ag_count").as_int());
-  stream.total_ops = json.at("total_ops").as_int();
-  stream.spill_bytes = int64_vector(json.at("spill_bytes"), "spill_bytes");
-  stream.peak_local_bytes =
-      int64_vector(json.at("peak_local_bytes"), "peak_local_bytes");
-  const Json& cores_json = json.at("cores");
-  if (!cores_json.is_array()) {
+  Schedule& schedule = stream.schedule;
+  schedule.ag_count = static_cast<int>(json.at("ag_count").as_int());
+  schedule.total_ops = json.at("total_ops").as_int();
+  schedule.spill_bytes = int64_vector(json.at("spill_bytes"));
+  schedule.peak_local_bytes = int64_vector(json.at("peak_local_bytes"));
+  const Json& cores = json.at("cores");
+  if (!cores.is_array()) {
     throw InstructionStreamError("instruction stream cores must be an array");
   }
-  stream.cores.reserve(cores_json.size());
-  for (std::size_t c = 0; c < cores_json.size(); ++c) {
-    const Json& rows = cores_json.at(c);
+  schedule.programs.reserve(cores.size());
+  for (std::size_t c = 0; c < cores.size(); ++c) {
+    const Json& rows = cores.at(c);
     if (!rows.is_array()) {
       throw InstructionStreamError(
           "instruction stream core program must be an array");
     }
-    std::vector<Instruction> program;
+    std::vector<Operation> program;
     program.reserve(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      program.push_back(instruction_from_json(rows.at(i)));
+      std::optional<Operation> op =
+          operation_from_row(rows.at(i), kind_from_mnemonic);
+      if (!op.has_value()) {
+        throw InstructionStreamError("instruction row must be a 10-tuple");
+      }
+      program.push_back(*op);
     }
-    stream.cores.push_back(std::move(program));
+    schedule.programs.push_back(std::move(program));
   }
   stream.validate();
   return stream;

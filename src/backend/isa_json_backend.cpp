@@ -1,11 +1,10 @@
 // The reference emitter: lowers a compiled scenario into the canonical
-// instruction-stream artifact, verbatim and losslessly. Every other backend
-// is measured against this emission (the golden files of
-// tests/test_backend.cpp and the JSON schema of
+// instruction-stream artifact, verbatim and losslessly (Backend's default
+// lower()). Every other backend is measured against this emission (the
+// golden files of tests/test_backend.cpp and the JSON schema of
 // scripts/isa_artifact_schema.json describe exactly what it produces).
 
 #include "backend/backend.hpp"
-#include "common/error.hpp"
 
 namespace pimcomp {
 
@@ -14,14 +13,6 @@ namespace {
 class IsaJsonBackend : public Backend {
  public:
   std::string name() const override { return "isa-json"; }
-
-  InstructionStream lower(const LowerInput& input) const override {
-    PIMCOMP_CHECK(input.schedule != nullptr && input.options != nullptr,
-                  "isa-json backend needs a schedule and options");
-    return InstructionStream::from_schedule(
-        *input.schedule, input.options->mode,
-        input.options->parallelism_degree, name(), input.mapping_key);
-  }
 };
 
 }  // namespace

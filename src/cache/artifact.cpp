@@ -13,71 +13,25 @@ namespace pimcomp {
 
 namespace {
 
-/// One Operation as a compact 10-tuple. Field order is part of the schema:
-/// changing it requires a kCacheSchemaVersion bump.
-///   [kind, node, ag, window, bytes, elements, peer, tag, xbars, local_usage]
-Json operation_to_json(const Operation& op) {
-  Json row = Json::array();
-  row.push_back(static_cast<int>(op.kind));
-  row.push_back(static_cast<std::int64_t>(op.node));
-  row.push_back(static_cast<std::int64_t>(op.ag));
-  row.push_back(static_cast<std::int64_t>(op.window));
-  row.push_back(op.bytes);
-  row.push_back(op.elements);
-  row.push_back(static_cast<std::int64_t>(op.peer));
-  row.push_back(static_cast<std::int64_t>(op.tag));
-  row.push_back(static_cast<std::int64_t>(op.xbars));
-  row.push_back(op.local_usage);
-  return row;
-}
+/// Column 0 of a cache artifact's op row: the integer OpKind.
+Json kind_to_int(OpKind kind) { return static_cast<int>(kind); }
 
-Operation operation_from_json(const Json& row) {
-  if (!row.is_array() || row.size() != 10) {
-    throw CacheArtifactError("artifact operation row must be a 10-tuple");
-  }
-  const std::int64_t kind = row.at(std::size_t(0)).as_int();
+OpKind kind_from_int(const Json& column) {
+  const std::int64_t kind = column.as_int();
   if (kind < 0 || kind > static_cast<std::int64_t>(OpKind::kStoreGlobal)) {
     throw CacheArtifactError("artifact operation kind out of range: " +
                              std::to_string(kind));
   }
-  Operation op;
-  op.kind = static_cast<OpKind>(kind);
-  op.node = static_cast<NodeId>(row.at(std::size_t(1)).as_int());
-  op.ag = static_cast<std::int32_t>(row.at(std::size_t(2)).as_int());
-  op.window = static_cast<std::int32_t>(row.at(std::size_t(3)).as_int());
-  op.bytes = row.at(std::size_t(4)).as_int();
-  op.elements = row.at(std::size_t(5)).as_int();
-  op.peer = static_cast<std::int32_t>(row.at(std::size_t(6)).as_int());
-  op.tag = static_cast<std::int32_t>(row.at(std::size_t(7)).as_int());
-  op.xbars = static_cast<std::int32_t>(row.at(std::size_t(8)).as_int());
-  op.local_usage = row.at(std::size_t(9)).as_int();
-  return op;
-}
-
-Json int64_array(const std::vector<std::int64_t>& values) {
-  Json array = Json::array();
-  for (std::int64_t v : values) array.push_back(v);
-  return array;
-}
-
-std::vector<std::int64_t> int64_vector(const Json& array, const char* what) {
-  if (!array.is_array()) {
-    throw CacheArtifactError(std::string("artifact ") + what +
-                             " must be an array");
-  }
-  std::vector<std::int64_t> values;
-  values.reserve(array.size());
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    values.push_back(array.at(i).as_int());
-  }
-  return values;
+  return static_cast<OpKind>(kind);
 }
 
 Json schedule_to_json(const Schedule& schedule) {
   Json programs = Json::array();
   for (const std::vector<Operation>& program : schedule.programs) {
     Json ops = Json::array();
-    for (const Operation& op : program) ops.push_back(operation_to_json(op));
+    for (const Operation& op : program) {
+      ops.push_back(operation_to_row(op, kind_to_int));
+    }
     programs.push_back(std::move(ops));
   }
   Json json = Json::object();
@@ -93,9 +47,8 @@ Schedule schedule_from_json(const Json& json, int expected_cores) {
   Schedule schedule;
   schedule.ag_count = static_cast<int>(json.at("ag_count").as_int());
   schedule.total_ops = json.at("total_ops").as_int();
-  schedule.spill_bytes = int64_vector(json.at("spill_bytes"), "spill_bytes");
-  schedule.peak_local_bytes =
-      int64_vector(json.at("peak_local_bytes"), "peak_local_bytes");
+  schedule.spill_bytes = int64_vector(json.at("spill_bytes"));
+  schedule.peak_local_bytes = int64_vector(json.at("peak_local_bytes"));
   const Json& programs = json.at("programs");
   if (!programs.is_array() ||
       static_cast<int>(programs.size()) != expected_cores) {
@@ -106,7 +59,6 @@ Schedule schedule_from_json(const Json& json, int expected_cores) {
         std::to_string(expected_cores) + ")");
   }
   schedule.programs.reserve(programs.size());
-  std::int64_t ops = 0;
   for (std::size_t core = 0; core < programs.size(); ++core) {
     const Json& rows = programs.at(core);
     if (!rows.is_array()) {
@@ -115,16 +67,17 @@ Schedule schedule_from_json(const Json& json, int expected_cores) {
     std::vector<Operation> program;
     program.reserve(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      program.push_back(operation_from_json(rows.at(i)));
+      std::optional<Operation> op =
+          operation_from_row(rows.at(i), kind_from_int);
+      if (!op.has_value()) {
+        throw CacheArtifactError("artifact operation row must be a 10-tuple");
+      }
+      program.push_back(*op);
     }
-    ops += static_cast<std::int64_t>(program.size());
     schedule.programs.push_back(std::move(program));
   }
-  if (ops != schedule.total_ops) {
-    throw CacheArtifactError("artifact total_ops (" +
-                             std::to_string(schedule.total_ops) +
-                             ") disagrees with its own op streams (" +
-                             std::to_string(ops) + ")");
+  if (const auto violation = schedule_violation(schedule)) {
+    throw CacheArtifactError("artifact schedule " + *violation);
   }
   return schedule;
 }

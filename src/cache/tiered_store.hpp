@@ -33,10 +33,6 @@ class TieredStore final : public CacheStore {
   /// Aggregated counters; `entries` is the deepest (most complete) tier's.
   CacheStoreStats stats() const override;
 
-  std::size_t tier_count() const { return tiers_.size(); }
-  CacheStore& tier(std::size_t i) { return *tiers_[i]; }
-  const CacheStore& tier(std::size_t i) const { return *tiers_[i]; }
-
  private:
   std::vector<std::unique_ptr<CacheStore>> tiers_;
 };

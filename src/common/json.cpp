@@ -411,6 +411,22 @@ Json Json::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
+Json int64_array(const std::vector<std::int64_t>& values) {
+  Json array = Json::array();
+  for (std::int64_t v : values) array.push_back(v);
+  return array;
+}
+
+std::vector<std::int64_t> int64_vector(const Json& array) {
+  if (!array.is_array()) throw JsonError("json value is not an array");
+  std::vector<std::int64_t> values;
+  values.reserve(array.size());
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    values.push_back(array.at(i).as_int());
+  }
+  return values;
+}
+
 Json json_from_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open file for reading: " + path);

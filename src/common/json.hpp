@@ -87,6 +87,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
+/// Integer-array codec (the artifacts' per-core metadata). int64_vector
+/// throws JsonError unless `array` is an array of integers.
+Json int64_array(const std::vector<std::int64_t>& values);
+std::vector<std::int64_t> int64_vector(const Json& array);
+
 /// Reads a whole file into a Json value (throws Error on I/O failure).
 Json json_from_file(const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "common/string_util.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -58,15 +59,11 @@ std::string join(const std::vector<std::string>& parts,
 }
 
 std::optional<long long> parse_decimal(const std::string& token) {
-  if (token.empty()) return std::nullopt;
-  std::size_t consumed = 0;
+  // from_chars, unlike stoll, takes no leading whitespace or '+'.
   long long value = 0;
-  try {
-    value = std::stoll(token, &consumed, 10);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (consumed != token.size()) return std::nullopt;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value, 10);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
 }
 

@@ -26,9 +26,10 @@ bool starts_with(const std::string& s, const std::string& prefix);
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-/// Strict base-10 integer parse: the whole token must be numeric (no
-/// trailing characters, no empty string), else nullopt. The single home of
-/// the stoll+fully-consumed idiom every flag/endpoint parser shares.
+/// Strict base-10 integer parse: the whole token must be an optional '-'
+/// and digits (no whitespace, no '+', no trailing characters, no empty
+/// string) within long long, else nullopt. The one integer parse every
+/// flag/endpoint parser shares.
 std::optional<long long> parse_decimal(const std::string& token);
 
 /// The one integer-flag rule of every frontend (pimcomp_cli, pimcompd,

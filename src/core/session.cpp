@@ -15,6 +15,7 @@
 #include "cache/remote_tier.hpp"
 #include "cache/tiered_store.hpp"
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/serialize.hpp"
 #include "sim/simulator.hpp"
@@ -22,18 +23,6 @@
 namespace pimcomp {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 std::uint64_t fnv1a_string(std::uint64_t hash, const std::string& s) {
   // Length-prefixed so adjacent strings can't alias across their boundary
@@ -51,7 +40,7 @@ std::uint64_t fnv1a_value(std::uint64_t hash, const T& value) {
 }
 
 std::uint64_t combine(std::uint64_t a, std::uint64_t b) {
-  return fnv1a_value(fnv1a_value(kFnvOffset, a), b);
+  return fnv1a_value(fnv1a_value(kFnv1aOffset, a), b);
 }
 
 /// Mapping-cache bound: generous for sweep-sized batches (the benches top
@@ -109,7 +98,7 @@ std::uint64_t fingerprint(const Graph& graph) {
   // The JSON graph format carries exactly the information the backend
   // consumes (topology + per-node attributes), so its dump is a faithful
   // identity for partitioning purposes.
-  return fnv1a_string(kFnvOffset, graph_to_json(graph).dump(0));
+  return fnv1a_string(kFnv1aOffset, graph_to_json(graph).dump(0));
 }
 
 std::uint64_t fingerprint(const HardwareConfig& hw) {
@@ -119,7 +108,7 @@ std::uint64_t fingerprint(const HardwareConfig& hw) {
   static_assert(sizeof(void*) != 8 || sizeof(HardwareConfig) == 128,
                 "HardwareConfig changed: update fingerprint() to hash the "
                 "new fields");
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   h = fnv1a_value(h, hw.xbar_rows);
   h = fnv1a_value(h, hw.xbar_cols);
   h = fnv1a_value(h, hw.cell_bits);
@@ -156,7 +145,7 @@ std::uint64_t fingerprint(const CompileOptions& options) {
   // artifacts on disk across processes and releases. Changing what or how
   // it hashes requires bumping kCacheSchemaVersion (src/cache/) — the
   // goldens in tests/test_fingerprint_goldens.cpp enforce that.
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   h = fnv1a_value(h, options.mode);
   h = fnv1a_value(h, options.parallelism_degree);
   h = fnv1a_value(h, options.memory_policy);

@@ -274,7 +274,7 @@ void Router::forward_compile(serve::LineChannel& client, Json json) {
     backend.requests.fetch_add(1);
     if (!first_attempt) backend.retries.fetch_add(1);
     first_attempt = false;
-    if (forward(backend, line, client, id, outcomes_relayed,
+    if (forward(backend, line, client, outcomes_relayed,
                 artifacts_relayed) == Forward::kRelayed) {
       requests_served_.fetch_add(1);
       return;
@@ -291,10 +291,9 @@ void Router::forward_compile(serve::LineChannel& client, Json json) {
 }
 
 Router::Forward Router::forward(Backend& backend, const std::string& line,
-                                serve::LineChannel& client, std::int64_t id,
+                                serve::LineChannel& client,
                                 std::unordered_set<int>& outcomes_relayed,
                                 std::unordered_set<int>& artifacts_relayed) {
-  (void)id;  // frames arrive on a dedicated upstream; no id filtering needed
   bool writing_to_client = false;
   try {
     serve::Socket socket = serve::connect_endpoint(backend.endpoint);

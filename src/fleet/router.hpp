@@ -122,7 +122,7 @@ class Router {
   void handle_compile(serve::LineChannel& client, Json json);
   void forward_compile(serve::LineChannel& client, Json json);
   Forward forward(Backend& backend, const std::string& line,
-                  serve::LineChannel& client, std::int64_t id,
+                  serve::LineChannel& client,
                   std::unordered_set<int>& outcomes_relayed,
                   std::unordered_set<int>& artifacts_relayed);
   void health_loop();

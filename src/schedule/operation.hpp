@@ -2,12 +2,15 @@
 #define PIMCOMP_SCHEDULE_OPERATION_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/node.hpp"
 
 namespace pimcomp {
+
+class Json;  // common/json.hpp
 
 /// Basic operation classes of the execution model (paper §III-B): MVM by the
 /// PIM matrix unit, vector work by the VFU, inter-core communication, and
@@ -84,6 +87,33 @@ struct Schedule {
   /// Sum of a payload field across all cores (test/report helper).
   std::int64_t total_bytes(OpKind kind) const;
 };
+
+/// The op-row codec of both persisted forms of a schedule (the cache
+/// artifact and the ISA stream). A row is a fixed 10-tuple
+///   [kind, node, ag, window, bytes, elements, peer, tag, xbars, local_usage]
+/// whose order is part of both schemas: changing it bumps kCacheSchemaVersion
+/// and kIsaVersion. Column 0 belongs to each artifact (an integer kind in
+/// cache artifacts, a mnemonic in ISA streams), so the caller passes its
+/// column-0 codec.
+Json operation_to_row(const Operation& op, Json (*encode_kind)(OpKind));
+
+/// Inverse of operation_to_row; nullopt when `row` is not a 10-tuple, so
+/// each artifact reports that with its own error type. `decode_kind`
+/// throws on an unknown column 0; a non-integer column, or one outside its
+/// field's range, throws JsonError.
+std::optional<Operation> operation_from_row(const Json& row,
+                                            OpKind (*decode_kind)(const Json&));
+
+/// The op invariants every consumer of a schedule may rely on (the
+/// simulator indexes its AG and channel state by `ag` and `peer` without
+/// bounds checks): MVM `ag` in [0, ag_count), other ops' `ag` in
+/// [-1, ag_count), SEND/RECV `peer` in [0, cores), non-negative `bytes` and
+/// `elements`, MVM `xbars` >= 0, `local_usage` >= -1, per-core metadata
+/// sized to the core count, and `total_ops` equal to the programs' length.
+/// Returns the first violation, or nullopt. Both artifact decoders run it
+/// and throw their own error type, so an untrusted schedule never reaches
+/// the simulator.
+std::optional<std::string> schedule_violation(const Schedule& schedule);
 
 }  // namespace pimcomp
 

@@ -113,20 +113,6 @@ TEST(BackendRegistry, OnlySimExecutes) {
 }
 
 // ---------------------------------------------------------------------------
-// Opcodes.
-// ---------------------------------------------------------------------------
-
-TEST(InstructionStream, OpcodesRoundTripLosslessly) {
-  const Opcode opcodes[] = {Opcode::kMvm,  Opcode::kValu, Opcode::kSend,
-                            Opcode::kRecv, Opcode::kLoad, Opcode::kStore};
-  for (Opcode opcode : opcodes) {
-    EXPECT_EQ(opcode_from_string(to_string(opcode)), opcode);
-    EXPECT_EQ(opcode_from_op_kind(op_kind_from_opcode(opcode)), opcode);
-  }
-  EXPECT_THROW(opcode_from_string("JMP"), InstructionStreamError);
-}
-
-// ---------------------------------------------------------------------------
 // Lowering and round-trips.
 // ---------------------------------------------------------------------------
 
@@ -148,8 +134,8 @@ TEST(InstructionStream, EveryZooModelLowersAndRoundTrips) {
     const InstructionStream& stream = *result.stream;
     EXPECT_EQ(stream.backend, "isa-json");
     EXPECT_NE(stream.mapping_key, 0u);
-    EXPECT_EQ(stream.core_count(), result.schedule.core_count());
-    EXPECT_EQ(stream.total_ops, result.schedule.total_ops);
+    EXPECT_EQ(stream.schedule.core_count(), result.schedule.core_count());
+    EXPECT_EQ(stream.schedule.total_ops, result.schedule.total_ops);
     EXPECT_GT(result.stage_times.lowering, 0.0);
 
     // JSON round-trip: re-parsing (which re-validates) reproduces the
@@ -160,12 +146,12 @@ TEST(InstructionStream, EveryZooModelLowersAndRoundTrips) {
     EXPECT_EQ(reparsed.to_json().dump(-1), artifact.dump(-1));
     EXPECT_EQ(reparsed.content_fingerprint(), stream.content_fingerprint());
 
-    // Schedule round-trip: lowering is lossless against the scheduler's
-    // representation, so re-lowering the recovered schedule is a fixpoint.
+    // The artifact carries the scheduler's Operations losslessly: the
+    // decoded stream is the lowering of the source schedule itself.
     const InstructionStream relowered = InstructionStream::from_schedule(
-        reparsed.to_schedule(), stream.mode, stream.parallelism_degree,
+        result.schedule, stream.mode, stream.parallelism_degree,
         stream.backend, stream.mapping_key);
-    EXPECT_EQ(relowered.content_fingerprint(), stream.content_fingerprint());
+    EXPECT_EQ(relowered.content_fingerprint(), reparsed.content_fingerprint());
   }
 }
 
@@ -208,6 +194,17 @@ TEST(InstructionStream, ValidationCatchesTampering) {
     tampered["ag_count"] = 0;
     EXPECT_THROW(InstructionStream::from_json(tampered),
                  InstructionStreamError);
+  }
+  {  // A mnemonic outside the ISA.
+    Json tampered = artifact;
+    tampered["cores"] =
+        Json::parse(R"([[["JMP", 0, 0, 0, 0, 0, 0, 0, 0, 0]]])");
+    try {
+      InstructionStream::from_json(tampered);
+      FAIL() << "an unknown mnemonic must be rejected";
+    } catch (const InstructionStreamError& e) {
+      EXPECT_NE(std::string(e.what()).find("JMP"), std::string::npos);
+    }
   }
   {  // Unparseable binding.
     Json tampered = artifact;

@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "core/session.hpp"
 #include "core/trace.hpp"
 #include "graph/builder.hpp"
+#include "schedule_tamper.hpp"
 #include "sim/sim_report.hpp"
 
 namespace pimcomp {
@@ -217,45 +220,69 @@ TEST(DiskCache, SurvivesConcurrentWarmJobs) {
 TEST(DiskCache, CorruptArtifactRecomputesAndSelfHeals) {
   TempDir dir;
   std::string reference;
+  int cores = 0;
+  int ag_count = 0;
   {
     CompilerSession cold(small_cnn(), small_hw(), cache_at(dir.path));
     const CompileResult result = cold.compile(tiny_options(2));
     reference = compile_result_to_json(result).dump(2);
+    cores = result.schedule.core_count();
+    ag_count = result.schedule.ag_count;
   }
 
-  // Vandalize every artifact in the store.
-  DiskStore store(cache_at(dir.path));
-  int vandalized = 0;
-  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
-    if (!entry.is_regular_file()) continue;
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << "{\"schema\": " << kCacheSchemaVersion << ", \"key\": \"torn";
-    ++vandalized;
+  // Each vandal in turn rewrites every stored artifact: a torn file, then
+  // well-formed artifacts whose schedule sends to a core, or waits on an
+  // AG, that does not exist (the simulator indexes both unchecked).
+  const std::function<std::string(const Json&)> vandals[] = {
+      [](const Json&) {
+        return "{\"schema\": " + std::to_string(kCacheSchemaVersion) +
+               ", \"key\": \"torn";
+      },
+      [&](const Json& artifact) {
+        return with_tampered_rows(artifact, OpKind::kCommSend, 6, cores)
+            .dump(-1);
+      },
+      [&](const Json& artifact) {
+        return with_tampered_rows(artifact, OpKind::kVfu, 2, ag_count)
+            .dump(-1);
+      }};
+
+  for (std::size_t v = 0; v < std::size(vandals); ++v) {
+    SCOPED_TRACE("vandal " + std::to_string(v));
+    // Vandalize every artifact in the store.
+    int vandalized = 0;
+    for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
+      if (!entry.is_regular_file()) continue;
+      const Json artifact = json_from_file(entry.path().string());
+      std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+      out << vandals[v](artifact);
+      ++vandalized;
+    }
+    ASSERT_GE(vandalized, 1);
+
+    CompilerSession warm(small_cnn(), small_hw(), cache_at(dir.path));
+    TraceRecorder trace;
+    warm.set_observer(&trace);
+    const CompileResult result = warm.compile(tiny_options(2));
+    // Recomputed (the corrupt artifact must not poison the compile)...
+    EXPECT_EQ(warm.mapping_disk_hits(), 0u);
+    EXPECT_EQ(warm.mapping_cache_stores(), 1u);
+    // Zero stage times on the reference: the recompute reports real ones.
+    Json recomputed = compile_result_to_json(result);
+    Json zero = Json::object();
+    zero["partitioning_s"] = 0.0;
+    zero["mapping_s"] = 0.0;
+    zero["scheduling_s"] = 0.0;
+    recomputed["stage_times"] = zero;
+    Json expected = Json::parse(reference);
+    expected["stage_times"] = zero;
+    EXPECT_EQ(recomputed.dump(2), expected.dump(2));
+
+    // ...and the store healed: a third session takes a clean disk hit.
+    CompilerSession healed(small_cnn(), small_hw(), cache_at(dir.path));
+    healed.compile(tiny_options(2));
+    EXPECT_EQ(healed.mapping_disk_hits(), 1u);
   }
-  ASSERT_GE(vandalized, 1);
-
-  CompilerSession warm(small_cnn(), small_hw(), cache_at(dir.path));
-  TraceRecorder trace;
-  warm.set_observer(&trace);
-  const CompileResult result = warm.compile(tiny_options(2));
-  // Recomputed (the corrupt artifact must not poison the compile)...
-  EXPECT_EQ(warm.mapping_disk_hits(), 0u);
-  EXPECT_EQ(warm.mapping_cache_stores(), 1u);
-  // Zero stage times on the reference: the recompute reports real ones.
-  Json recomputed = compile_result_to_json(result);
-  Json zero = Json::object();
-  zero["partitioning_s"] = 0.0;
-  zero["mapping_s"] = 0.0;
-  zero["scheduling_s"] = 0.0;
-  recomputed["stage_times"] = zero;
-  Json expected = Json::parse(reference);
-  expected["stage_times"] = zero;
-  EXPECT_EQ(recomputed.dump(2), expected.dump(2));
-
-  // ...and the store healed: a third session takes a clean disk hit.
-  CompilerSession healed(small_cnn(), small_hw(), cache_at(dir.path));
-  healed.compile(tiny_options(2));
-  EXPECT_EQ(healed.mapping_disk_hits(), 1u);
 }
 
 TEST(DiskCache, RejectsArtifactsWithMismatchedWorkloadFingerprint) {

@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "fleet/router.hpp"
+#include "serve/net.hpp"
 #include "serve/server.hpp"
 
 namespace pimcomp {
@@ -42,11 +43,22 @@ TEST(ParseIntFlag, RejectsOneStepPastEitherBoundWithTheUnifiedMessage) {
 }
 
 TEST(ParseIntFlag, RejectsGarbageEmptyAndOverflowingTokens) {
-  for (const char* token : {"abc", "", "12x", "1.5", "99999999999999999999"}) {
+  for (const char* token : {"abc", "", "12x", "1.5", "99999999999999999999",
+                            " 3", "\t5", "+80"}) {
     EXPECT_EQ(flag_error("--pop", token, 1, 1000000),
               std::string("--pop wants an integer in [1, 1000000], got '") +
                   token + "'")
         << token;
+  }
+}
+
+TEST(ConnectEndpoint, RejectsASignedPortBeforeOpeningASocket) {
+  try {
+    serve::connect_endpoint("127.0.0.1:+80");
+    FAIL() << "a '+'-signed port was accepted";
+  } catch (const serve::ServeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bad port in endpoint '127.0.0.1:+80'");
   }
 }
 

@@ -20,6 +20,7 @@
 #include "graph/zoo/zoo.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping_solution.hpp"
+#include "schedule_tamper.hpp"
 
 namespace pimcomp {
 namespace {
@@ -204,6 +205,38 @@ TEST(CompileResultArtifact, RejectsTamperedSchedules) {
   EXPECT_THROW(compile_result_from_artifact(lying_total, original.workload,
                                             options, workload_fp),
                CacheArtifactError);
+
+  // Well-formed rows that break an op invariant the simulator relies on
+  // (it indexes its channel and AG state by `peer` and `ag` unchecked).
+  const int cores = original.schedule.core_count();
+  const int ag_count = original.schedule.ag_count;
+  struct Tamper {
+    const char* what;
+    OpKind kind;
+    std::size_t column;
+    std::int64_t value;
+  };
+  const Tamper tampers[] = {
+      {"SEND to a core that does not exist", OpKind::kCommSend, 6, cores},
+      {"VALU waiting on an AG that does not exist", OpKind::kVfu, 2,
+       ag_count},
+      {"MVM on no AG", OpKind::kMvm, 2, -1},
+      {"negative payload bytes", OpKind::kCommSend, 4, -1},
+  };
+  for (const Tamper& t : tampers) {
+    SCOPED_TRACE(t.what);
+    EXPECT_THROW(
+        compile_result_from_artifact(
+            with_tampered_rows(artifact, t.kind, t.column, t.value),
+            original.workload, options, workload_fp),
+        CacheArtifactError);
+  }
+  // A peer of 2^32 must not truncate to the valid peer 0.
+  EXPECT_THROW(compile_result_from_artifact(
+                   with_tampered_rows(artifact, OpKind::kCommSend, 6,
+                                      std::int64_t{1} << 32),
+                   original.workload, options, workload_fp),
+               JsonError);
 }
 
 }  // namespace

@@ -258,7 +258,7 @@ TEST(ServeEndToEnd, LoweredScenariosStreamArtifactFramesInOrder) {
   const InstructionStream first =
       InstructionStream::from_json(reply.artifacts[0].artifact);
   EXPECT_EQ(first.backend, "isa-json");
-  EXPECT_GT(first.total_ops, 0u);
+  EXPECT_GT(first.schedule.total_ops, 0u);
   const InstructionStream second =
       InstructionStream::from_json(reply.artifacts[1].artifact);
   EXPECT_EQ(second.backend, "sim");

@@ -18,8 +18,7 @@ Four checkers run over the tree from one driver:
                 written at a key position in the serving/fleet codecs must
                 appear in the versioned manifest
                 (tools/analysis/wire_schema.json), every manifest entry must
-                still be referenced, and every entry must carry a valid
-                min-version gate (`since` in [1, kProtocolVersion]).
+                still be referenced and carry one line of documentation.
 
   layering      Subsystem include DAG: src/<dir> ranks are declared in
                 tools/analysis/layers.json; an include whose target ranks
@@ -562,17 +561,11 @@ def check_wire_schema(root, manifest_path, findings):
             findings.append(Finding(
                 rel, line, "wire-schema",
                 f"wire key \"{key}\" is not in the schema manifest "
-                f"({manifest_rel}) — add it with its minimum protocol "
-                "version and documentation, or stop emitting it"))
+                f"({manifest_rel}) — add it with its documentation, or "
+                "stop emitting it"))
 
     for key, entry in entries.items():
-        since = entry.get("since") if isinstance(entry, dict) else None
-        if not isinstance(since, int) or not 1 <= since <= version:
-            findings.append(Finding(
-                manifest_rel, manifest_line(key), "wire-schema",
-                f"manifest entry \"{key}\" needs an integer `since` "
-                f"version gate in [1, {version}]"))
-        elif not entry.get("doc"):
+        if not isinstance(entry, dict) or not entry.get("doc"):
             findings.append(Finding(
                 manifest_rel, manifest_line(key), "wire-schema",
                 f"manifest entry \"{key}\" needs a non-empty `doc` string"))
