@@ -95,17 +95,19 @@ wait_socket "$ROUTER_SOCK"
 # Scenario 0 is near-instant — its outcome is relayed before the kill, so
 # the retry's deduplication is exercised for real. The heavy GA budgets
 # hold the (single-job) backend long enough that the SIGKILL lands while
-# the batch is streaming, even on a fast machine.
+# the batch is streaming, even on a fast machine: each heavy scenario maps
+# for about 1.6 s on a 4-thread host, against the 1 s delay before the
+# kill.
 cat > "$SCENARIOS" <<'EOF'
 [
   {"label": "light", "options": {"mode": "ll", "parallelism": 4,
    "ga": {"population": 6, "generations": 3}}},
   {"label": "heavy-a", "options": {"mode": "ll", "parallelism": 8,
-   "ga": {"population": 512, "generations": 500}}},
+   "ga": {"population": 512, "generations": 2000}}},
   {"label": "heavy-b", "options": {"mode": "ll", "parallelism": 12,
-   "ga": {"population": 512, "generations": 500}}},
+   "ga": {"population": 512, "generations": 2000}}},
   {"label": "heavy-c", "options": {"mode": "ll", "parallelism": 16,
-   "ga": {"population": 512, "generations": 500}}}
+   "ga": {"population": 512, "generations": 2000}}}
 ]
 EOF
 

@@ -43,9 +43,20 @@ Json schedule_to_json(const Schedule& schedule) {
   return json;
 }
 
-Schedule schedule_from_json(const Json& json, int expected_cores) {
+Schedule schedule_from_json(const Json& json, int expected_cores,
+                            std::size_t expected_ag_count) {
+  // schedule_violation() bounds every op's AG by ag_count, and the
+  // simulator sizes its per-AG state by it: it must be the mapping's own
+  // AG-instance count, as the schedulers write it.
+  const std::int64_t ag_count = json.at("ag_count").as_int();
+  if (ag_count != static_cast<std::int64_t>(expected_ag_count)) {
+    throw CacheArtifactError(
+        "artifact schedule ag_count " + std::to_string(ag_count) +
+        " does not match the mapping's " + std::to_string(expected_ag_count) +
+        " AG instances");
+  }
   Schedule schedule;
-  schedule.ag_count = static_cast<int>(json.at("ag_count").as_int());
+  schedule.ag_count = static_cast<int>(ag_count);
   schedule.total_ops = json.at("total_ops").as_int();
   schedule.spill_bytes = int64_vector(json.at("spill_bytes"));
   schedule.peak_local_bytes = int64_vector(json.at("peak_local_bytes"));
@@ -167,7 +178,8 @@ CompileResult compile_result_from_artifact(
                              : Json::object()),
   };
   result.schedule = schedule_from_json(artifact.at("schedule"),
-                                       result.solution.core_count());
+                                       result.solution.core_count(),
+                                       result.solution.instantiate().size());
 
   if (!options.backend.empty()) {
     // The requester compiled with a lowering backend, so a servable
@@ -188,6 +200,10 @@ CompileResult compile_result_from_artifact(
     try {
       InstructionStream stream =
           InstructionStream::from_json(artifact.at("stream"), *key);
+      if (stream.schedule.ag_count != result.schedule.ag_count) {
+        throw CacheArtifactError(
+            "artifact stream ag_count does not match its schedule's");
+      }
       if (stream.backend != options.backend) {
         throw CacheArtifactError(
             "artifact stream was emitted by backend '" + stream.backend +

@@ -25,4 +25,12 @@ std::optional<std::uint64_t> cache_key_from_hex(const std::string& hex) {
   return key;
 }
 
+bool envelope_matches(const Json& artifact, std::uint64_t key) {
+  if (!artifact.contains("schema") || !artifact.contains("key")) return false;
+  const Json& schema = artifact.at("schema");
+  const Json& stamped = artifact.at("key");
+  return schema.is_number() && schema.as_number() == kCacheSchemaVersion &&
+         stamped.is_string() && stamped.as_string() == cache_key_hex(key);
+}
+
 }  // namespace pimcomp

@@ -91,6 +91,11 @@ std::string cache_key_hex(std::uint64_t key);
 /// 16 hex digits.
 std::optional<std::uint64_t> cache_key_from_hex(const std::string& hex);
 
+/// True when `artifact` is an object whose envelope names this build's
+/// schema (kCacheSchemaVersion) and `key`. Never throws: a wrongly typed
+/// envelope field is simply a mismatch.
+bool envelope_matches(const Json& artifact, std::uint64_t key);
+
 }  // namespace pimcomp
 
 #endif  // PIMCOMP_CACHE_CACHE_STORE_HPP

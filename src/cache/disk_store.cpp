@@ -119,22 +119,14 @@ std::optional<CacheHit> DiskStore::load(std::uint64_t key) {
     return std::nullopt;
   };
 
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return miss();
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) return miss();
-  }
+  const std::optional<std::string> text = read_file(path.string());
+  if (!text.has_value()) return miss();
 
   Json artifact;
   bool valid = false;
   try {
-    artifact = Json::parse(text);
-    valid = artifact.is_object() &&
-            artifact.get("schema", -1) == kCacheSchemaVersion &&
-            artifact.get("key", std::string()) == cache_key_hex(key);
+    artifact = Json::parse(*text);
+    valid = envelope_matches(artifact, key);
   } catch (const std::exception&) {
     valid = false;
   }
@@ -149,7 +141,7 @@ std::optional<CacheHit> DiskStore::load(std::uint64_t key) {
     if (!config_.read_only) {
       std::error_code ec;
       const std::uintmax_t size_now = fs::file_size(path, ec);
-      if (!ec && size_now == text.size()) fs::remove(path, ec);
+      if (!ec && size_now == text->size()) fs::remove(path, ec);
     }
     return miss();
   }
@@ -175,9 +167,20 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
   std::error_code ec;
   if (fs::exists(path, ec)) return nullptr;  // first writer won already
 
-  Json artifact = entry.artifact;
-  artifact["schema"] = kCacheSchemaVersion;
-  artifact["key"] = cache_key_hex(key);
+  // An artifact whose envelope already names this slot (every artifact the
+  // session encodes) is dumped as it is; only a foreign envelope is copied
+  // to restamp it.
+  std::string text;
+  if (envelope_matches(entry.artifact, key)) {
+    entry.artifact.dump_to(text);
+  } else {
+    if (!entry.artifact.is_object()) return nullptr;
+    Json artifact = entry.artifact;
+    artifact["schema"] = kCacheSchemaVersion;
+    artifact["key"] = cache_key_hex(key);
+    artifact.dump_to(text);
+  }
+  text.push_back('\n');
 
   // Unique temp name in the destination directory (rename must not cross
   // filesystems): pid disambiguates processes, the counter disambiguates
@@ -192,7 +195,7 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
     {
       std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
       if (!out) return nullptr;
-      out << artifact.dump(-1) << '\n';
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
       out.flush();
       if (!out.good()) {
         out.close();

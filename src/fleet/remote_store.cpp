@@ -56,12 +56,12 @@ void RemoteStore::mark_failed_locked(Peer& peer) {
   peer.retry_at = std::chrono::steady_clock::now() + backoff;
 }
 
-std::optional<Json> RemoteStore::roundtrip(Peer& peer, const Json& request,
+std::optional<Json> RemoteStore::roundtrip(Peer& peer, const std::string& line,
                                            std::int64_t id) {
   MutexLock lock(peer.mutex);
   if (!ensure_connected_locked(peer)) return std::nullopt;
   try {
-    peer.channel->write_line(request.dump(-1));
+    peer.channel->write_line(line);
     for (;;) {
       std::optional<std::string> line = peer.channel->read_line();
       if (!line.has_value()) {
@@ -101,7 +101,8 @@ std::optional<CacheHit> RemoteStore::load(std::uint64_t key) {
     request.id = id;
     request.key = key;
     request.auth = config_.auth_token;
-    std::optional<Json> reply = roundtrip(*peer, to_json(request), id);
+    std::optional<Json> reply =
+        roundtrip(*peer, to_json(request).dump(-1), id);
     if (!reply.has_value() || !reply->get("found", false) ||
         !reply->contains("artifact")) {
       continue;
@@ -109,11 +110,8 @@ std::optional<CacheHit> RemoteStore::load(std::uint64_t key) {
     // Same envelope check DiskStore applies to its own files: a peer's
     // answer earns no extra trust for having arrived over a socket. The
     // caller then revalidates content fingerprints before adopting it.
-    Json artifact = reply->at("artifact");
-    const bool valid = artifact.is_object() &&
-                       artifact.get("schema", -1) == kCacheSchemaVersion &&
-                       artifact.get("key", std::string()) == cache_key_hex(key);
-    if (!valid) continue;
+    Json artifact = std::move((*reply)["artifact"]);
+    if (!envelope_matches(artifact, key)) continue;
     {
       MutexLock lock(stats_mutex_);
       ++counters_.hits;
@@ -132,12 +130,12 @@ const char* RemoteStore::store(std::uint64_t key, const CacheEntry& entry) {
   bool any_stored = false;
   for (const std::unique_ptr<Peer>& peer : peers_) {
     const std::int64_t id = next_id_.fetch_add(1);
-    serve::CachePutRequest request;
+    serve::CachePutRequest request;  // the artifact goes straight to the line
     request.id = id;
     request.key = key;
-    request.artifact = entry.artifact;
     request.auth = config_.auth_token;
-    std::optional<Json> reply = roundtrip(*peer, to_json(request), id);
+    std::optional<Json> reply =
+        roundtrip(*peer, serve::cache_put_line(request, entry.artifact), id);
     if (reply.has_value() && reply->get("stored", false)) any_stored = true;
   }
   if (!any_stored) return nullptr;

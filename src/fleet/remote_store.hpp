@@ -88,10 +88,10 @@ class RemoteStore final : public CacheStore {
   bool ensure_connected_locked(Peer& peer) PIMCOMP_REQUIRES(peer.mutex);
   void mark_failed_locked(Peer& peer) PIMCOMP_REQUIRES(peer.mutex);
 
-  /// Sends `request` and reads frames until the cache_result (or error)
-  /// matching `id`; std::nullopt on any failure (connection dropped,
-  /// timeout, rejection), after which the peer is backed off.
-  std::optional<Json> roundtrip(Peer& peer, const Json& request,
+  /// Sends the request `line` and reads frames until the cache_result (or
+  /// error) matching `id`; std::nullopt on any failure (connection
+  /// dropped, timeout, rejection), after which the peer is backed off.
+  std::optional<Json> roundtrip(Peer& peer, const std::string& line,
                                 std::int64_t id) PIMCOMP_EXCLUDES(peer.mutex);
 
   const CacheConfig config_;

@@ -427,6 +427,26 @@ Json to_json(const CachePutRequest& request) {
   return json;
 }
 
+std::string cache_put_line(const CachePutRequest& request,
+                           const Json& artifact) {
+  CachePutRequest envelope;
+  envelope.id = request.id;
+  envelope.key = request.key;
+  std::string line = to_json(envelope).dump(-1);
+  // Reopen the envelope over its null artifact, then append the artifact
+  // and the fields that follow it in to_json's key order.
+  const std::string_view null_artifact = "\"artifact\":null}";
+  line.resize(line.size() - null_artifact.size());
+  line += "\"artifact\":";
+  artifact.dump_to(line);
+  if (!request.auth.empty()) {
+    line += ",\"auth\":";
+    Json(request.auth).dump_to(line);
+  }
+  line.push_back('}');
+  return line;
+}
+
 Json to_json(const StatsRequest& request) {
   Json json = Json::object();
   json["type"] = "stats";
@@ -447,7 +467,7 @@ CacheGetRequest cache_get_request_from_json(const Json& json) {
   return request;
 }
 
-CachePutRequest cache_put_request_from_json(const Json& json) {
+CachePutRequest cache_put_request_from_json(Json&& json) {
   require_supported_version(json);
   require_known_keys(json, "cache_put",
                      {"type", "version", "id", "key", "artifact", "auth"});
@@ -457,7 +477,7 @@ CachePutRequest cache_put_request_from_json(const Json& json) {
   if (!json.contains("artifact") || !json.at("artifact").is_object()) {
     throw ServeError("cache_put needs an 'artifact' object");
   }
-  request.artifact = json.at("artifact");
+  request.artifact = std::move(json["artifact"]);
   request.auth = json.get("auth", std::string());
   return request;
 }
@@ -541,7 +561,7 @@ Json to_json(const PongMessage& message) {
   return json;
 }
 
-Json to_json(const CacheResultMessage& message) {
+Json to_json(CacheResultMessage message) {
   Json json = Json::object();
   json["type"] = "cache_result";
   json["id"] = message.id;
@@ -549,7 +569,7 @@ Json to_json(const CacheResultMessage& message) {
   json["found"] = message.found;
   json["stored"] = message.stored;
   if (message.found && !message.artifact.is_null()) {
-    json["artifact"] = message.artifact;
+    json["artifact"] = std::move(message.artifact);
   }
   return json;
 }

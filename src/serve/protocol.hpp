@@ -172,10 +172,17 @@ struct StatsRequest {
 Json to_json(const CacheGetRequest& request);
 Json to_json(const CachePutRequest& request);
 Json to_json(const StatsRequest& request);
+/// The wire line of to_json(request) with `artifact` in place of
+/// `request.artifact`, dumped straight into the line: a sender that keeps
+/// its artifact elsewhere (RemoteStore) never copies it into a frame.
+std::string cache_put_line(const CachePutRequest& request,
+                           const Json& artifact);
 /// Throw ServeError on malformed frames (bad key, missing artifact,
 /// unsupported version).
 CacheGetRequest cache_get_request_from_json(const Json& json);
-CachePutRequest cache_put_request_from_json(const Json& json);
+/// Moves the artifact out of `json` (the rest of the frame stays intact,
+/// so an error reply can still read its id).
+CachePutRequest cache_put_request_from_json(Json&& json);
 StatsRequest stats_request_from_json(const Json& json);
 
 // ---------------------------------------------------------------------------
@@ -264,7 +271,8 @@ Json to_json(const ArtifactMessage& message);
 Json to_json(const DoneMessage& message);
 Json to_json(const ErrorMessage& message);
 Json to_json(const PongMessage& message);
-Json to_json(const CacheResultMessage& message);
+/// By value: a moved-in message's artifact moves into the frame.
+Json to_json(CacheResultMessage message);
 Json to_json(const StatsMessage& message);
 
 /// Any server-to-client message, for client-side dispatch.

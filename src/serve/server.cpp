@@ -911,18 +911,18 @@ void CompileServer::handle_cache_get(
       reply.artifact = std::move(hit->entry.artifact);
     }
   }
-  enqueue_frame(*connection, to_json(reply), /*advisory=*/false);
+  enqueue_frame(*connection, to_json(std::move(reply)), /*advisory=*/false);
 }
 
 void CompileServer::handle_cache_put(
-    const std::shared_ptr<Connection>& connection, const Json& json) {
-  const CachePutRequest request = cache_put_request_from_json(json);
+    const std::shared_ptr<Connection>& connection, Json& json) {
+  CachePutRequest request = cache_put_request_from_json(std::move(json));
   CacheResultMessage reply;
   reply.id = request.id;
   reply.key = request.key;
   if (peer_store_ != nullptr) {
     CacheEntry entry;
-    entry.artifact = request.artifact;
+    entry.artifact = std::move(request.artifact);
     // DiskStore stamps the schema/key envelope itself and applies the same
     // first-writer-wins rule as a local store; `stored` is false when the
     // key already existed or the artifact was refused.

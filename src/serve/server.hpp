@@ -200,8 +200,9 @@ class CompileServer {
   /// keeps fleet cache traffic one hop and loop-free by construction.
   void handle_cache_get(const std::shared_ptr<Connection>& connection,
                         const Json& json);
+  /// Moves the artifact out of `json` into the disk tier.
   void handle_cache_put(const std::shared_ptr<Connection>& connection,
-                        const Json& json);
+                        Json& json);
   void handle_stats(const std::shared_ptr<Connection>& connection,
                     const Json& json);
   /// The stats payload: daemon counters plus per-tier cache counters

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/random.hpp"
+
 namespace pimcomp {
 namespace {
 
@@ -108,6 +117,114 @@ TEST(JsonParse, MalformedThrows) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
 }
 
+TEST(JsonParse, RejectsDeepNesting) {
+  // A 200 KB line of brackets is a JsonError, not a stack overflow.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
+  EXPECT_THROW(Json::parse(std::string(100000, '[') + std::string(100000, ']')),
+               JsonError);
+  EXPECT_THROW(Json::parse(std::string(100000, '{')), JsonError);
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (int i = depth - 1; i >= 0; --i) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), JsonError);
+  try {
+    Json::parse(std::string(100000, '['));
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nests deeper than 512"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonParse, NumbersFollowRfc8259) {
+  // Each of these was once accepted, some as a prefix ([1-2] read as [1]).
+  for (const char* bad :
+       {"[1-2]", "1.2.3", "+5", "01", "-01", "1e", "1e+", ".5", "-", "1.",
+        "--1", "0x10", "[1,+2]", "{\"a\":01}", "1.e5", "1e5.0", "Infinity",
+        "NaN", "-Infinity", "1e400", "-1e400"}) {
+    EXPECT_THROW(Json::parse(bad), JsonError) << bad;
+  }
+  const Json negative_zero = Json::parse("-0");
+  EXPECT_EQ(negative_zero.as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero.as_number()));
+  EXPECT_EQ(Json::parse("1E5").as_number(), 100000.0);
+  EXPECT_EQ(Json::parse("2.5e-3").as_number(), 2.5e-3);
+  EXPECT_EQ(Json::parse("-1.5E+2").as_number(), -150.0);
+  EXPECT_EQ(Json::parse("0").as_number(), 0.0);
+  EXPECT_EQ(Json::parse("0.5").as_number(), 0.5);
+  EXPECT_EQ(Json::parse("123456789012345678").as_number(),
+            123456789012345678.0);
+  EXPECT_EQ(Json::parse("[-7,0e0,1e-2]").dump(-1), "[-7,0,0.01]");
+  // Subnormals are numbers too: dump can emit them, so parse reads them.
+  EXPECT_EQ(Json::parse("4.9406564584124654e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+}
+
+TEST(JsonParse, RepeatedKeyKeepsTheFirstSlotAndTheLastValue) {
+  const Json small = Json::parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_EQ(small.size(), 2u);
+  EXPECT_EQ(small.items()[0].first, "a");
+  EXPECT_EQ(small.items()[0].second.as_int(), 3);
+  EXPECT_EQ(small.items()[1].first, "b");
+  // Objects past the parser's key-index threshold follow the same rule.
+  std::string text = "{";
+  for (int i = 0; i < 40; ++i) text += "\"k" + std::to_string(i) + "\":0,";
+  text += R"("k3":"late","k39":"last"})";
+  const Json large = Json::parse(text);
+  ASSERT_EQ(large.size(), 40u);
+  EXPECT_EQ(large.items()[3].first, "k3");
+  EXPECT_EQ(large.items()[3].second.as_string(), "late");
+  EXPECT_EQ(large.items()[39].second.as_string(), "last");
+}
+
+TEST(JsonValue, CopiesAreDeepAndMovesLeaveNull) {
+  Json original = Json::parse(R"({"a":[1,{"b":"text"}]})");
+  Json copy = original;
+  copy["a"].push_back(2);
+  EXPECT_EQ(original.dump(-1), R"({"a":[1,{"b":"text"}]})");
+  EXPECT_EQ(copy.dump(-1), R"({"a":[1,{"b":"text"},2]})");
+  Json moved = std::move(copy);
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.at("a").size(), 3u);
+  // Assigning a value its own child: the child is detached first.
+  moved = std::move(moved["a"]);
+  EXPECT_EQ(moved.dump(-1), R"([1,{"b":"text"},2])");
+  moved = moved.at(1);
+  EXPECT_EQ(moved.dump(-1), R"({"b":"text"})");
+  EXPECT_EQ(sizeof(Json), 16u);
+}
+
+TEST(JsonDump, NumbersMatchPrintfShortestRoundTrip) {
+  // Non-integral values print as %.17g, integral ones below 9e15 as
+  // integers, whatever formatter produces them.
+  Rng rng(42);
+  std::vector<double> values = {0.1, -2.5e-3, 1e300, -1e-300, 9.5e15,
+                                9.0e15, 8.9e15, 1.0 / 3.0, 5e-324,
+                                std::numeric_limits<double>::max()};
+  for (int i = 0; i < 2000; ++i) {
+    std::uint64_t bits = rng.next_u64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (double d : values) {
+    char expected[48];
+    if (d == std::floor(d) && std::fabs(d) < 9.0e15) {
+      std::snprintf(expected, sizeof(expected), "%lld",
+                    static_cast<long long>(std::llround(d)));
+    } else {
+      std::snprintf(expected, sizeof(expected), "%.17g", d);
+    }
+    EXPECT_EQ(Json(d).dump(-1), expected);
+    EXPECT_EQ(Json::parse(expected).as_number(), d) << expected;
+  }
+}
+
 TEST(JsonDump, CompactAndPretty) {
   Json obj = Json::object();
   obj["a"] = 1;
@@ -115,8 +232,8 @@ TEST(JsonDump, CompactAndPretty) {
   arr.push_back(2);
   obj["b"] = std::move(arr);
   EXPECT_EQ(obj.dump(-1), "{\"a\":1,\"b\":[2]}");
-  const std::string pretty = obj.dump(2);
-  EXPECT_NE(pretty.find("\n"), std::string::npos);
+  EXPECT_EQ(obj.dump(2), "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}");
+  EXPECT_EQ(obj.dump(0), "{\n\"a\": 1,\n\"b\": [\n2\n]\n}");
 }
 
 TEST(JsonDump, IntegersStayIntegral) {

@@ -206,6 +206,22 @@ TEST(CompileResultArtifact, RejectsTamperedSchedules) {
                                             options, workload_fp),
                CacheArtifactError);
 
+  // Every op stays in range of a huge declared ag_count, but the simulator
+  // would size its per-AG state by it: ag_count must be the mapping's own
+  // AG-instance count, in either direction.
+  for (const std::int64_t lie :
+       {std::int64_t{2000000000}, std::int64_t{original.schedule.ag_count} + 1,
+        std::int64_t{original.schedule.ag_count} - 1}) {
+    SCOPED_TRACE(lie);
+    Json lying_ags = artifact;
+    Json lying_schedule = artifact.at("schedule");
+    lying_schedule["ag_count"] = lie;
+    lying_ags["schedule"] = std::move(lying_schedule);
+    EXPECT_THROW(compile_result_from_artifact(lying_ags, original.workload,
+                                              options, workload_fp),
+                 CacheArtifactError);
+  }
+
   // Well-formed rows that break an op invariant the simulator relies on
   // (it indexes its channel and AG state by `peer` and `ag` unchecked).
   const int cores = original.schedule.core_count();

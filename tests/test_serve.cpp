@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/session.hpp"
 #include "graph/builder.hpp"
 #include "graph/serialize.hpp"
+#include "serve/net.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -315,6 +317,42 @@ TEST(ServeEndToEnd, RequestLevelErrorThrowsButConnectionSurvives) {
   const CompileReply reply = client.submit(inline_graph_request({2}));
   EXPECT_EQ(reply.error_count, 0);
 
+  server.stop();
+}
+
+TEST(ServeEndToEnd, DeeplyNestedLineIsAnErrorFrameAndTheConnectionServesOn) {
+  ServerOptions options;
+  options.unix_path = unique_socket_path("deepjson");
+  CompileServer server(options);
+  server.start();
+
+  // 100,000 open brackets: a request line that would exhaust a recursive
+  // parser's stack without the depth cap.
+  serve::LineChannel channel(serve::connect_unix(options.unix_path));
+  channel.write_line(std::string(100000, '['));
+  std::optional<std::string> line = channel.read_line();
+  ASSERT_TRUE(line.has_value());
+  const Json error = Json::parse(*line);
+  EXPECT_EQ(error.get("type", std::string()), "error");
+  EXPECT_NE(error.get("error", std::string()).find("nests deeper"),
+            std::string::npos)
+      << *line;
+
+  // The same connection then compiles a normal request to completion.
+  CompileRequest request = inline_graph_request({2});
+  request.id = 9;
+  channel.write_line(serve::to_json(request).dump(-1));
+  int outcomes_ok = 0;
+  for (;;) {
+    line = channel.read_line();
+    ASSERT_TRUE(line.has_value());
+    const Json frame = Json::parse(*line);
+    const std::string type = frame.get("type", std::string());
+    if (type == "outcome" && frame.get("ok", false)) ++outcomes_ok;
+    if (type == "done") break;
+    ASSERT_NE(type, "error") << *line;
+  }
+  EXPECT_EQ(outcomes_ok, 1);
   server.stop();
 }
 

@@ -503,7 +503,9 @@ std::vector<VersionedRequest> versioned_requests() {
       {"cache_get", serve::to_json(get),
        [](const Json& json) { serve::cache_get_request_from_json(json); }},
       {"cache_put", serve::to_json(put),
-       [](const Json& json) { serve::cache_put_request_from_json(json); }},
+       [](const Json& json) {
+         serve::cache_put_request_from_json(Json(json));
+       }},
       {"stats", serve::to_json(serve::StatsRequest{}),
        [](const Json& json) { serve::stats_request_from_json(json); }},
   };
@@ -612,6 +614,13 @@ TEST(ServeProtocol, CacheGetPutStatsRequestsRoundTrip) {
       serve::cache_put_request_from_json(wire(serve::to_json(put)));
   EXPECT_EQ(put_parsed.key, put.key);
   EXPECT_EQ(put_parsed.artifact.get("payload", std::string()), "x");
+  // The line RemoteStore sends is the same frame, byte for byte, with and
+  // without an auth token.
+  EXPECT_EQ(serve::cache_put_line(put, put.artifact),
+            serve::to_json(put).dump(-1));
+  put.auth = "tok\"en";
+  EXPECT_EQ(serve::cache_put_line(put, put.artifact),
+            serve::to_json(put).dump(-1));
 
   serve::StatsRequest stats;
   stats.id = 13;
@@ -638,9 +647,10 @@ TEST(ServeProtocol, CacheRequestsRejectMalformedKeysAndMissingArtifacts) {
   put["type"] = "cache_put";
   put["id"] = 2;
   put["key"] = cache_key_hex(7);
-  EXPECT_THROW(serve::cache_put_request_from_json(put), ServeError);  // no artifact
+  EXPECT_THROW(serve::cache_put_request_from_json(Json(put)),
+               ServeError);  // no artifact
   put["artifact"] = std::string("not-an-object");
-  EXPECT_THROW(serve::cache_put_request_from_json(put), ServeError);
+  EXPECT_THROW(serve::cache_put_request_from_json(Json(put)), ServeError);
 
   // Misspellings are rejected, not ignored — same contract as compile.
   Json stats = Json::object();
