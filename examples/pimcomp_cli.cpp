@@ -474,6 +474,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
   CompileFlags flags;
   CompileOptions& options = flags.options;
   options.backend = "isa-json";  // the reference emitter, unless overridden
+  CacheConfig cache;
   bool run_stream = false;
   bool emit_json = false;
 
@@ -491,7 +492,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
     } else if (arg == "--json") {
       emit_json = true;
     } else if (arg == "--cache-dir") {
-      options.cache.dir = next();
+      cache.dir = next();
     } else if (arg == "--list-backends") {
       list_backends();
       return 0;
@@ -508,7 +509,7 @@ int run_lower(int argc, char** argv, const char* argv0) {
     serve::ResolvedRequest resolved =
         serve::resolve_compile_request(flags.request());
     CompilerSession session(std::move(resolved.graph), resolved.hardware,
-                            options.cache);
+                            cache);
     const CompileResult result = session.compile(options);
     PIMCOMP_CHECK(result.stream != nullptr,
                   "backend '" + options.backend +
@@ -702,6 +703,7 @@ int run_cache(int argc, char** argv, const char* argv0) {
 int run_local(int argc, char** argv, const char* argv0) {
   CompileFlags flags;
   CompileOptions& options = flags.options;
+  CacheConfig cache;
   int jobs = 1;
   int dump_core = -1;
   bool emit_json = false;
@@ -724,7 +726,7 @@ int run_local(int argc, char** argv, const char* argv0) {
     } else if (arg == "--json") {
       emit_json = true;
     } else if (arg == "--cache-dir") {
-      options.cache.dir = next();
+      cache.dir = next();
     } else if (arg == "--list-mappers") {
       list_mappers();
       return 0;
@@ -745,7 +747,7 @@ int run_local(int argc, char** argv, const char* argv0) {
     serve::ResolvedRequest resolved =
         serve::resolve_compile_request(flags.request());
     CompilerSession session(std::move(resolved.graph), resolved.hardware,
-                            options.cache);
+                            cache);
     session.set_jobs(jobs);
 
     TraceRecorder recorder;

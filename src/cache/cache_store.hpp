@@ -17,8 +17,8 @@ namespace pimcomp {
 ///    the store layer is deliberately ignorant of what it caches;
 ///  * `artifact` is the canonical versioned JSON the disk tier persists.
 /// The session stores both on the compute path (artifact only when a disk
-/// tier is configured, so the memory-only default never pays for encoding)
-/// and re-attaches `decoded` when it promotes a disk hit into memory.
+/// or remote tier is configured, so the memory-only default never pays for
+/// encoding) and attaches `decoded` when it promotes a deeper hit upward.
 struct CacheEntry {
   Json artifact;
   std::shared_ptr<const void> decoded;
@@ -26,11 +26,10 @@ struct CacheEntry {
   bool has_artifact() const { return !artifact.is_null(); }
 };
 
-/// A successful load: the entry plus which tier satisfied it
-/// (cache_sources::kMemory / kDisk — a static string, safe to hold).
+/// A successful load. The caller knows which tier it asked, so the hit
+/// carries only the entry.
 struct CacheHit {
   CacheEntry entry;
-  const char* source = cache_sources::kMemory;
 };
 
 /// Lifetime counters of one store (monotonic except entries/bytes, which
@@ -46,35 +45,34 @@ struct CacheStoreStats {
 };
 
 /// A keyed artifact store: one slot per 64-bit fingerprint. This is the
-/// seam the session's caching is built on — InMemoryStore is the extracted
-/// historical behavior, DiskStore adds cross-process persistence, and
-/// TieredStore composes them read-through/write-through. Implementations
-/// are thread-safe; keys are content fingerprints, so two racing writers
-/// of one key always carry identical payloads and "first writer wins" is a
-/// correctness-preserving policy everywhere.
+/// seam the session's caching is built on — InMemoryStore is the
+/// in-process tier, DiskStore adds cross-process persistence, and
+/// fleet::RemoteStore reaches peer daemons. The session holds them as one
+/// ordered tier list and walks it itself (see docs/api.md).
+/// Implementations are thread-safe; keys are content fingerprints, so two
+/// racing writers of one key always carry identical payloads and "first
+/// writer wins" is a correctness-preserving policy everywhere.
 class CacheStore {
  public:
   virtual ~CacheStore() = default;
 
-  /// Store name for diagnostics ("memory", "disk", "tiered").
+  /// Tier name for diagnostics and cache events: one of cache_sources
+  /// ("memory", "disk", "remote").
   virtual const char* name() const = 0;
 
-  /// Looks `key` up; a hit reports the tier that served it. Never throws:
-  /// any unreadable/corrupt/mismatched persisted entry is a miss.
+  /// Looks `key` up. Never throws: any unreadable/corrupt/mismatched
+  /// persisted entry is a miss.
   virtual std::optional<CacheHit> load(std::uint64_t key) = 0;
 
-  /// Stores `entry` under `key`. Returns the source name of the deepest
-  /// tier that newly accepted the entry, or nullptr when nothing was
-  /// stored (slot already occupied, read-only tier, or I/O failure —
-  /// stores are best-effort and never throw).
-  virtual const char* store(std::uint64_t key, const CacheEntry& entry) = 0;
+  /// Stores `entry` under `key`. Returns true when this store newly
+  /// accepted the entry, false when nothing was stored (slot already
+  /// occupied, read-only tier, or I/O failure — stores are best-effort and
+  /// never throw).
+  virtual bool store(std::uint64_t key, const CacheEntry& entry) = 0;
 
-  /// Drops `key` everywhere it is present (e.g. after the caller found a
+  /// Drops `key` where this store can (e.g. after the caller found a
   /// persisted artifact undecodable at a level the store cannot check).
   virtual void erase(std::uint64_t key) = 0;
-
-  /// Removes every entry; returns how many were dropped.
-  virtual std::uint64_t purge() = 0;
 
   virtual CacheStoreStats stats() const = 0;
 

@@ -158,14 +158,14 @@ std::optional<CacheHit> DiskStore::load(std::uint64_t key) {
   }
   CacheEntry entry;
   entry.artifact = std::move(artifact);
-  return CacheHit{std::move(entry), cache_sources::kDisk};
+  return CacheHit{std::move(entry)};
 }
 
-const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
-  if (config_.read_only || !entry.has_artifact()) return nullptr;
+bool DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
+  if (config_.read_only || !entry.has_artifact()) return false;
   const fs::path path = artifact_path(key);
   std::error_code ec;
-  if (fs::exists(path, ec)) return nullptr;  // first writer won already
+  if (fs::exists(path, ec)) return false;  // first writer won already
 
   // An artifact whose envelope already names this slot (every artifact the
   // session encodes) is dumped as it is; only a foreign envelope is copied
@@ -174,7 +174,7 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
   if (envelope_matches(entry.artifact, key)) {
     entry.artifact.dump_to(text);
   } else {
-    if (!entry.artifact.is_object()) return nullptr;
+    if (!entry.artifact.is_object()) return false;
     Json artifact = entry.artifact;
     artifact["schema"] = kCacheSchemaVersion;
     artifact["key"] = cache_key_hex(key);
@@ -194,30 +194,30 @@ const char* DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
     fs::create_directories(path.parent_path());
     {
       std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) return nullptr;
+      if (!out) return false;
       out.write(text.data(), static_cast<std::streamsize>(text.size()));
       out.flush();
       if (!out.good()) {
         out.close();
         fs::remove(tmp, ec);
-        return nullptr;
+        return false;
       }
     }
     fs::rename(tmp, path, ec);
     if (ec) {
       fs::remove(tmp, ec);
-      return nullptr;
+      return false;
     }
   } catch (const std::exception&) {
     fs::remove(tmp, ec);
-    return nullptr;
+    return false;
   }
   {
     MutexLock lock(stats_mutex_);
     ++counters_.stores;
   }
   evict_to_budget();
-  return cache_sources::kDisk;
+  return true;
 }
 
 void DiskStore::erase(std::uint64_t key) {

@@ -39,14 +39,15 @@ class DiskStore final : public CacheStore {
   /// Requires config.enabled().
   explicit DiskStore(CacheConfig config);
 
-  const char* name() const override { return "disk"; }
+  const char* name() const override { return cache_sources::kDisk; }
   const CacheConfig& config() const { return config_; }
 
   std::optional<CacheHit> load(std::uint64_t key) override;
-  const char* store(std::uint64_t key, const CacheEntry& entry) override;
+  bool store(std::uint64_t key, const CacheEntry& entry) override;
   void erase(std::uint64_t key) override;
-  /// Removes every artifact file under `dir` (all schema versions).
-  std::uint64_t purge() override;
+  /// Removes every artifact file under `dir` (all schema versions); backs
+  /// `pimcomp_cli cache purge`.
+  std::uint64_t purge();
   /// `entries`/`bytes` are a directory walk at call time: artifact files of
   /// the *current* schema version / bytes across all versions.
   CacheStoreStats stats() const override;

@@ -16,10 +16,10 @@ std::optional<CacheHit> InMemoryStore::load(std::uint64_t key) {
     ++stats_.hits;
     found = it->second;
   }
-  return CacheHit{*found, cache_sources::kMemory};
+  return CacheHit{*found};
 }
 
-const char* InMemoryStore::store(std::uint64_t key, const CacheEntry& entry) {
+bool InMemoryStore::store(std::uint64_t key, const CacheEntry& entry) {
   // An in-process consumer only ever uses the decoded object; when one is
   // present the (possibly megabytes-large) JSON artifact is redundant here
   // — the persistent tier is the one that keeps it. Entries without a
@@ -32,7 +32,7 @@ const char* InMemoryStore::store(std::uint64_t key, const CacheEntry& entry) {
   }
   auto stored = std::make_shared<const CacheEntry>(std::move(kept));
   MutexLock lock(mutex_);
-  if (!entries_.emplace(key, std::move(stored)).second) return nullptr;
+  if (!entries_.emplace(key, std::move(stored)).second) return false;
   ++stats_.stores;
   order_.push_back(key);
   // FIFO eviction: outstanding shared_ptr copies handed to callers keep
@@ -42,7 +42,7 @@ const char* InMemoryStore::store(std::uint64_t key, const CacheEntry& entry) {
     order_.pop_front();
     ++stats_.evictions;
   }
-  return cache_sources::kMemory;
+  return true;
 }
 
 void InMemoryStore::erase(std::uint64_t key) {
@@ -56,14 +56,6 @@ void InMemoryStore::erase(std::uint64_t key) {
       break;
     }
   }
-}
-
-std::uint64_t InMemoryStore::purge() {
-  MutexLock lock(mutex_);
-  const std::uint64_t dropped = entries_.size();
-  entries_.clear();
-  order_.clear();
-  return dropped;
 }
 
 CacheStoreStats InMemoryStore::stats() const {

@@ -11,8 +11,8 @@ namespace pimcomp {
 
 /// The in-process cache tier: CompilerSession's historical mutex-guarded
 /// map, extracted. Bounded FIFO when `max_entries > 0` (the session's
-/// mapping cache keeps a long-lived sweep's memory flat; 0 = unbounded, the
-/// workload cache's behavior). Insertion keeps the first writer: when two
+/// mapping cache keeps a long-lived sweep's memory flat; 0 = unbounded).
+/// Insertion keeps the first writer: when two
 /// identical scenarios raced to compute one key, their payloads are
 /// bit-identical anyway, and keeping the first preserves the deterministic
 /// hit accounting the pre-refactor session had. Entries carrying a decoded
@@ -24,12 +24,11 @@ class InMemoryStore final : public CacheStore {
   explicit InMemoryStore(std::size_t max_entries = 0)
       : max_entries_(max_entries) {}
 
-  const char* name() const override { return "memory"; }
+  const char* name() const override { return cache_sources::kMemory; }
 
   std::optional<CacheHit> load(std::uint64_t key) override;
-  const char* store(std::uint64_t key, const CacheEntry& entry) override;
+  bool store(std::uint64_t key, const CacheEntry& entry) override;
   void erase(std::uint64_t key) override;
-  std::uint64_t purge() override;
   CacheStoreStats stats() const override;
 
  private:

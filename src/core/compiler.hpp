@@ -5,7 +5,6 @@
 #include <string>
 
 #include "arch/hardware_config.hpp"
-#include "cache/cache_config.hpp"
 #include "graph/graph.hpp"
 #include "mapping/genetic_mapper.hpp"
 #include "mapping/mapper.hpp"
@@ -46,16 +45,6 @@ struct CompileOptions {
   int max_nodes_per_core = 8;  ///< chromosome bound max_node_num_in_core
   int ht_flush_windows = 2;    ///< HT global-memory flush period
   std::uint64_t seed = 1;
-
-  /// Persistent-cache environment for the session this compile runs under
-  /// (frontends parse --cache-dir into here and hand it to
-  /// CompilerSession's constructor). This is execution *environment*, not a
-  /// compilation input: it is deliberately excluded from
-  /// fingerprint(CompileOptions), because where artifacts are stored must
-  /// never change what is computed. Ignored by the cache-less Compiler.
-  // pimcomp-fp-exempt: execution environment (where artifacts are stored),
-  // never part of the compile identity — see the doc comment above.
-  CacheConfig cache;
 
   /// Effective SchedulerRegistry key (explicit `scheduler`, else from mode).
   std::string scheduler_key() const;

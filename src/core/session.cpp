@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <thread>
 #include <type_traits>
@@ -13,7 +12,6 @@
 #include "cache/disk_store.hpp"
 #include "cache/memory_store.hpp"
 #include "cache/remote_tier.hpp"
-#include "cache/tiered_store.hpp"
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
 #include "common/thread_pool.hpp"
@@ -137,9 +135,9 @@ std::uint64_t fingerprint(const CompileOptions& options) {
   // Every semantic field participates, scheduler via its *effective* key so
   // an explicit "ht" and a mode-derived "ht" hash alike. Aliasing two
   // distinct configurations here would hand one of them the other's cached
-  // result. `options.cache` is deliberately NOT hashed: it is execution
-  // environment (where artifacts live), and folding it in would make a
-  // cache-enabled run unable to reuse a cache-less run's identity.
+  // result. The session's CacheConfig is not an option and never reaches
+  // this hash: where artifacts live must not change a compile's identity
+  // (the cache-config-excluded analysis contract pins that).
   //
   // This function is part of the persisted-cache schema: its values name
   // artifacts on disk across processes and releases. Changing what or how
@@ -257,19 +255,19 @@ std::uint64_t CompileJob::tag() const { return require_state(state_).tag; }
 // CompilerSession.
 // ---------------------------------------------------------------------------
 
-/// Coordination record of one in-flight (or deterministically failed)
-/// partitioning. The first scenario to claim a fingerprint becomes the
-/// owner and partitions; concurrent peers block on `published` until the
-/// owner either stores the workload into workload_store_ (peers then
-/// re-read the store) or publishes the failure here (CapacityError for an
-/// infeasible design point), which every peer rethrows without
-/// re-partitioning. Claims with deterministic failures stay registered as
-/// the negative cache; successful claims retire once the store is
-/// populated.
+/// The workload cache's entry for one fingerprint. The first scenario to
+/// claim a fingerprint becomes the owner and partitions; concurrent peers
+/// block on `published` until the owner settles the claim with either the
+/// workload or the failure (CapacityError for an infeasible design point),
+/// which every peer rethrows without re-partitioning. A settled claim stays
+/// registered: with its workload it is the cache hit every later scenario
+/// takes, with a deterministic failure it is the negative cache. Only a
+/// non-deterministic failure retires it, so a later compile retries.
 struct CompilerSession::WorkloadClaim {
   Mutex mutex;
   CondVar published;
   bool done PIMCOMP_GUARDED_BY(mutex) = false;
+  std::shared_ptr<const Workload> workload PIMCOMP_GUARDED_BY(mutex);
   std::exception_ptr failure PIMCOMP_GUARDED_BY(mutex);
   /// Claimant; written once under workload_mutex_ at claim time, before the
   /// shared_ptr is published to any peer — immutable (and safe to read
@@ -318,37 +316,24 @@ CompilerSession::CompilerSession(Graph graph, HardwareConfig hw,
   graph_fingerprint_ = pimcomp::fingerprint(graph_);
   gate_ = std::make_unique<ObserverGate>(this);
 
-  workload_store_ = std::make_unique<InMemoryStore>();
-  auto memory = std::make_unique<InMemoryStore>(kMaxCachedMappings);
-  mapping_memory_ = memory.get();
-  if (cache_config_.enabled() || cache_config_.remote_enabled()) {
-    // Fastest tier first: memory, then this process's disk, then peer
-    // daemons over the wire — each strictly slower and stricter about
-    // revalidation than the one before it.
-    std::vector<std::unique_ptr<CacheStore>> tiers;
-    tiers.push_back(std::move(memory));
-    if (cache_config_.enabled()) {
-      auto disk = std::make_unique<DiskStore>(cache_config_);
-      mapping_disk_ = disk.get();
-      tiers.push_back(std::move(disk));
-    }
-    if (cache_config_.remote_enabled()) {
-      // Resolved through the cache/remote_tier.hpp seam so core/ never
-      // includes fleet/ — the concrete RemoteStore registers its factory
-      // when src/fleet/ is linked in.
-      auto remote = make_remote_tier(cache_config_);
-      PIMCOMP_CHECK(remote != nullptr,
-                    "CacheConfig::peers set but no remote cache tier is "
-                    "linked into this binary");
-      mapping_remote_ = remote.get();
-      tiers.push_back(std::move(remote));
-    }
-    mapping_store_ = std::make_unique<TieredStore>(std::move(tiers));
-  } else {
-    // Memory-only: the composed store *is* the memory tier, so the default
-    // session pays nothing for the abstraction.
-    mapping_store_ = std::move(memory);
+  // Fastest tier first: memory, then this process's disk, then peer
+  // daemons over the wire — each strictly slower and stricter about
+  // revalidation than the one before it.
+  mapping_tiers_.push_back(std::make_unique<InMemoryStore>(kMaxCachedMappings));
+  if (cache_config_.enabled()) {
+    mapping_tiers_.push_back(std::make_unique<DiskStore>(cache_config_));
   }
+  if (cache_config_.remote_enabled()) {
+    // Resolved through the cache/remote_tier.hpp seam so core/ never
+    // includes fleet/ — the concrete RemoteStore registers its factory
+    // when src/fleet/ is linked in.
+    std::unique_ptr<CacheStore> remote = make_remote_tier(cache_config_);
+    PIMCOMP_CHECK(remote != nullptr,
+                  "CacheConfig::peers set but no remote cache tier is "
+                  "linked into this binary");
+    mapping_tiers_.push_back(std::move(remote));
+  }
+  tier_hits_ = std::vector<std::atomic<std::uint64_t>>(mapping_tiers_.size());
 }
 
 CompilerSession::~CompilerSession() {
@@ -641,16 +626,14 @@ CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
   };
 
   for (;;) {
-    if (std::optional<CacheHit> hit = mapping_store_->load(mapping_key)) {
-      std::optional<CompileResult> adopted =
-          adopt_mapping_hit(std::move(*hit), scenario, hw, index, tag,
-                            workload_key, mapping_key);
-      if (adopted.has_value()) return std::move(*adopted);
-      // Untrustworthy persisted artifact: it was evicted; fall through to
-      // the claim-and-compute path *without* re-consulting the store, so a
-      // read-only disk tier serving the same bad artifact forever cannot
-      // livelock this loop.
+    if (std::optional<CompileResult> hit = load_mapping(
+            scenario, hw, index, tag, workload_key, mapping_key)) {
+      return std::move(*hit);
     }
+    // A miss, or an untrustworthy persisted artifact that was erased: fall
+    // through to the claim-and-compute path *without* re-consulting the
+    // tiers, so a read-only disk tier serving the same bad artifact forever
+    // cannot livelock this loop.
 
     std::shared_ptr<MappingClaim> claim;
     bool owner = false;
@@ -684,7 +667,7 @@ CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
         }
       }
       // The owner settled: normally its result is now in the cache (the
-      // loop's mapping_store_ load reports the hit via adopt_mapping_hit);
+      // loop's load_mapping reports the hit);
       // if the owner failed or was cancelled without publishing — or the
       // result was already evicted — this thread re-claims and computes
       // itself.
@@ -732,24 +715,33 @@ SimReport CompilerSession::simulate(const CompileResult& result) const {
 }
 
 std::size_t CompilerSession::cached_workloads() const {
-  // Only successful partitions reach the store; failed claims are the
-  // negative cache and deliberately don't count.
-  return static_cast<std::size_t>(workload_store_->entry_count());
+  // Only successful partitions count; failed claims are the negative cache,
+  // and in-flight ones hold nothing yet.
+  MutexLock lock(workload_mutex_);
+  std::size_t settled = 0;
+  for (const auto& [key, claim] : workload_claims_) {
+    MutexLock claim_lock(claim->mutex);
+    if (claim->workload != nullptr) ++settled;
+  }
+  return settled;
 }
 
 std::size_t CompilerSession::cached_mappings() const {
-  return static_cast<std::size_t>(mapping_memory_->entry_count());
+  return static_cast<std::size_t>(mapping_tiers_.front()->entry_count());
+}
+
+std::uint64_t CompilerSession::mapping_tier_hits(std::string_view tier) const {
+  for (std::size_t i = 0; i < mapping_tiers_.size(); ++i) {
+    if (tier == mapping_tiers_[i]->name()) return tier_hits_[i].load();
+  }
+  return 0;
 }
 
 std::vector<std::pair<const char*, CacheStoreStats>>
 CompilerSession::mapping_tier_stats() const {
   std::vector<std::pair<const char*, CacheStoreStats>> tiers;
-  tiers.emplace_back(cache_sources::kMemory, mapping_memory_->stats());
-  if (mapping_disk_ != nullptr) {
-    tiers.emplace_back(cache_sources::kDisk, mapping_disk_->stats());
-  }
-  if (mapping_remote_ != nullptr) {
-    tiers.emplace_back(cache_sources::kRemote, mapping_remote_->stats());
+  for (const std::unique_ptr<CacheStore>& tier : mapping_tiers_) {
+    tiers.emplace_back(tier->name(), tier->stats());
   }
   return tiers;
 }
@@ -757,139 +749,130 @@ CompilerSession::mapping_tier_stats() const {
 std::shared_ptr<const Workload> CompilerSession::resolve_workload(
     std::uint64_t key, const HardwareConfig& hw, const std::string& label,
     int index, std::uint64_t tag, double* partition_seconds) {
-  for (;;) {
-    if (std::optional<CacheHit> hit = workload_store_->load(key)) {
-      auto workload =
-          std::static_pointer_cast<const Workload>(hit->entry.decoded);
-      notify_cache_hit(cache_names::kWorkload, label, index, tag,
-                       workload_hits_, hit->source);
-      return workload;
+  std::shared_ptr<WorkloadClaim> claim;
+  bool owner = false;
+  {
+    MutexLock lock(workload_mutex_);
+    std::shared_ptr<WorkloadClaim>& slot = workload_claims_[key];
+    if (slot == nullptr) {
+      slot = std::make_shared<WorkloadClaim>();
+      slot->owner = std::this_thread::get_id();
+      owner = true;
     }
-
-    std::shared_ptr<WorkloadClaim> claim;
-    bool owner = false;
-    {
-      MutexLock lock(workload_mutex_);
-      std::shared_ptr<WorkloadClaim>& slot = workload_claims_[key];
-      if (slot == nullptr) {
-        slot = std::make_shared<WorkloadClaim>();
-        slot->owner = std::this_thread::get_id();
-        owner = true;
-      }
-      claim = slot;
-    }
-
-    if (owner) {
-      // The partitioning stage runs here, outside the pipeline's stage
-      // loop, so its once-per-fingerprint semantics hold under concurrency
-      // — but with the same observer events and timing the loop would
-      // produce. Deliberately no cancellation check on this path: a
-      // cancelled owner would strand innocent peers waiting on the same
-      // fingerprint (partitioning is the cheap stage; cancellation lands
-      // at the next stage boundary instead).
-      StageInfo info{stage_names::kPartitioning, label, index, 0.0, tag};
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        // The begin callback runs inside the try: an observer that throws
-        // must take the failure path below, or the claim would stay
-        // unpublished forever and strand every waiter on this fingerprint.
-        gate_->on_stage_begin(info);
-        auto workload = std::make_shared<const Workload>(graph_, hw);
-        *partition_seconds = seconds_since(t0);
-        info.seconds = *partition_seconds;
-        // Store first, then settle the claim: a waiter that wakes on
-        // `done` must find the workload already published.
-        CacheEntry entry;
-        entry.decoded = workload;
-        workload_store_->store(key, entry);
-        {
-          MutexLock claim_lock(claim->mutex);
-          claim->done = true;
-        }
-        claim->published.notify_all();
-        {
-          // Success retires the claim — the store is the cache now.
-          MutexLock lock(workload_mutex_);
-          const auto it = workload_claims_.find(key);
-          if (it != workload_claims_.end() && it->second == claim) {
-            workload_claims_.erase(it);
-          }
-        }
-        gate_->on_stage_end(info);
-        return workload;
-      } catch (...) {
-        // Publish the failure so waiting peers rethrow it instead of
-        // re-partitioning, keeping the observer's begin/end pairing.
-        // Deterministic failures of the input itself (CapacityError: the
-        // model cannot fit; ConfigError: the graph/config is unusable)
-        // keep their claim registered as the negative cache — every retry
-        // would fail identically. Anything else (e.g. a transient
-        // bad_alloc under memory pressure) retires the claim so a later
-        // compile retries partitioning instead of rethrowing a stale error
-        // for the session's lifetime.
-        info.seconds = seconds_since(t0);
-        const std::exception_ptr failure = std::current_exception();
-        bool deterministic = false;
-        try {
-          std::rethrow_exception(failure);
-        } catch (const CapacityError&) {
-          deterministic = true;
-        } catch (const ConfigError&) {
-          deterministic = true;
-        } catch (...) {
-        }
-        {
-          MutexLock claim_lock(claim->mutex);
-          claim->failure = failure;
-          claim->done = true;
-        }
-        claim->published.notify_all();
-        if (!deterministic) {
-          MutexLock lock(workload_mutex_);
-          const auto it = workload_claims_.find(key);
-          if (it != workload_claims_.end() && it->second == claim) {
-            workload_claims_.erase(it);
-          }
-        }
-        gate_->on_stage_end(info);
-        throw;
-      }
-    }
-
-    {
-      MutexLock claim_lock(claim->mutex);
-      if (!claim->done && claim->owner == std::this_thread::get_id()) {
-        // Re-entrant compile of the same fingerprint from inside this
-        // thread's own partitioning observer callback: waiting would be
-        // waiting on ourselves. Build a private workload instead (the
-        // pre-cache behavior); the outer frame publishes the shared one.
-        claim_lock.unlock();
-        const auto t0 = std::chrono::steady_clock::now();
-        auto private_workload = std::make_shared<const Workload>(graph_, hw);
-        *partition_seconds = seconds_since(t0);
-        return private_workload;
-      }
-      while (!claim->done) claim->published.wait(claim->mutex);
-      if (claim->failure != nullptr) std::rethrow_exception(claim->failure);
-    }
-    // The owner settled successfully: loop around and take the store hit
-    // (which also fires the workload cache-hit event, as waiting on the
-    // owner always did).
+    claim = slot;
   }
+
+  if (owner) {
+    // The partitioning stage runs here, outside the pipeline's stage
+    // loop, so its once-per-fingerprint semantics hold under concurrency
+    // — but with the same observer events and timing the loop would
+    // produce. Deliberately no cancellation check on this path: a
+    // cancelled owner would strand innocent peers waiting on the same
+    // fingerprint (partitioning is the cheap stage; cancellation lands
+    // at the next stage boundary instead).
+    StageInfo info{stage_names::kPartitioning, label, index, 0.0, tag};
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      // The begin callback runs inside the try: an observer that throws
+      // must take the failure path below, or the claim would stay
+      // unpublished forever and strand every waiter on this fingerprint.
+      gate_->on_stage_begin(info);
+      auto workload = std::make_shared<const Workload>(graph_, hw);
+      *partition_seconds = seconds_since(t0);
+      info.seconds = *partition_seconds;
+      {
+        MutexLock claim_lock(claim->mutex);
+        claim->workload = workload;
+        claim->done = true;
+      }
+      claim->published.notify_all();
+      gate_->on_stage_end(info);
+      return workload;
+    } catch (...) {
+      // Publish the failure so waiting peers rethrow it instead of
+      // re-partitioning, keeping the observer's begin/end pairing.
+      // Deterministic failures of the input itself (CapacityError: the
+      // model cannot fit; ConfigError: the graph/config is unusable)
+      // keep their claim registered as the negative cache — every retry
+      // would fail identically. Anything else (e.g. a transient
+      // bad_alloc under memory pressure) retires the claim so a later
+      // compile retries partitioning instead of rethrowing a stale error
+      // for the session's lifetime.
+      info.seconds = seconds_since(t0);
+      const std::exception_ptr failure = std::current_exception();
+      bool deterministic = false;
+      try {
+        std::rethrow_exception(failure);
+      } catch (const CapacityError&) {
+        deterministic = true;
+      } catch (const ConfigError&) {
+        deterministic = true;
+      } catch (...) {
+      }
+      {
+        MutexLock claim_lock(claim->mutex);
+        claim->failure = failure;
+        claim->done = true;
+      }
+      claim->published.notify_all();
+      if (!deterministic) {
+        MutexLock lock(workload_mutex_);
+        const auto it = workload_claims_.find(key);
+        if (it != workload_claims_.end() && it->second == claim) {
+          workload_claims_.erase(it);
+        }
+      }
+      gate_->on_stage_end(info);
+      throw;
+    }
+  }
+
+  std::shared_ptr<const Workload> workload;
+  {
+    MutexLock claim_lock(claim->mutex);
+    if (!claim->done && claim->owner == std::this_thread::get_id()) {
+      // Re-entrant compile of the same fingerprint from inside this
+      // thread's own partitioning observer callback: waiting would be
+      // waiting on ourselves. Build a private workload instead (the
+      // pre-cache behavior); the outer frame publishes the shared one.
+      claim_lock.unlock();
+      const auto t0 = std::chrono::steady_clock::now();
+      auto private_workload = std::make_shared<const Workload>(graph_, hw);
+      *partition_seconds = seconds_since(t0);
+      return private_workload;
+    }
+    while (!claim->done) claim->published.wait(claim->mutex);
+    if (claim->failure != nullptr) std::rethrow_exception(claim->failure);
+    workload = claim->workload;
+  }
+  // A settled claim is a cache hit — whether it was settled before this
+  // scenario arrived or while it waited on the owner.
+  notify_cache_hit(cache_names::kWorkload, label, index, tag, workload_hits_,
+                   cache_sources::kMemory);
+  return workload;
 }
 
-std::optional<CompileResult> CompilerSession::adopt_mapping_hit(
-    CacheHit hit, const Scenario& scenario, const HardwareConfig& hw,
-    int index, std::uint64_t tag, std::uint64_t workload_key,
-    std::uint64_t mapping_key) {
-  if (hit.entry.decoded != nullptr) {
+std::optional<CompileResult> CompilerSession::load_mapping(
+    const Scenario& scenario, const HardwareConfig& hw, int index,
+    std::uint64_t tag, std::uint64_t workload_key, std::uint64_t mapping_key) {
+  std::size_t tier = 0;
+  std::optional<CacheHit> hit;
+  for (; tier < mapping_tiers_.size(); ++tier) {
+    hit = mapping_tiers_[tier]->load(mapping_key);
+    if (hit.has_value()) break;
+  }
+  if (!hit.has_value()) return std::nullopt;
+  const char* source = mapping_tiers_[tier]->name();
+
+  if (hit->entry.decoded != nullptr) {
     // Memory tier: the historical fast path. The shared decoded result is
     // copied (the session, like before the refactor, hands each caller an
     // independent CompileResult) with zeroed stage times — no stage ran.
     auto stored =
-        std::static_pointer_cast<const CompileResult>(hit.entry.decoded);
+        std::static_pointer_cast<const CompileResult>(hit->entry.decoded);
+    tier_hits_[tier].fetch_add(1, std::memory_order_relaxed);
     notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
-                     mapping_hits_, hit.source);
+                     mapping_hits_, source);
     CompileResult result = *stored;
     result.stage_times = StageTimes{};
     return result;
@@ -910,30 +893,30 @@ std::optional<CompileResult> CompilerSession::adopt_mapping_hit(
   (void)partition_seconds;
   try {
     CompileResult result = compile_result_from_artifact(
-        hit.entry.artifact, std::move(workload), scenario.options,
+        hit->entry.artifact, std::move(workload), scenario.options,
         workload_key);
-    if (std::strcmp(hit.source, cache_sources::kRemote) == 0) {
-      mapping_remote_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      mapping_disk_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
+    tier_hits_[tier].fetch_add(1, std::memory_order_relaxed);
     notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
-                     mapping_hits_, hit.source);
-    // Promotion: re-store the entry with the decoded result attached. The
-    // memory tier adopts it; the disk tier sees its existing file and
-    // leaves it untouched. Deliberately no on_cache_store event — nothing
-    // new was computed.
+                     mapping_hits_, source);
+    // Promotion into the tiers above the one that hit, and only those: a
+    // disk hit lands in memory and sends nothing over the network; a
+    // remote hit lands in memory and on the local disk. Deliberately no
+    // on_cache_store event — nothing new was computed.
     CacheEntry promoted;
-    promoted.artifact = std::move(hit.entry.artifact);
+    promoted.artifact = std::move(hit->entry.artifact);
     promoted.decoded = std::make_shared<const CompileResult>(result);
-    mapping_store_->store(mapping_key, promoted);
+    for (std::size_t above = 0; above < tier; ++above) {
+      mapping_tiers_[above]->store(mapping_key, promoted);
+    }
     return result;
   } catch (const Error&) {
-    // Corrupt, mismatched, or invariant-violating artifact: evict it and
+    // Corrupt, mismatched, or invariant-violating artifact: erase it and
     // report a miss so the caller computes. Never a compile failure — the
     // cache must not be able to break a compilation it could only have
     // accelerated.
-    mapping_store_->erase(mapping_key);
+    for (const std::unique_ptr<CacheStore>& each : mapping_tiers_) {
+      each->erase(mapping_key);
+    }
     return std::nullopt;
   }
 }
@@ -945,7 +928,7 @@ void CompilerSession::store_mapping(std::uint64_t key,
                                     std::uint64_t tag) {
   CacheEntry entry;
   entry.decoded = std::make_shared<const CompileResult>(result);
-  if (mapping_disk_ != nullptr || mapping_remote_ != nullptr) {
+  if (mapping_tiers_.size() > 1) {
     // Encoding is only paid when a persistent or peer tier wants the
     // artifact, and is best-effort: a result that cannot serialize still
     // caches in memory.
@@ -954,11 +937,15 @@ void CompilerSession::store_mapping(std::uint64_t key,
     } catch (const std::exception&) {
     }
   }
-  // First writer wins inside the stores (racing identical scenarios carry
+  // First writer wins inside each tier (racing identical scenarios carry
   // bit-identical payloads); the store event fires only when something was
-  // newly persisted, attributed to the deepest tier that took it.
-  if (const char* source = mapping_store_->store(key, entry)) {
-    notify_cache_store(cache_names::kMapping, label, index, tag, source);
+  // newly stored, attributed to the deepest tier that took it.
+  const char* deepest = nullptr;
+  for (const std::unique_ptr<CacheStore>& tier : mapping_tiers_) {
+    if (tier->store(key, entry)) deepest = tier->name();
+  }
+  if (deepest != nullptr) {
+    notify_cache_store(cache_names::kMapping, label, index, tag, deepest);
   }
 }
 

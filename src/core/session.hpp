@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,9 +23,7 @@
 
 namespace pimcomp {
 
-class ThreadPool;      // common/thread_pool.hpp
-class InMemoryStore;   // cache/memory_store.hpp
-class DiskStore;       // cache/disk_store.hpp
+class ThreadPool;  // common/thread_pool.hpp
 
 /// Stable identity of a graph / hardware config, used to key the session's
 /// workload cache. Two equal fingerprints partition identically.
@@ -176,20 +175,20 @@ class CompileJob {
 /// owns one model, a resident worker pool (set_jobs), and two cache layers
 /// built on the pluggable stores of src/cache/:
 ///
-///  1. the partitioned Workload per distinct hardware fingerprint (memory
-///     tier only — a Workload points into the session's graph and is cheap
-///     to recompute), so an N-scenario sweep runs node partitioning once
-///     instead of N times;
+///  1. the partitioned Workload per distinct hardware fingerprint (in
+///     process only — a Workload points into the session's graph and is
+///     cheap to recompute), so an N-scenario sweep runs node partitioning
+///     once instead of N times;
 ///  2. whole mapping results keyed by (workload fingerprint, options
 ///     fingerprint), so a sweep revisiting an identical configuration skips
-///     the GA (and scheduling) entirely. With a CacheConfig whose dir is
-///     set, this layer is a two-tier read-through/write-through store:
-///     in-memory in front of a disk-persisted artifact store, so identical
-///     compilations are reused across processes and daemon restarts. A
-///     disk-tier hit re-partitions the (cheap) workload, revalidates the
-///     artifact against it, and returns a result byte-identical to an
-///     in-memory hit; a corrupt or foreign artifact is a miss, never an
-///     error.
+///     the GA (and scheduling) entirely. This layer is an ordered tier
+///     list: memory, then a disk-persisted artifact store when the
+///     CacheConfig sets a dir, then peer daemons when it names peers. A
+///     lookup walks the list and stops at the first hit; a deeper hit is
+///     revalidated against the (cheap, re-partitioned) workload, returns a
+///     result byte-identical to an in-memory hit, and is promoted into the
+///     tiers above it only. A fresh result is stored into every tier. A
+///     corrupt or foreign artifact is a miss, never an error.
 ///
 /// The primitive is submit(): every scenario becomes a CompileJob on a
 /// shared priority-aware queue drained by resident workers (they survive
@@ -297,12 +296,12 @@ class CompilerSession {
 
   /// Session-lifetime cache hit counts (also surfaced per-hit through
   /// PipelineObserver::on_cache_hit). Mapping hits count every tier;
-  /// mapping_disk_hits() / mapping_remote_hits() isolate the persistent
-  /// and peer tiers' shares.
+  /// mapping_tier_hits() isolates one tier's share.
   std::uint64_t workload_cache_hits() const { return workload_hits_; }
   std::uint64_t mapping_cache_hits() const { return mapping_hits_; }
-  std::uint64_t mapping_disk_hits() const { return mapping_disk_hits_; }
-  std::uint64_t mapping_remote_hits() const { return mapping_remote_hits_; }
+  /// Mapping hits served by the tier named `tier` (cache_sources: "memory",
+  /// "disk", "remote"); 0 for a tier this session does not have.
+  std::uint64_t mapping_tier_hits(std::string_view tier) const;
   /// Freshly computed mapping results written into the cache (also
   /// surfaced per-store through PipelineObserver::on_cache_store).
   std::uint64_t mapping_cache_stores() const { return mapping_stores_; }
@@ -341,21 +340,23 @@ class CompilerSession {
                                                    int index, std::uint64_t tag,
                                                    double* partition_seconds);
 
-  /// Turns a mapping-store hit into a usable CompileResult. A memory-tier
-  /// hit copies the decoded result (zeroed stage times, exactly the
-  /// historical behavior); a disk-tier hit resolves the workload,
-  /// revalidates the artifact against it, promotes the decoded result into
-  /// the memory tier, and fires a "disk"-sourced hit event. Returns
-  /// std::nullopt — after evicting the offending entry — when the artifact
-  /// cannot be trusted, in which case the caller computes.
-  std::optional<CompileResult> adopt_mapping_hit(
-      CacheHit hit, const Scenario& scenario, const HardwareConfig& hw,
-      int index, std::uint64_t tag, std::uint64_t workload_key,
-      std::uint64_t mapping_key);
+  /// Walks the mapping tiers in order and turns the first hit into a usable
+  /// CompileResult. A memory hit copies the decoded result (zeroed stage
+  /// times); a deeper hit resolves the workload, revalidates the artifact
+  /// against it, and stores the decoded result into the tiers above the
+  /// one that hit. Returns std::nullopt on a miss, and — after erasing the
+  /// offending entry — when the artifact cannot be trusted; either way the
+  /// caller computes.
+  std::optional<CompileResult> load_mapping(const Scenario& scenario,
+                                            const HardwareConfig& hw,
+                                            int index, std::uint64_t tag,
+                                            std::uint64_t workload_key,
+                                            std::uint64_t mapping_key);
 
-  /// Publishes a freshly computed result: decoded into the memory tier,
-  /// encoded artifact into the disk tier when one is configured, one
-  /// on_cache_store event attributed to the deepest tier that took it.
+  /// Publishes a freshly computed result into every tier: decoded for
+  /// memory, plus the encoded artifact when a disk or remote tier is
+  /// configured; one on_cache_store event attributed to the deepest tier
+  /// that newly took it.
   void store_mapping(std::uint64_t key, std::uint64_t workload_key,
                      const CompileResult& result, const std::string& label,
                      int index, std::uint64_t tag);
@@ -395,29 +396,23 @@ class CompilerSession {
   std::vector<Scenario> queue_ PIMCOMP_GUARDED_BY(queue_mutex_);
   mutable Mutex queue_mutex_;
 
-  // Workload cache: completed partitions live in workload_store_ (decoded
-  // Workloads, memory tier only); in-flight claims coordinate
-  // once-per-fingerprint partitioning. A claim that settled with a
-  // *deterministic* failure (CapacityError/ConfigError) stays in the map as
-  // the negative cache — every retry would fail identically.
-  std::unique_ptr<InMemoryStore> workload_store_;
+  // Workload cache: one claim per fingerprint coordinates
+  // once-per-fingerprint partitioning and, once settled, *is* the cache
+  // entry — it holds the Workload, or a *deterministic* failure
+  // (CapacityError/ConfigError) as the negative cache, since every retry
+  // would fail identically.
   std::unordered_map<std::uint64_t, std::shared_ptr<WorkloadClaim>>
       workload_claims_ PIMCOMP_GUARDED_BY(workload_mutex_);
   mutable Mutex workload_mutex_;
 
-  // Mapping cache: a bounded-FIFO memory tier (kMaxCachedMappings — a
-  // long-lived session sweeping many distinct configurations must not
-  // retain every result forever), composed with a disk tier into a
-  // TieredStore when cache_config_ enables one. The raw tier pointers are
-  // stable aliases into mapping_store_ for stats/attribution.
+  // Mapping cache tiers, fastest first: a bounded-FIFO memory tier
+  // (kMaxCachedMappings — a long-lived session sweeping many distinct
+  // configurations must not retain every result forever), then the disk
+  // tier and the remote tier as cache_config_ enables them. The remote tier
+  // comes from the cache/remote_tier.hpp factory seam, so core/ never
+  // names src/fleet/ types.
   CacheConfig cache_config_;
-  std::unique_ptr<CacheStore> mapping_store_;
-  InMemoryStore* mapping_memory_ = nullptr;        // always valid
-  DiskStore* mapping_disk_ = nullptr;              // nullptr when disabled
-  // The remote tier is held as the CacheStore interface (only stats() is
-  // read here): the concrete type lives in src/fleet/ behind the
-  // cache/remote_tier.hpp factory seam.
-  CacheStore* mapping_remote_ = nullptr;           // nullptr without peers
+  std::vector<std::unique_ptr<CacheStore>> mapping_tiers_;
   // In-flight dedup: concurrent identical jobs (same mapping key) wait for
   // the first one instead of mapping twice — the second then reads the
   // cache and reports a mapping cache hit, deterministically.
@@ -427,8 +422,8 @@ class CompilerSession {
 
   std::atomic<std::uint64_t> workload_hits_{0};
   std::atomic<std::uint64_t> mapping_hits_{0};
-  std::atomic<std::uint64_t> mapping_disk_hits_{0};
-  std::atomic<std::uint64_t> mapping_remote_hits_{0};
+  /// Hits served per tier, indexed like mapping_tiers_.
+  std::vector<std::atomic<std::uint64_t>> tier_hits_;
   std::atomic<std::uint64_t> mapping_stores_{0};
 };
 

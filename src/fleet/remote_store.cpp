@@ -118,15 +118,15 @@ std::optional<CacheHit> RemoteStore::load(std::uint64_t key) {
     }
     CacheEntry entry;
     entry.artifact = std::move(artifact);
-    return CacheHit{std::move(entry), cache_sources::kRemote};
+    return CacheHit{std::move(entry)};
   }
   MutexLock lock(stats_mutex_);
   ++counters_.misses;
   return std::nullopt;
 }
 
-const char* RemoteStore::store(std::uint64_t key, const CacheEntry& entry) {
-  if (!entry.has_artifact()) return nullptr;
+bool RemoteStore::store(std::uint64_t key, const CacheEntry& entry) {
+  if (!entry.has_artifact()) return false;
   bool any_stored = false;
   for (const std::unique_ptr<Peer>& peer : peers_) {
     const std::int64_t id = next_id_.fetch_add(1);
@@ -138,18 +138,16 @@ const char* RemoteStore::store(std::uint64_t key, const CacheEntry& entry) {
         roundtrip(*peer, serve::cache_put_line(request, entry.artifact), id);
     if (reply.has_value() && reply->get("stored", false)) any_stored = true;
   }
-  if (!any_stored) return nullptr;
+  if (!any_stored) return false;
   MutexLock lock(stats_mutex_);
   ++counters_.stores;
-  return cache_sources::kRemote;
+  return true;
 }
 
 void RemoteStore::erase(std::uint64_t /*key*/) {
   // Deliberately local-only (see header): no wire-level delete exists, and
   // revalidation on load means a stale peer entry cannot do damage.
 }
-
-std::uint64_t RemoteStore::purge() { return 0; }
 
 CacheStoreStats RemoteStore::stats() const {
   MutexLock lock(stats_mutex_);

@@ -16,10 +16,11 @@ namespace pimcomp::fleet {
 
 /// The network cache tier: a CacheStore that resolves misses from peer
 /// `pimcompd` daemons over the wire protocol (cache_get) and pushes freshly
-/// computed artifacts to them (cache_put). The session composes it as the
-/// deepest tier under TieredStore — memory, then disk, then remote — so a
-/// daemon restarted with an empty disk answers its first request from a
-/// peer instead of recomputing the mapping.
+/// computed artifacts to them (cache_put). The session holds it as the
+/// deepest tier of its list — memory, then disk, then remote — so a daemon
+/// restarted with an empty disk answers its first request from a peer
+/// instead of recomputing the mapping. A hit here is promoted into the
+/// tiers above it only; nothing the session reads is pushed back.
 ///
 /// Trust model: a peer's artifact is treated exactly like a disk file, not
 /// like an RPC result. load() checks the versioned envelope (schema +
@@ -46,23 +47,20 @@ class RemoteStore final : public CacheStore {
   /// opened lazily on first use and re-opened after failures.
   explicit RemoteStore(CacheConfig config);
 
-  const char* name() const override { return "remote"; }
+  const char* name() const override { return cache_sources::kRemote; }
   const CacheConfig& config() const { return config_; }
 
   /// Asks each peer in configuration order; first valid answer wins.
   std::optional<CacheHit> load(std::uint64_t key) override;
 
   /// Offers the artifact to every peer (first writer wins on each, like a
-  /// local store). Returns cache_sources::kRemote when at least one peer
-  /// newly accepted it, nullptr otherwise. Entries without an encoded
-  /// artifact are not sent — decoded objects cannot travel.
-  const char* store(std::uint64_t key, const CacheEntry& entry) override;
+  /// local store). Returns true when at least one peer newly accepted it.
+  /// Entries without an encoded artifact are not sent — decoded objects
+  /// cannot travel.
+  bool store(std::uint64_t key, const CacheEntry& entry) override;
 
   /// No-op (see class comment).
   void erase(std::uint64_t key) override;
-
-  /// Local no-op; never reaches over the wire. Returns 0.
-  std::uint64_t purge() override;
 
   /// Counters only; `entries`/`bytes` are 0 (peer contents are theirs to
   /// report via their own stats request).

@@ -926,7 +926,7 @@ void CompileServer::handle_cache_put(
     // DiskStore stamps the schema/key envelope itself and applies the same
     // first-writer-wins rule as a local store; `stored` is false when the
     // key already existed or the artifact was refused.
-    reply.stored = peer_store_->store(request.key, entry) != nullptr;
+    reply.stored = peer_store_->store(request.key, entry);
   }
   enqueue_frame(*connection, to_json(reply), /*advisory=*/false);
 }

@@ -17,6 +17,10 @@
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 
+namespace pimcomp {
+class DiskStore;  // cache/disk_store.hpp
+}  // namespace pimcomp
+
 namespace pimcomp::serve {
 
 /// Where and how `pimcompd` listens. Exactly one transport is active: a

@@ -1,8 +1,9 @@
 // Unit tests of the src/cache/ stores: the extracted in-memory tier, the
 // persistent disk tier (atomic writes, corrupt-entry self-healing, LRU
-// eviction, read-only mode), and their read-through/write-through
-// composition. These run under the CI ThreadSanitizer job like every other
-// test, which keeps the concurrent store paths race-free.
+// eviction, read-only mode). The session's walk over its tier list is
+// covered in test_disk_cache and test_fleet. These run under the CI
+// ThreadSanitizer job like every other test, which keeps the concurrent
+// store paths race-free.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -20,7 +21,6 @@
 #include "cache/cache_store.hpp"
 #include "cache/disk_store.hpp"
 #include "cache/memory_store.hpp"
-#include "cache/tiered_store.hpp"
 
 namespace pimcomp {
 namespace {
@@ -93,10 +93,9 @@ TEST(CacheKeyHex, RoundTripsAndRejectsGarbage) {
 TEST(InMemoryStoreTest, MissThenStoreThenHit) {
   InMemoryStore store;
   EXPECT_FALSE(store.load(1).has_value());
-  EXPECT_STREQ(store.store(1, decoded_entry(42)), cache_sources::kMemory);
+  EXPECT_TRUE(store.store(1, decoded_entry(42)));
   const auto hit = store.load(1);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_STREQ(hit->source, cache_sources::kMemory);
   EXPECT_EQ(decoded_value(hit->entry), 42);
   const CacheStoreStats stats = store.stats();
   EXPECT_EQ(stats.entries, 1u);
@@ -107,8 +106,8 @@ TEST(InMemoryStoreTest, MissThenStoreThenHit) {
 
 TEST(InMemoryStoreTest, FirstWriterWins) {
   InMemoryStore store;
-  EXPECT_NE(store.store(7, decoded_entry(1)), nullptr);
-  EXPECT_EQ(store.store(7, decoded_entry(2)), nullptr);  // kept the first
+  EXPECT_TRUE(store.store(7, decoded_entry(1)));
+  EXPECT_FALSE(store.store(7, decoded_entry(2)));  // kept the first
   EXPECT_EQ(decoded_value(store.load(7)->entry), 1);
 }
 
@@ -140,14 +139,14 @@ TEST(InMemoryStoreTest, DropsRedundantArtifactWhenDecodedPresent) {
   EXPECT_EQ(store.load(2)->entry.artifact.get("value", 0), 9);
 }
 
-TEST(InMemoryStoreTest, EraseAndPurge) {
+TEST(InMemoryStoreTest, EraseDropsOnlyThatKey) {
   InMemoryStore store;
   store.store(1, decoded_entry(1));
   store.store(2, decoded_entry(2));
   store.erase(1);
   EXPECT_FALSE(store.load(1).has_value());
-  EXPECT_EQ(store.purge(), 1u);
-  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_TRUE(store.load(2).has_value());
+  EXPECT_EQ(store.stats().entries, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,14 +165,12 @@ TEST(DiskStoreTest, StoreThenLoadRoundTripsThroughTheFilesystem) {
   TempDir dir;
   DiskStore store(disk_config(dir.path));
   EXPECT_FALSE(store.load(0xabcdef).has_value());
-  EXPECT_STREQ(store.store(0xabcdef, artifact_entry(42)),
-               cache_sources::kDisk);
+  EXPECT_TRUE(store.store(0xabcdef, artifact_entry(42)));
 
   // A fresh store instance (a new process, conceptually) sees the entry.
   DiskStore reopened(disk_config(dir.path));
   const auto hit = reopened.load(0xabcdef);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_STREQ(hit->source, cache_sources::kDisk);
   EXPECT_EQ(hit->entry.artifact.get("value", 0), 42);
   EXPECT_EQ(hit->entry.decoded, nullptr);
   // The envelope was stamped on the way in.
@@ -185,15 +182,15 @@ TEST(DiskStoreTest, StoreThenLoadRoundTripsThroughTheFilesystem) {
 TEST(DiskStoreTest, NeverRewritesAnExistingArtifact) {
   TempDir dir;
   DiskStore store(disk_config(dir.path));
-  EXPECT_NE(store.store(1, artifact_entry(1)), nullptr);
-  EXPECT_EQ(store.store(1, artifact_entry(2)), nullptr);
+  EXPECT_TRUE(store.store(1, artifact_entry(1)));
+  EXPECT_FALSE(store.store(1, artifact_entry(2)));
   EXPECT_EQ(store.load(1)->entry.artifact.get("value", 0), 1);
 }
 
 TEST(DiskStoreTest, DecodedOnlyEntriesAreNotPersisted) {
   TempDir dir;
   DiskStore store(disk_config(dir.path));
-  EXPECT_EQ(store.store(1, decoded_entry(1)), nullptr);
+  EXPECT_FALSE(store.store(1, decoded_entry(1)));
   EXPECT_FALSE(store.load(1).has_value());
 }
 
@@ -211,7 +208,7 @@ TEST(DiskStoreTest, CorruptArtifactIsAMissAndSelfHeals) {
   }
   EXPECT_FALSE(store.load(1).has_value());
   EXPECT_FALSE(fs::exists(path));  // the garbage was unlinked...
-  EXPECT_NE(store.store(1, artifact_entry(42)), nullptr);  // ...so a fresh
+  EXPECT_TRUE(store.store(1, artifact_entry(42)));  // ...so a fresh
   EXPECT_TRUE(store.load(1).has_value());                  // store heals it
 }
 
@@ -240,7 +237,7 @@ TEST(DiskStoreTest, ReadOnlyModeNeverWrites) {
   config.read_only = true;
   DiskStore store(config);
   EXPECT_TRUE(store.load(1).has_value());
-  EXPECT_EQ(store.store(2, artifact_entry(2)), nullptr);
+  EXPECT_FALSE(store.store(2, artifact_entry(2)));
   EXPECT_FALSE(store.load(2).has_value());
   store.erase(1);
   EXPECT_TRUE(store.load(1).has_value());  // erase was a no-op
@@ -363,84 +360,6 @@ TEST(DiskStoreTest, ConcurrentStoresAndLoadsAreSafe) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(store.stats().entries, 8u);
-}
-
-// ---------------------------------------------------------------------------
-// TieredStore.
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<TieredStore> memory_over_disk(const std::string& dir,
-                                              InMemoryStore** memory_out,
-                                              DiskStore** disk_out) {
-  auto memory = std::make_unique<InMemoryStore>();
-  auto disk = std::make_unique<DiskStore>(disk_config(dir));
-  *memory_out = memory.get();
-  *disk_out = disk.get();
-  std::vector<std::unique_ptr<CacheStore>> tiers;
-  tiers.push_back(std::move(memory));
-  tiers.push_back(std::move(disk));
-  return std::make_unique<TieredStore>(std::move(tiers));
-}
-
-TEST(TieredStoreTest, WritesThroughAndReportsDeepestTier) {
-  TempDir dir;
-  InMemoryStore* memory = nullptr;
-  DiskStore* disk = nullptr;
-  auto tiered = memory_over_disk(dir.path, &memory, &disk);
-
-  CacheEntry entry = artifact_entry(42);
-  entry.decoded = std::make_shared<const int>(42);
-  EXPECT_STREQ(tiered->store(1, entry), cache_sources::kDisk);
-  EXPECT_TRUE(memory->load(1).has_value());
-  EXPECT_TRUE(disk->load(1).has_value());
-
-  // Decoded-only entries only land in memory — the deepest acceptor is
-  // then the memory tier.
-  EXPECT_STREQ(tiered->store(2, decoded_entry(2)), cache_sources::kMemory);
-}
-
-TEST(TieredStoreTest, ReadsThroughInTierOrder) {
-  TempDir dir;
-  InMemoryStore* memory = nullptr;
-  DiskStore* disk = nullptr;
-  auto tiered = memory_over_disk(dir.path, &memory, &disk);
-
-  CacheEntry entry = artifact_entry(42);
-  entry.decoded = std::make_shared<const int>(42);
-  tiered->store(1, entry);
-
-  // Served by the memory tier while it holds the key...
-  EXPECT_STREQ(tiered->load(1)->source, cache_sources::kMemory);
-
-  // ...and by the disk tier once memory forgets (a restart, conceptually).
-  memory->purge();
-  const auto hit = tiered->load(1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_STREQ(hit->source, cache_sources::kDisk);
-  // No auto-promotion: the caller decodes and re-stores.
-  EXPECT_FALSE(memory->load(1).has_value());
-  CacheEntry promoted;
-  promoted.artifact = hit->entry.artifact;
-  promoted.decoded = std::make_shared<const int>(42);
-  tiered->store(1, promoted);
-  EXPECT_STREQ(tiered->load(1)->source, cache_sources::kMemory);
-}
-
-TEST(TieredStoreTest, EraseAndPurgeCoverEveryTier) {
-  TempDir dir;
-  InMemoryStore* memory = nullptr;
-  DiskStore* disk = nullptr;
-  auto tiered = memory_over_disk(dir.path, &memory, &disk);
-  CacheEntry entry = artifact_entry(1);
-  entry.decoded = std::make_shared<const int>(1);
-  tiered->store(1, entry);
-  tiered->store(2, entry);
-
-  tiered->erase(1);
-  EXPECT_FALSE(memory->load(1).has_value());
-  EXPECT_FALSE(disk->load(1).has_value());
-  EXPECT_EQ(tiered->purge(), 2u);  // one memory + one disk entry
-  EXPECT_FALSE(tiered->load(2).has_value());
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(DiskCache, WarmRunFromDiskOnlyIsByteIdenticalAndNeverMaps) {
     EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheHit,
                            cache_names::kMapping, cache_sources::kMemory),
               1);
-    EXPECT_EQ(cold.mapping_disk_hits(), 0u);
+    EXPECT_EQ(cold.mapping_tier_hits(cache_sources::kDisk), 0u);
 
     // Reference renders via the *memory* tier (zeroed stage times), which
     // is the exact contract the warm run must reproduce byte for byte.
@@ -169,7 +169,7 @@ TEST(DiskCache, WarmRunFromDiskOnlyIsByteIdenticalAndNeverMaps) {
             1);
   // The first hit per distinct configuration came from disk; the
   // in-session duplicate then hit the promoted memory entry.
-  EXPECT_EQ(warm.mapping_disk_hits(), 2u);
+  EXPECT_EQ(warm.mapping_tier_hits(cache_sources::kDisk), 2u);
   EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheHit,
                          cache_names::kMapping, cache_sources::kDisk),
             2);
@@ -265,7 +265,7 @@ TEST(DiskCache, CorruptArtifactRecomputesAndSelfHeals) {
     warm.set_observer(&trace);
     const CompileResult result = warm.compile(tiny_options(2));
     // Recomputed (the corrupt artifact must not poison the compile)...
-    EXPECT_EQ(warm.mapping_disk_hits(), 0u);
+    EXPECT_EQ(warm.mapping_tier_hits(cache_sources::kDisk), 0u);
     EXPECT_EQ(warm.mapping_cache_stores(), 1u);
     // Zero stage times on the reference: the recompute reports real ones.
     Json recomputed = compile_result_to_json(result);
@@ -281,7 +281,7 @@ TEST(DiskCache, CorruptArtifactRecomputesAndSelfHeals) {
     // ...and the store healed: a third session takes a clean disk hit.
     CompilerSession healed(small_cnn(), small_hw(), cache_at(dir.path));
     healed.compile(tiny_options(2));
-    EXPECT_EQ(healed.mapping_disk_hits(), 1u);
+    EXPECT_EQ(healed.mapping_tier_hits(cache_sources::kDisk), 1u);
   }
 }
 
@@ -328,7 +328,7 @@ TEST(DiskCache, RejectsArtifactsWithMismatchedWorkloadFingerprint) {
   session_b.set_observer(&trace);
   const CompileResult result = session_b.compile(options);
   // The forged artifact was rejected, evicted, and the compile recomputed.
-  EXPECT_EQ(session_b.mapping_disk_hits(), 0u);
+  EXPECT_EQ(session_b.mapping_tier_hits(cache_sources::kDisk), 0u);
   EXPECT_EQ(session_b.mapping_cache_stores(), 1u);
   EXPECT_EQ(result.solution.workload().graph().name(), "other-cnn");
   const auto healed = store.load(other_mapping_key);
@@ -354,10 +354,16 @@ TEST(DiskCache, ReadOnlyCacheServesButNeverWrites) {
   CacheConfig config = cache_at(dir.path);
   config.read_only = true;
   CompilerSession consumer(small_cnn(), small_hw(), config);
+  TraceRecorder trace;
+  consumer.set_observer(&trace);
   consumer.compile(tiny_options(2));  // warm: served from disk
-  EXPECT_EQ(consumer.mapping_disk_hits(), 1u);
+  EXPECT_EQ(consumer.mapping_tier_hits(cache_sources::kDisk), 1u);
   consumer.compile(tiny_options(5));  // cold: computed, NOT persisted
   EXPECT_EQ(consumer.mapping_cache_stores(), 1u);  // memory tier only
+  // The store event names the deepest tier that newly took the result.
+  EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheStore,
+                         cache_names::kMapping, cache_sources::kMemory),
+            1);
 
   std::vector<std::string> files_after;
   for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
@@ -385,7 +391,7 @@ Json fixed_size_artifact(int n) {
 std::uint64_t store_fixed(DiskStore& store, int n) {
   CacheEntry entry;
   entry.artifact = fixed_size_artifact(n);
-  EXPECT_NE(store.store(static_cast<std::uint64_t>(n), entry), nullptr);
+  EXPECT_TRUE(store.store(static_cast<std::uint64_t>(n), entry));
   // Distinct mtimes: the eviction order below must never hinge on
   // filesystem timestamp granularity.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -401,7 +407,7 @@ TEST(DiskCache, EvictsNothingAtExactByteBudgetAndOldestOneByteOver) {
     DiskStore probe(cache_at(dir.path));
     CacheEntry entry;
     entry.artifact = fixed_size_artifact(0);
-    ASSERT_NE(probe.store(999, entry), nullptr);
+    ASSERT_TRUE(probe.store(999, entry));
     size_one = probe.stats().bytes;
     ASSERT_GT(size_one, 0u);
     probe.purge();
@@ -447,7 +453,7 @@ TEST(DiskCache, EvictionRacingConcurrentLoadMtimeBumpKeepsHotKeyAndSaneState) {
     DiskStore probe(cache_at(dir.path));
     CacheEntry entry;
     entry.artifact = fixed_size_artifact(0);
-    ASSERT_NE(probe.store(999, entry), nullptr);
+    ASSERT_TRUE(probe.store(999, entry));
     size_one = probe.stats().bytes;
     probe.purge();
   }
@@ -459,7 +465,7 @@ TEST(DiskCache, EvictionRacingConcurrentLoadMtimeBumpKeepsHotKeyAndSaneState) {
   {
     CacheEntry entry;
     entry.artifact = fixed_size_artifact(0);
-    ASSERT_NE(store.store(kHotKey, entry), nullptr);
+    ASSERT_TRUE(store.store(kHotKey, entry));
   }
 
   // One thread hammers load(hot) — every hit bumps its mtime — while the

@@ -47,13 +47,6 @@ TEST(FingerprintGoldens, DefaultOptionsArePinned) {
   EXPECT_EQ(hex_fingerprint(fingerprint(CompileOptions{})),
             "f28d664c108e4262");
 
-  // The persistent-cache config is execution environment, not identity: a
-  // cache-enabled run must reuse artifacts a cache-less run produced.
-  CompileOptions cached;
-  cached.cache.dir = "/somewhere/else";
-  cached.cache.read_only = true;
-  EXPECT_EQ(fingerprint(cached), fingerprint(CompileOptions{}));
-
   // The seed IS identity (equal seeds are the bit-identical contract).
   CompileOptions reseeded;
   reseeded.seed = 2;

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_config.hpp"
@@ -120,6 +121,12 @@ ServerOptions daemon_options(const std::string& socket_tag,
   return options;
 }
 
+CacheConfig cache_at(const std::string& dir) {
+  CacheConfig config;
+  config.dir = dir;
+  return config;
+}
+
 CacheConfig remote_only_config(const std::string& peer_endpoint) {
   CacheConfig config;
   config.peers.push_back(peer_endpoint);
@@ -176,20 +183,19 @@ TEST(RemoteStoreTest, RoundTripsArtifactsThroughPeerDiskTier) {
   CacheEntry entry;
   entry.artifact = Json::object();
   entry.artifact["hello"] = std::string("fleet");
-  EXPECT_STREQ(store.store(key, entry), cache_sources::kRemote);
+  EXPECT_TRUE(store.store(key, entry));
 
   // The peer's DiskStore stamped the envelope; a fresh load must validate
-  // it and report the remote source.
+  // it.
   const std::optional<CacheHit> hit = store.load(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_STREQ(hit->source, cache_sources::kRemote);
   EXPECT_EQ(hit->entry.artifact.get("hello", std::string()), "fleet");
   EXPECT_EQ(hit->entry.artifact.get("key", std::string()),
             cache_key_hex(key));
 
   // First-writer-wins across the wire: a second push is not "newly
-  // accepted" anywhere, so store() reports no accepting tier.
-  EXPECT_EQ(store.store(key, entry), nullptr);
+  // accepted" anywhere, so store() reports false.
+  EXPECT_FALSE(store.store(key, entry));
 
   const CacheStoreStats stats = store.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -212,7 +218,7 @@ TEST(RemoteStoreTest, DeadPeerIsAMissNotAnError) {
   EXPECT_FALSE(store.load(42).has_value());
   CacheEntry entry;
   entry.artifact = Json::object();
-  EXPECT_EQ(store.store(42, entry), nullptr);
+  EXPECT_FALSE(store.store(42, entry));
   // Repeated misses stay fast (the backoff window suppresses reconnect
   // storms) and never throw.
   for (int i = 0; i < 3; ++i) EXPECT_FALSE(store.load(42).has_value());
@@ -237,7 +243,7 @@ TEST(RemoteStoreTest, RejectsMiskeyedPeerArtifacts) {
   CacheEntry entry;
   entry.artifact = Json::object();
   entry.artifact["payload"] = std::string("x");
-  ASSERT_NE(peer_disk.store(key, entry), nullptr);
+  ASSERT_TRUE(peer_disk.store(key, entry));
   // Rewrite the stored file with a mismatched envelope key.
   for (const auto& file : fs::recursive_directory_iterator(peer_dir.path)) {
     if (!file.is_regular_file()) continue;
@@ -278,7 +284,7 @@ TEST(FleetEndToEnd, FreshSessionServesMappingFromPeerWithZeroMappingStages) {
   session.set_observer(&trace);
   const CompileResult result = session.compile(tiny_options(3));
 
-  EXPECT_EQ(session.mapping_remote_hits(), 1u);
+  EXPECT_EQ(session.mapping_tier_hits(cache_sources::kRemote), 1u);
   EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheHit,
                          cache_names::kMapping, cache_sources::kRemote),
             1);
@@ -294,6 +300,118 @@ TEST(FleetEndToEnd, FreshSessionServesMappingFromPeerWithZeroMappingStages) {
       strip_stage_times(compile_result_to_json(result)).dump(2),
       strip_stage_times(warm_reply.outcomes[0].compile).dump(2));
   warm_daemon.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The session's tier walk: lookups stop at the first tier that hits, and a
+// hit is promoted only into the tiers above it.
+// ---------------------------------------------------------------------------
+
+/// Mapping-cache key of small_cnn() on small_hw() under `options`.
+std::uint64_t small_cnn_mapping_key(const CompileOptions& options) {
+  Graph graph = small_cnn();
+  graph.finalize();
+  return combine_fingerprints(
+      combine_fingerprints(fingerprint(graph), fingerprint(small_hw())),
+      fingerprint(options));
+}
+
+/// The (hits, misses) the named tier of `session` counted.
+std::pair<std::uint64_t, std::uint64_t> tier_lookups(
+    const CompilerSession& session, const std::string& tier) {
+  for (const auto& [name, stats] : session.mapping_tier_stats()) {
+    if (name == tier) return {stats.hits, stats.misses};
+  }
+  ADD_FAILURE() << "session has no '" << tier << "' tier";
+  return {0, 0};
+}
+
+TEST(FleetEndToEnd, HitsPromoteOnlyIntoTheTiersAboveThem) {
+  TempDir peer_dir;
+  TempDir dir;
+  CompileServer peer(daemon_options("promote", peer_dir.path));
+  peer.start();
+  CacheConfig config = remote_only_config(peer.endpoint());
+  config.dir = dir.path;
+  const CompileOptions options = tiny_options(2);
+  const std::uint64_t key = small_cnn_mapping_key(options);
+  CacheConfig peer_cache;
+  peer_cache.dir = peer_dir.path;
+  const std::string peer_file = DiskStore(peer_cache).artifact_path(key);
+
+  // A fresh result is written through every tier, and its store event
+  // names the deepest one: the peer.
+  std::string reference;
+  {
+    CompilerSession computing(small_cnn(), small_hw(), config);
+    TraceRecorder trace;
+    computing.set_observer(&trace);
+    reference = strip_stage_times(
+                    compile_result_to_json(computing.compile(options)))
+                    .dump(2);
+    EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheStore,
+                           cache_names::kMapping, cache_sources::kRemote),
+              1);
+    EXPECT_EQ(computing.mapping_cache_stores(), 1u);
+  }
+  ASSERT_TRUE(fs::exists(peer_file));
+  ASSERT_TRUE(fs::exists(DiskStore(config).artifact_path(key)));
+  fs::remove(peer_file);
+
+  // A disk hit lands in memory only: nothing crosses the network, so the
+  // peer's deleted artifact stays deleted, and the walk never reached the
+  // remote tier at all.
+  {
+    CompilerSession reading(small_cnn(), small_hw(), config);
+    TraceRecorder trace;
+    reading.set_observer(&trace);
+    EXPECT_EQ(strip_stage_times(
+                  compile_result_to_json(reading.compile(options)))
+                  .dump(2),
+              reference);
+    EXPECT_EQ(reading.mapping_tier_hits(cache_sources::kDisk), 1u);
+    EXPECT_FALSE(fs::exists(peer_file));
+    EXPECT_EQ(tier_lookups(reading, cache_sources::kRemote),
+              std::make_pair(std::uint64_t{0}, std::uint64_t{0}));
+    // The promoted entry answers the next lookup from memory.
+    reading.compile(options);
+    EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheHit,
+                           cache_names::kMapping, cache_sources::kDisk),
+              1);
+    EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheHit,
+                           cache_names::kMapping, cache_sources::kMemory),
+              1);
+    EXPECT_EQ(tier_lookups(reading, cache_sources::kDisk),
+              std::make_pair(std::uint64_t{1}, std::uint64_t{0}));
+    EXPECT_EQ(reading.mapping_cache_stores(), 0u);
+    EXPECT_FALSE(fs::exists(peer_file));
+  }
+
+  // A remote hit lands in memory and on the local disk: a peerless session
+  // on the same directory then takes a disk hit.
+  fs::copy_file(DiskStore(config).artifact_path(key), peer_file,
+                fs::copy_options::overwrite_existing);
+  TempDir fresh_dir;
+  CacheConfig fresh = remote_only_config(peer.endpoint());
+  fresh.dir = fresh_dir.path;
+  {
+    CompilerSession remote(small_cnn(), small_hw(), fresh);
+    EXPECT_EQ(strip_stage_times(
+                  compile_result_to_json(remote.compile(options)))
+                  .dump(2),
+              reference);
+    EXPECT_EQ(remote.mapping_tier_hits(cache_sources::kRemote), 1u);
+    EXPECT_EQ(remote.mapping_tier_hits(cache_sources::kDisk), 0u);
+    EXPECT_EQ(remote.mapping_cache_stores(), 0u);
+    remote.compile(options);
+    EXPECT_EQ(remote.mapping_tier_hits(cache_sources::kRemote), 1u);
+    EXPECT_EQ(remote.mapping_cache_hits(), 2u);
+  }
+  CompilerSession peerless(small_cnn(), small_hw(), cache_at(fresh_dir.path));
+  peerless.compile(options);
+  EXPECT_EQ(peerless.mapping_tier_hits(cache_sources::kDisk), 1u);
+  EXPECT_EQ(peerless.mapping_cache_stores(), 0u);
+  peer.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -477,14 +595,14 @@ TEST(FleetAuth, RemoteStorePresentsTokenToPeers) {
     CacheConfig config = remote_only_config(peer.endpoint());
     // No token: every peer interaction is rejected → miss / no-op.
     RemoteStore anonymous(config);
-    EXPECT_EQ(anonymous.store(7, entry), nullptr);
+    EXPECT_FALSE(anonymous.store(7, entry));
     EXPECT_FALSE(anonymous.load(7).has_value());
   }
   {
     CacheConfig config = remote_only_config(peer.endpoint());
     config.auth_token = "fleet-secret";
     RemoteStore authed(config);
-    EXPECT_STREQ(authed.store(7, entry), cache_sources::kRemote);
+    EXPECT_TRUE(authed.store(7, entry));
     EXPECT_TRUE(authed.load(7).has_value());
   }
   peer.stop();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,46 @@ TEST(CompilerSessionParallel, WorkloadPartitionedOnceUnderContention) {
     EXPECT_EQ(outcome.result->workload.get(),
               outcomes.front().result->workload.get());
   }
+}
+
+/// Compiles once more on the same session from inside the first
+/// partitioning callback it sees — the re-entrant use the session's
+/// RecursiveMutex observer gate allows.
+class ReentrantObserver : public PipelineObserver {
+ public:
+  explicit ReentrantObserver(CompilerSession& session) : session_(session) {}
+
+  void on_stage_begin(const StageInfo& info) override {
+    if (info.stage != stage_names::kPartitioning || nested != nullptr) return;
+    nested = std::make_unique<CompileResult>(
+        session_.compile(tiny_options(PipelineMode::kHighThroughput, 2)));
+  }
+
+  std::unique_ptr<CompileResult> nested;
+
+ private:
+  CompilerSession& session_;
+};
+
+TEST(CompilerSessionCache, ReentrantPartitioningIsPrivate) {
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  ReentrantObserver observer(session);
+  session.set_observer(&observer);
+
+  // The nested compile cannot wait on the partitioning its own thread is
+  // running, so it partitions privately; the outer frame then publishes
+  // the one shared workload.
+  const CompileResult outer = session.compile(tiny_options());
+  ASSERT_NE(observer.nested, nullptr);
+  EXPECT_NE(observer.nested->workload.get(), outer.workload.get());
+  EXPECT_EQ(session.cached_workloads(), 1u);
+  EXPECT_EQ(session.workload_cache_hits(), 0u);
+
+  // Later compiles hit the published workload, not the private one.
+  const CompileResult later =
+      session.compile(tiny_options(PipelineMode::kHighThroughput, 3));
+  EXPECT_EQ(later.workload.get(), outer.workload.get());
+  EXPECT_EQ(session.workload_cache_hits(), 1u);
 }
 
 TEST(CompilerSessionCache, MappingCacheHitsAreObserved) {
