@@ -1,12 +1,17 @@
 // Google-benchmark micro-kernels: throughput of the individual compiler
 // stages (partitioning, GA step, scheduling, simulation). These are the
 // hot paths behind Table II's compile times. The JSON cases measure the
-// artifact codec every disk, peer and wire hop goes through.
+// artifact codec every disk, peer and wire hop goes through, and the disk
+// case what one store into a populated cache directory costs.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "bench_common.hpp"
 #include "cache/artifact.hpp"
+#include "cache/disk_store.hpp"
 #include "common/json.hpp"
 #include "mapping/fitness.hpp"
 #include "mapping/genetic_mapper.hpp"
@@ -196,6 +201,48 @@ void BM_JsonDumpArtifact(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonDumpArtifact);
+
+// One DiskStore::store of the fleet artifact into a directory that already
+// holds state.range(0) small artifacts, at the default 256 MiB budget. The
+// store instance lives across iterations, as a daemon's does; each stored
+// file is erased untimed, so the directory never grows.
+void BM_DiskStoreStore(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::temp_directory_path() / "pimcomp-bench-XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    state.SkipWithError("cannot create a temp directory");
+    return;
+  }
+  CacheConfig config;
+  config.dir = dir;
+  DiskStore store(config);
+  const auto residents = static_cast<std::uint64_t>(state.range(0));
+  CacheEntry resident;
+  resident.artifact = Json::object();
+  // Spread over the 2-hex prefix directories, as fingerprints are.
+  const auto spread = [](std::uint64_t n) {
+    return n * 0x9e3779b97f4a7c15ull;
+  };
+  for (std::uint64_t n = 1; n <= residents; ++n) {
+    store.store(spread(n), resident);
+  }
+  CacheEntry entry;
+  entry.artifact = Json::parse(fleet_artifact_text());
+  const std::uint64_t fresh_key = spread(residents + 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.store(fresh_key, entry));
+    state.PauseTiming();
+    store.erase(fresh_key);
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              fleet_artifact_text().size()));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+BENCHMARK(BM_DiskStoreStore)->Arg(0)->Arg(800)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,8 +13,8 @@
 //
 //   pimcomp_router --unix /run/pimcomp_router.sock \
 //     --backend unix:/run/pimcompd-a.sock --backend unix:/run/pimcompd-b.sock
-//   pimcomp_router --port 7900 --backend 10.0.0.1:7878 --backend 10.0.0.2:7878 \
-//     --auth-token SECRET
+//   pimcomp_router --port 7900 --backend 10.0.0.1:7878 \
+//     --backend 10.0.0.2:7878 --auth-token SECRET
 //
 // --auth-token sets the one fleet-wide secret: required of router clients
 // and presented to the backend daemons (start them with the same token).

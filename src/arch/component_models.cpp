@@ -69,8 +69,8 @@ double orion_lite_flit_energy_pj(int flit_bytes) {
 }
 
 double orion_lite_router_leakage_mw(int flit_bytes) {
-  return kRouterPowerMw * kRouterLeakFraction * static_cast<double>(flit_bytes) /
-         static_cast<double>(kRefFlitBytes);
+  return kRouterPowerMw * kRouterLeakFraction *
+         static_cast<double>(flit_bytes) / static_cast<double>(kRefFlitBytes);
 }
 
 std::vector<const ComponentSpec*> ComponentTable::rows() const {
@@ -116,9 +116,12 @@ ComponentTable build_component_table(const HardwareConfig& hw) {
   t.core = {"Core", "# per chip", std::to_string(hw.cores_per_chip),
             core_power, core_area, core_leak};
 
-  t.router = {"Router", "flit size",
-              std::to_string(hw.noc_flit_bytes * 8), kRouterPowerMw * flit_scale,
-              kRouterAreaMm2 * flit_scale, kRouterLeakFraction};
+  t.router = {"Router",
+              "flit size",
+              std::to_string(hw.noc_flit_bytes * 8),
+              kRouterPowerMw * flit_scale,
+              kRouterAreaMm2 * flit_scale,
+              kRouterLeakFraction};
   t.global_memory = {"Global Memory", "capacity",
                      std::to_string(hw.global_memory_bytes / (1024 * 1024)) +
                          " MB",
@@ -137,7 +140,8 @@ ComponentTable build_component_table(const HardwareConfig& hw) {
                             t.hyper_transport.peak_power_mw;
   const double chip_area = t.core.area_mm2 * hw.cores_per_chip +
                            t.router.area_mm2 * routers_per_chip +
-                           t.global_memory.area_mm2 + t.hyper_transport.area_mm2;
+                           t.global_memory.area_mm2 +
+                           t.hyper_transport.area_mm2;
   const double chip_leak =
       (t.core.leakage_mw() * hw.cores_per_chip +
        t.router.leakage_mw() * routers_per_chip + t.global_memory.leakage_mw() +

@@ -21,7 +21,8 @@ Picoseconds HardwareConfig::mvm_issue_interval(int parallelism_degree) const {
 }
 
 void HardwareConfig::validate() const {
-  PIMCOMP_CHECK(xbar_rows > 0 && xbar_cols > 0, "crossbar size must be positive");
+  PIMCOMP_CHECK(xbar_rows > 0 && xbar_cols > 0,
+                "crossbar size must be positive");
   PIMCOMP_CHECK(cell_bits > 0, "cell bits must be positive");
   PIMCOMP_CHECK(weight_bits > 0 && weight_bits % cell_bits == 0,
                 "weight bits must be a positive multiple of cell bits");
@@ -34,9 +35,11 @@ void HardwareConfig::validate() const {
   PIMCOMP_CHECK(vfus_per_core > 0, "VFU count must be positive");
   PIMCOMP_CHECK(vfu_ops_per_ns > 0.0, "VFU rate must be positive");
   PIMCOMP_CHECK(local_memory_bytes > 0, "local memory must be positive");
-  PIMCOMP_CHECK(local_memory_gbps > 0.0, "local memory bandwidth must be positive");
+  PIMCOMP_CHECK(local_memory_gbps > 0.0,
+                "local memory bandwidth must be positive");
   PIMCOMP_CHECK(global_memory_bytes > 0, "global memory must be positive");
-  PIMCOMP_CHECK(global_memory_gbps > 0.0, "global memory bandwidth must be positive");
+  PIMCOMP_CHECK(global_memory_gbps > 0.0,
+                "global memory bandwidth must be positive");
   PIMCOMP_CHECK(noc_flit_bytes > 0, "flit size must be positive");
   PIMCOMP_CHECK(noc_link_gbps > 0.0, "NoC bandwidth must be positive");
   PIMCOMP_CHECK(ht_link_gbps > 0.0, "HT bandwidth must be positive");

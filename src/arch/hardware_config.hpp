@@ -54,7 +54,7 @@ struct HardwareConfig {
   /// compute + ADC readout for all bit slices).
   Picoseconds mvm_latency = from_ns(1000.0);
 
-  // --- Derived quantities -----------------------------------------------------
+  // --- Derived quantities ----------------------------------------------------
   /// Logical matrix columns one crossbar provides: a 16-bit weight spans
   /// weight_bits/cell_bits physical bitlines (PUMA weight-slicing scheme).
   int logical_cols_per_xbar() const {

@@ -43,8 +43,9 @@ Picoseconds NocModel::transfer_latency(int core_a, int core_b,
       static_cast<Picoseconds>(static_cast<double>(bytes) / noc_bytes_per_ps);
   if (crosses_chip(core_a, core_b)) {
     const double ht_bytes_per_ps = hw_.ht_link_gbps * 1e9 / 1e12;
-    latency += hw_.ht_latency + static_cast<Picoseconds>(
-                                    static_cast<double>(bytes) / ht_bytes_per_ps);
+    latency += hw_.ht_latency +
+               static_cast<Picoseconds>(static_cast<double>(bytes) /
+                                        ht_bytes_per_ps);
   }
   return latency;
 }

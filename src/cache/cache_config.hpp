@@ -41,9 +41,10 @@ struct CacheConfig {
   /// renames, readers treat partial/corrupt entries as misses).
   std::string dir;
 
-  /// Soft bound on the disk tier's total artifact bytes. After every store
-  /// the least-recently-used artifacts (by file mtime; reads bump it) are
-  /// evicted until the total fits again. 0 = unbounded.
+  /// Soft bound on the disk tier's total artifact bytes. Once a store's
+  /// running byte count passes it, the least-recently-used artifacts (by
+  /// file mtime; reads bump it) are evicted until the total fits again
+  /// (DiskStore documents when it walks). 0 = unbounded.
   std::uint64_t max_bytes = 256ull << 20;  // 256 MiB
 
   /// Read the disk tier but never write it: no stores, no mtime bumps, no

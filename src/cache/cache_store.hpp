@@ -75,6 +75,9 @@ class CacheStore {
   virtual void erase(std::uint64_t key) = 0;
 
   virtual CacheStoreStats stats() const = 0;
+  /// stats() without work that grows with the contents: a store whose
+  /// entries/bytes take a walk (DiskStore) reports them as 0 here.
+  virtual CacheStoreStats counters() const { return stats(); }
 
   /// Current entry count (stats().entries shortcut).
   std::uint64_t entry_count() const { return stats().entries; }

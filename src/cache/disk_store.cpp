@@ -18,6 +18,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// A store walks once its own writes since the last walk pass this share
+/// of the budget: other writers of the directory are invisible to its byte
+/// count, so this bounds how far each of them can push the directory over
+/// before some walk sees it.
+constexpr std::uint64_t kBudgetShareBetweenWalks = 8;
+
 /// Everything the eviction scan needs about one on-disk file.
 struct ArtifactFile {
   fs::path path;
@@ -184,7 +190,7 @@ bool DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
 
   // Unique temp name in the destination directory (rename must not cross
   // filesystems): pid disambiguates processes, the counter disambiguates
-  // threads, and a crashed writer's leftover is swept by eviction.
+  // threads, and a crashed writer's leftover is swept by a later walk.
   const fs::path tmp =
       path.parent_path() /
       ("." + path.filename().string() + ".tmp." +
@@ -212,11 +218,15 @@ bool DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
     fs::remove(tmp, ec);
     return false;
   }
+  bool walk = false;
   {
     MutexLock lock(stats_mutex_);
     ++counters_.stores;
+    bytes_ += text.size();
+    written_since_walk_ += text.size();
+    walk = walk_due();
   }
-  evict_to_budget();
+  if (walk) evict_to_budget();
   return true;
 }
 
@@ -239,52 +249,68 @@ std::uint64_t DiskStore::purge() {
   return removed;
 }
 
+bool DiskStore::walk_due() const {
+  if (!walked_) return true;
+  if (config_.max_bytes == 0) return false;  // unbounded: one temp sweep
+  return bytes_ > config_.max_bytes ||
+         written_since_walk_ > config_.max_bytes / kBudgetShareBetweenWalks;
+}
+
 void DiskStore::evict_to_budget() {
-  StoreScan scan = scan_store(config_.dir);  // the one walk per store()
+  MutexLock walk_lock(walk_mutex_);
+  std::uint64_t written_before = 0;
+  {
+    MutexLock lock(stats_mutex_);
+    if (!walk_due()) return;  // the walk this one queued behind covered it
+    written_before = written_since_walk_;
+  }
+  StoreScan scan = scan_store(config_.dir);
 
   // Leftover temp files from crashed writers are unreachable garbage, but
   // a *young* temp file may be a concurrent writer mid-store — only sweep
-  // ones old enough that no live write can still own them. This runs even
-  // in unbounded (max_bytes == 0) mode: orphaned temps would otherwise
-  // accumulate forever there, with nothing but an explicit purge to
-  // remove them.
+  // ones old enough that no live write can still own them. An unbounded
+  // (max_bytes == 0) store walks too, once: orphaned temps would otherwise
+  // accumulate there forever, with nothing but an explicit purge to remove
+  // them.
   std::error_code ec;
   const auto tmp_cutoff =
       fs::file_time_type::clock::now() - std::chrono::hours(1);
   for (const ArtifactFile& tmp : scan.temps) {
     if (tmp.mtime < tmp_cutoff) fs::remove(tmp.path, ec);
   }
-  if (config_.max_bytes == 0) return;  // unbounded: no artifact eviction
-
   std::uint64_t total = 0;
   for (const ArtifactFile& file : scan.artifacts) total += file.bytes;
-  if (total <= config_.max_bytes) return;
-
-  std::sort(scan.artifacts.begin(), scan.artifacts.end(),
-            [](const ArtifactFile& a, const ArtifactFile& b) {
-              return a.mtime < b.mtime;
-            });
   std::uint64_t evicted = 0;
-  for (const ArtifactFile& file : scan.artifacts) {
-    if (total <= config_.max_bytes) break;
-    if (!fs::remove(file.path, ec) || ec) continue;
-    total -= std::min(total, file.bytes);
-    ++evicted;
+  // Unbounded (max_bytes == 0) stores never evict artifacts.
+  if (config_.max_bytes != 0 && total > config_.max_bytes) {
+    std::sort(scan.artifacts.begin(), scan.artifacts.end(),
+              [](const ArtifactFile& a, const ArtifactFile& b) {
+                return a.mtime < b.mtime;
+              });
+    for (const ArtifactFile& file : scan.artifacts) {
+      if (total <= config_.max_bytes) break;
+      if (!fs::remove(file.path, ec) || ec) continue;
+      total -= std::min(total, file.bytes);
+      ++evicted;
+    }
   }
-  if (evicted != 0) {
-    MutexLock lock(stats_mutex_);
-    counters_.evictions += evicted;
-  }
+
+  MutexLock lock(stats_mutex_);
+  counters_.evictions += evicted;
+  walked_ = true;
+  // Stores that landed during the scan may or may not be in `total`; they
+  // stay in the count, so it errs high (an early walk), never low.
+  written_since_walk_ -= written_before;
+  bytes_ = total + written_since_walk_;
+}
+
+CacheStoreStats DiskStore::counters() const {
+  MutexLock lock(stats_mutex_);
+  return counters_;
 }
 
 CacheStoreStats DiskStore::stats() const {
-  CacheStoreStats stats;
-  {
-    MutexLock lock(stats_mutex_);
-    stats = counters_;
-  }
-  stats.entries = 0;
-  stats.bytes = 0;
+  CacheStoreStats stats = counters();
   const std::string version_dir =
       "v" + std::to_string(kCacheSchemaVersion);
   for (const ArtifactFile& file : scan_store(config_.dir).artifacts) {

@@ -113,7 +113,13 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   expect(Type::kNumber, "a number");
-  return static_cast<std::int64_t>(std::llround(number_));
+  // [-2^63, 2^63) holds exactly the doubles that convert without overflow;
+  // NaN fails the first test, infinities the range.
+  if (std::trunc(number_) != number_ || number_ < -0x1p63 ||
+      number_ >= 0x1p63) {
+    throw JsonError("json number is not an exact 64-bit integer");
+  }
+  return static_cast<std::int64_t>(number_);
 }
 
 const std::string& Json::as_string() const {
@@ -199,7 +205,13 @@ std::int64_t Json::get(std::string_view key, std::int64_t fallback) const {
 
 int Json::get(std::string_view key, int fallback) const {
   const Json* value = find(key);
-  return value != nullptr ? static_cast<int>(value->as_int()) : fallback;
+  if (value == nullptr) return fallback;
+  const std::int64_t number = value->as_int();
+  if (number < std::numeric_limits<int>::min() ||
+      number > std::numeric_limits<int>::max()) {
+    throw JsonError("json number does not fit an int: " + std::string(key));
+  }
+  return static_cast<int>(number);
 }
 
 std::string Json::get(std::string_view key,

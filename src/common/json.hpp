@@ -71,7 +71,8 @@ class Json {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  /// Typed accessors; throw JsonError on type mismatch.
+  /// Typed accessors; throw JsonError on type mismatch. as_int() also
+  /// throws for a number that is not an integer or lies outside int64.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
@@ -89,6 +90,8 @@ class Json {
   Json& operator[](std::string_view key);
   const Object& items() const;
 
+  /// The integer overloads throw like as_int(); the int one also throws
+  /// for a value outside int.
   double get(std::string_view key, double fallback) const;
   std::int64_t get(std::string_view key, std::int64_t fallback) const;
   int get(std::string_view key, int fallback) const;

@@ -50,9 +50,11 @@ class LogLine {
 
 }  // namespace pimcomp
 
-#define PIMCOMP_LOG_DEBUG ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kDebug)
+#define PIMCOMP_LOG_DEBUG \
+  ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kDebug)
 #define PIMCOMP_LOG_INFO ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kInfo)
 #define PIMCOMP_LOG_WARN ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kWarn)
-#define PIMCOMP_LOG_ERROR ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kError)
+#define PIMCOMP_LOG_ERROR \
+  ::pimcomp::detail::LogLine(::pimcomp::LogLevel::kError)
 
 #endif  // PIMCOMP_COMMON_LOGGING_HPP

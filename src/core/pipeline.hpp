@@ -29,7 +29,8 @@ inline constexpr const char kLowering[] = "lowering";  ///< backend lowering
 /// Wall-clock seconds elapsed since `start` — shared by every place that
 /// measures a stage (the pipeline's stage loop and the session's
 /// out-of-loop partitioning timing), so they can never diverge.
-inline double seconds_since(const std::chrono::steady_clock::time_point& start) {
+inline double seconds_since(
+    const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
 }

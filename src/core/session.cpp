@@ -50,6 +50,23 @@ constexpr std::size_t kMaxCachedMappings = 128;
 /// registry grows past this, keeping submit() O(1) amortized.
 constexpr std::size_t kJobRegistrySweep = 64;
 
+/// Builds the mapping tier named `tier` (one of mapping_tier_names()).
+std::unique_ptr<CacheStore> make_mapping_tier(std::string_view tier,
+                                              const CacheConfig& cache) {
+  if (tier == cache_sources::kMemory) {
+    return std::make_unique<InMemoryStore>(kMaxCachedMappings);
+  }
+  if (tier == cache_sources::kDisk) return std::make_unique<DiskStore>(cache);
+  // Resolved through the cache/remote_tier.hpp seam so core/ never
+  // includes fleet/ — the concrete RemoteStore registers its factory when
+  // src/fleet/ is linked in.
+  std::unique_ptr<CacheStore> remote = make_remote_tier(cache);
+  PIMCOMP_CHECK(remote != nullptr,
+                "CacheConfig::peers set but no remote cache tier is linked "
+                "into this binary");
+  return remote;
+}
+
 }  // namespace
 
 std::uint64_t combine_fingerprints(std::uint64_t a, std::uint64_t b) {
@@ -284,17 +301,23 @@ class CompilerSession::ObserverGate final : public PipelineObserver {
 
   void on_stage_begin(const StageInfo& info) override {
     RecursiveMutexLock lock(session_->observer_mutex_);
-    if (session_->observer_ != nullptr) session_->observer_->on_stage_begin(info);
+    if (session_->observer_ != nullptr) {
+      session_->observer_->on_stage_begin(info);
+    }
   }
 
   void on_stage_end(const StageInfo& info) override {
     RecursiveMutexLock lock(session_->observer_mutex_);
-    if (session_->observer_ != nullptr) session_->observer_->on_stage_end(info);
+    if (session_->observer_ != nullptr) {
+      session_->observer_->on_stage_end(info);
+    }
   }
 
   void on_cache_hit(const CacheEvent& event) override {
     RecursiveMutexLock lock(session_->observer_mutex_);
-    if (session_->observer_ != nullptr) session_->observer_->on_cache_hit(event);
+    if (session_->observer_ != nullptr) {
+      session_->observer_->on_cache_hit(event);
+    }
   }
 
   void on_cache_store(const CacheEvent& event) override {
@@ -316,22 +339,8 @@ CompilerSession::CompilerSession(Graph graph, HardwareConfig hw,
   graph_fingerprint_ = pimcomp::fingerprint(graph_);
   gate_ = std::make_unique<ObserverGate>(this);
 
-  // Fastest tier first: memory, then this process's disk, then peer
-  // daemons over the wire — each strictly slower and stricter about
-  // revalidation than the one before it.
-  mapping_tiers_.push_back(std::make_unique<InMemoryStore>(kMaxCachedMappings));
-  if (cache_config_.enabled()) {
-    mapping_tiers_.push_back(std::make_unique<DiskStore>(cache_config_));
-  }
-  if (cache_config_.remote_enabled()) {
-    // Resolved through the cache/remote_tier.hpp seam so core/ never
-    // includes fleet/ — the concrete RemoteStore registers its factory
-    // when src/fleet/ is linked in.
-    std::unique_ptr<CacheStore> remote = make_remote_tier(cache_config_);
-    PIMCOMP_CHECK(remote != nullptr,
-                  "CacheConfig::peers set but no remote cache tier is "
-                  "linked into this binary");
-    mapping_tiers_.push_back(std::move(remote));
+  for (const char* tier : mapping_tier_names(cache_config_)) {
+    mapping_tiers_.push_back(make_mapping_tier(tier, cache_config_));
   }
   tier_hits_ = std::vector<std::atomic<std::uint64_t>>(mapping_tiers_.size());
 }
@@ -737,11 +746,22 @@ std::uint64_t CompilerSession::mapping_tier_hits(std::string_view tier) const {
   return 0;
 }
 
+std::vector<const char*> CompilerSession::mapping_tier_names(
+    const CacheConfig& cache) {
+  // Fastest tier first: memory, then this process's disk, then peer
+  // daemons over the wire — each strictly slower and stricter about
+  // revalidation than the one before it.
+  std::vector<const char*> names{cache_sources::kMemory};
+  if (cache.enabled()) names.push_back(cache_sources::kDisk);
+  if (cache.remote_enabled()) names.push_back(cache_sources::kRemote);
+  return names;
+}
+
 std::vector<std::pair<const char*, CacheStoreStats>>
 CompilerSession::mapping_tier_stats() const {
   std::vector<std::pair<const char*, CacheStoreStats>> tiers;
   for (const std::unique_ptr<CacheStore>& tier : mapping_tiers_) {
-    tiers.emplace_back(tier->name(), tier->stats());
+    tiers.emplace_back(tier->name(), tier->counters());
   }
   return tiers;
 }

@@ -166,7 +166,8 @@ class CompileJob {
 
  private:
   friend class CompilerSession;
-  explicit CompileJob(std::shared_ptr<State> state) : state_(std::move(state)) {}
+  explicit CompileJob(std::shared_ptr<State> state)
+      : state_(std::move(state)) {}
 
   std::shared_ptr<State> state_;
 };
@@ -306,9 +307,15 @@ class CompilerSession {
   /// surfaced per-store through PipelineObserver::on_cache_store).
   std::uint64_t mapping_cache_stores() const { return mapping_stores_; }
 
-  /// Per-tier (name, counters) rows of the mapping store, in lookup order:
-  /// always "memory", then "disk" / "remote" as configured. The daemon's
-  /// stats request and `pimcomp_cli cache stats` render these.
+  /// The mapping tiers a session on `cache` walks, in lookup order: always
+  /// "memory", then "disk" / "remote" as configured.
+  static std::vector<const char*> mapping_tier_names(const CacheConfig& cache);
+
+  /// Per-tier (name, CacheStore::counters()) rows of the mapping store, in
+  /// mapping_tier_names() order. No row walks the disk: its entries/bytes
+  /// are 0, because the directory may be shared by every session of a
+  /// daemon and is walked once by whoever renders it (the daemon's stats
+  /// request).
   std::vector<std::pair<const char*, CacheStoreStats>> mapping_tier_stats()
       const;
 

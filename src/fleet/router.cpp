@@ -15,14 +15,6 @@
 
 namespace pimcomp::fleet {
 
-namespace {
-
-std::int64_t message_id(const Json& json) {
-  return json.get("id", static_cast<std::int64_t>(0));
-}
-
-}  // namespace
-
 Router::Router(RouterOptions options) : options_(std::move(options)) {
   if (options_.backends.empty()) {
     throw serve::ServeError("router needs at least one backend endpoint");
@@ -153,7 +145,7 @@ void Router::dispatch_line(serve::LineChannel& client,
         serve::to_json(serve::ErrorMessage{0, e.what()}).dump(-1));
     return;
   }
-  const std::int64_t id = message_id(json);
+  const std::int64_t id = serve::reply_id(json);
   const std::string type = json.get("type", std::string("compile"));
   try {
     if (!options_.auth_token.empty() &&
@@ -204,7 +196,7 @@ void Router::handle_compile(serve::LineChannel& client, Json json) {
       lock.unlock();
       client.write_line(
           serve::to_json(serve::ErrorMessage{
-                             message_id(json),
+                             serve::reply_id(json),
                              "router is draining; retry against another "
                              "instance"})
               .dump(-1));
@@ -226,7 +218,7 @@ void Router::handle_compile(serve::LineChannel& client, Json json) {
 }
 
 void Router::forward_compile(serve::LineChannel& client, Json json) {
-  const std::int64_t id = message_id(json);
+  const std::int64_t id = serve::reply_id(json);
 
   // Content-addressed shard: resolve the request exactly as a daemon would
   // and key on the (graph, hardware) fingerprint, so identical workloads

@@ -144,7 +144,8 @@ std::vector<double> LLFitnessContext::finish_times(
   const std::vector<double> penalties =
       accumulation_penalties(solution, params);
   for (int i = 0; i < count; ++i) {
-    const NodePartition& p = workload_->partitions()[static_cast<std::size_t>(i)];
+    const NodePartition& p =
+        workload_->partitions()[static_cast<std::size_t>(i)];
     // Uninterrupted execution time of the node: every replica processes
     // ceil(windows/R) windows; within one core its AGs share the issue
     // bandwidth, so the per-window interval is f(AGs-of-this-node-in-core).

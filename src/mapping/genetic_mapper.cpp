@@ -527,7 +527,8 @@ MappingSolution GeneticMapper::map(const Workload& workload,
   // so every island keeps at least one elite when any is configured);
   // islands=1 degenerates to the sequential GA's `elite`.
   const int island_elite =
-      config_.elite == 0 ? 0 : (config_.elite + island_count - 1) / island_count;
+      config_.elite == 0 ? 0
+                         : (config_.elite + island_count - 1) / island_count;
 
   auto run_generation = [&](Island& island, int generation) {
     // Cancellation lands within one *island* generation — a population/N

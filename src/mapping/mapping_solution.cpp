@@ -42,7 +42,8 @@ const std::uint64_t* MappingSolution::host_bits(int part) const {
 std::span<const Gene> MappingSolution::genes(int core) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   return {genes_.data() + static_cast<std::size_t>(core) * stride_,
-          static_cast<std::size_t>(gene_count_[static_cast<std::size_t>(core)])};
+          static_cast<std::size_t>(
+              gene_count_[static_cast<std::size_t>(core)])};
 }
 
 bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
@@ -350,8 +351,8 @@ std::string MappingSolution::to_string() const {
       << total_xbars_used() << " crossbars used\n";
   for (const NodePartition& p : workload_->partitions()) {
     oss << "  node " << p.node << " ("
-        << workload_->graph().node(p.node).name << "): R=" << replication(p.node)
-        << " over cores {";
+        << workload_->graph().node(p.node).name
+        << "): R=" << replication(p.node) << " over cores {";
     bool first = true;
     for (int c : cores_of(p.node)) {
       if (!first) oss << ", ";

@@ -164,8 +164,9 @@ Schedule schedule_ht(const MappingSolution& solution,
           }
         }
         if (bytes == 0) continue;
-        auto it = std::find_if(load_bytes.begin(), load_bytes.end(),
-                               [&](const auto& e) { return e.first == g.node; });
+        auto it =
+            std::find_if(load_bytes.begin(), load_bytes.end(),
+                         [&](const auto& e) { return e.first == g.node; });
         if (it == load_bytes.end()) {
           load_bytes.push_back({g.node, bytes});
         } else {
@@ -424,6 +425,7 @@ class HtScheduler : public Scheduler {
 
 }  // namespace
 
-PIMCOMP_REGISTER_SCHEDULER("ht", [] { return std::make_unique<HtScheduler>(); });
+PIMCOMP_REGISTER_SCHEDULER("ht",
+                           [] { return std::make_unique<HtScheduler>(); });
 
 }  // namespace pimcomp

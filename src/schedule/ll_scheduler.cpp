@@ -497,6 +497,7 @@ class LlScheduler : public Scheduler {
 
 }  // namespace
 
-PIMCOMP_REGISTER_SCHEDULER("ll", [] { return std::make_unique<LlScheduler>(); });
+PIMCOMP_REGISTER_SCHEDULER("ll",
+                           [] { return std::make_unique<LlScheduler>(); });
 
 }  // namespace pimcomp

@@ -197,8 +197,10 @@ bool constant_time_equal(const std::string& a, const std::string& b) {
   unsigned char diff = a.size() == b.size() ? 0 : 1;
   const std::size_t steps = std::max(a.size(), b.size());
   for (std::size_t i = 0; i < steps; ++i) {
-    const unsigned char ca = i < a.size() ? static_cast<unsigned char>(a[i]) : 0;
-    const unsigned char cb = i < b.size() ? static_cast<unsigned char>(b[i]) : 0;
+    const unsigned char ca =
+        i < a.size() ? static_cast<unsigned char>(a[i]) : 0;
+    const unsigned char cb =
+        i < b.size() ? static_cast<unsigned char>(b[i]) : 0;
     diff = static_cast<unsigned char>(diff | (ca ^ cb));
   }
   return diff == 0;
@@ -251,7 +253,8 @@ bool LineChannel::fill_from_socket() {
         ::recv(socket_.fd(), chunk, sizeof(chunk), MSG_DONTWAIT);
     if (n > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(n));
-      if (buffer_.size() > kMaxLineBytes && buffer_.find('\n') == std::string::npos) {
+      if (buffer_.size() > kMaxLineBytes &&
+          buffer_.find('\n') == std::string::npos) {
         throw ServeError("frame exceeds " + std::to_string(kMaxLineBytes) +
                          " bytes without a newline");
       }

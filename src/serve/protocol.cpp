@@ -109,6 +109,14 @@ int bounded_int(const Json& json, const char* key, int fallback,
 
 }  // namespace
 
+std::int64_t reply_id(const Json& json) noexcept {
+  try {
+    return require_id(json);
+  } catch (const std::exception&) {
+    return 0;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CompileOptions.
 // ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ struct ScenarioSpec {
 /// and a batch of scenarios compiled through the server's shared
 /// CompilerSession for that (graph, hardware) identity.
 struct CompileRequest {
-  std::int64_t id = 0;            ///< echoed on every response (0: client picks)
+  std::int64_t id = 0;            ///< echoed on each response (0: client picks)
   std::string model;              ///< zoo model name; exclusive with `graph`
   std::optional<Json> graph;      ///< inline PIMCOMP graph JSON
   int input_size = 0;             ///< zoo resolution (0 = canonical)
@@ -184,6 +184,11 @@ CacheGetRequest cache_get_request_from_json(const Json& json);
 /// so an error reply can still read its id).
 CachePutRequest cache_put_request_from_json(Json&& json);
 StatsRequest stats_request_from_json(const Json& json);
+
+/// The id to answer any request frame under: its "id", or 0 when that is
+/// absent or not an exact integer (decoding the request then reports the
+/// bad id itself). Never throws, so an error reply can always be built.
+std::int64_t reply_id(const Json& json) noexcept;
 
 // ---------------------------------------------------------------------------
 // Server -> client.

@@ -28,10 +28,6 @@ namespace {
 
 std::string compact(const Json& json) { return json.dump(-1); }
 
-std::int64_t message_id(const Json& json) {
-  return json.get("id", static_cast<std::int64_t>(0));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -564,14 +560,14 @@ void CompileServer::dispatch_line(
       // constant-time compare — neither the timing nor the message reveals
       // how close the presented token was.
       enqueue_frame(*connection,
-                    to_json(ErrorMessage{message_id(json),
+                    to_json(ErrorMessage{reply_id(json),
                                          "unauthorized: missing or bad auth "
                                          "token"}),
                     /*advisory=*/false);
       return;
     }
     if (type == "ping") {
-      enqueue_frame(*connection, to_json(PongMessage{message_id(json)}),
+      enqueue_frame(*connection, to_json(PongMessage{reply_id(json)}),
                     /*advisory=*/false);
     } else if (type == "compile") {
       handle_compile(connection, json);
@@ -583,7 +579,7 @@ void CompileServer::dispatch_line(
       handle_stats(connection, json);
     } else {
       enqueue_frame(*connection,
-                    to_json(ErrorMessage{message_id(json),
+                    to_json(ErrorMessage{reply_id(json),
                                          "unknown request type '" + type +
                                              "'"}),
                     /*advisory=*/false);
@@ -594,7 +590,7 @@ void CompileServer::dispatch_line(
     // request-level error. (Replies never block or throw — delivery
     // problems surface through the outbound pump's broken flag.)
     enqueue_frame(*connection,
-                  to_json(ErrorMessage{message_id(json), e.what()}),
+                  to_json(ErrorMessage{reply_id(json), e.what()}),
                   /*advisory=*/false);
   }
 }
@@ -631,7 +627,7 @@ ResolvedRequest resolve_compile_request(const CompileRequest& request) {
 
 void CompileServer::handle_compile(
     const std::shared_ptr<Connection>& connection, const Json& json) {
-  std::int64_t id = message_id(json);
+  std::int64_t id = reply_id(json);
 
   // Phase 1 — resolve the request to a session and a scenario batch. Every
   // failure here (malformed request, unknown model, bad hardware) is a
@@ -952,15 +948,18 @@ Json CompileServer::stats_payload() const {
     for (const auto& entry : retired_) entries.push_back(entry);
   }
 
-  // Fixed tier order; hit/miss/store counters sum across every session
-  // (retired sessions' hits happened and still count).
-  std::vector<std::string> order{cache_sources::kMemory};
-  if (options_.cache.enabled()) order.push_back(cache_sources::kDisk);
-  if (options_.cache.remote_enabled()) order.push_back(cache_sources::kRemote);
-  std::unordered_map<std::string, CacheStoreStats> totals;
+  // Rows in the sessions' tier order; hit/miss/store counters sum across
+  // every session (retired sessions' hits happened and still count).
+  std::vector<std::pair<const char*, CacheStoreStats>> totals;
+  for (const char* tier :
+       CompilerSession::mapping_tier_names(options_.cache)) {
+    totals.emplace_back(tier, CacheStoreStats{});
+  }
   for (const std::shared_ptr<SessionEntry>& entry : entries) {
-    for (const auto& [tier, stats] : entry->session.mapping_tier_stats()) {
-      CacheStoreStats& total = totals[tier];
+    const auto tiers = entry->session.mapping_tier_stats();
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      const CacheStoreStats& stats = tiers[i].second;
+      CacheStoreStats& total = totals[i].second;
       total.entries += stats.entries;
       total.bytes += stats.bytes;
       total.hits += stats.hits;
@@ -970,18 +969,18 @@ Json CompileServer::stats_payload() const {
     }
   }
   if (peer_store_ != nullptr) {
-    // Every session's disk tier shares one directory — summing their walks
-    // would count each artifact once per session. One authoritative walk.
+    // Every session's disk tier shares one directory, and their rows skip
+    // the walk: one walk here counts each artifact once. The disk row is
+    // the one after memory.
     const CacheStoreStats disk = peer_store_->stats();
-    totals[cache_sources::kDisk].entries = disk.entries;
-    totals[cache_sources::kDisk].bytes = disk.bytes;
+    totals[1].second.entries = disk.entries;
+    totals[1].second.bytes = disk.bytes;
   }
 
   Json tiers = Json::array();
-  for (const std::string& tier : order) {
-    const CacheStoreStats& stats = totals[tier];
+  for (const auto& [tier, stats] : totals) {
     Json row = Json::object();
-    row["tier"] = Json(tier);
+    row["tier"] = Json(std::string(tier));
     row["entries"] = Json(static_cast<std::int64_t>(stats.entries));
     row["bytes"] = Json(static_cast<std::int64_t>(stats.bytes));
     row["hits"] = Json(static_cast<std::int64_t>(stats.hits));

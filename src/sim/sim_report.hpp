@@ -26,7 +26,7 @@ struct EnergyBreakdown {
 /// dataflow: timing, energy (dynamic + leakage), memory behaviour and
 /// utilization. These numbers feed every figure of the evaluation.
 struct SimReport {
-  // --- Timing -----------------------------------------------------------------
+  // --- Timing ----------------------------------------------------------------
   Picoseconds makespan = 0;            ///< end-to-end finish time
   std::vector<Picoseconds> core_finish;  ///< per-core last-op completion
   std::vector<Picoseconds> core_busy;    ///< per-core busy (non-idle) time
@@ -37,14 +37,14 @@ struct SimReport {
     return makespan > 0 ? 1.0 / to_seconds(makespan) : 0.0;
   }
 
-  // --- Energy ------------------------------------------------------------------
+  // --- Energy ----------------------------------------------------------------
   EnergyBreakdown dynamic_energy;
   Picojoules leakage_energy = 0.0;
   Picojoules total_energy() const {
     return dynamic_energy.total() + leakage_energy;
   }
 
-  // --- Memory -------------------------------------------------------------------
+  // --- Memory ----------------------------------------------------------------
   /// Time-weighted average local-memory occupancy, averaged over the cores
   /// that executed work (paper Fig 10 y-axis).
   double avg_local_memory_bytes = 0.0;
@@ -52,7 +52,7 @@ struct SimReport {
   std::int64_t global_traffic_bytes = 0;  ///< loads + stores + spills
   std::int64_t spill_traffic_bytes = 0;   ///< overflow component of the above
 
-  // --- Counters -----------------------------------------------------------------
+  // --- Counters --------------------------------------------------------------
   std::int64_t mvm_ops = 0;
   std::int64_t vfu_ops = 0;
   std::int64_t comm_messages = 0;

@@ -50,7 +50,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
   const EnergyModel energy(hw_);
   const NocModel noc(hw_);
   const Picoseconds t_mvm = hw_.mvm_latency;
-  const Picoseconds t_issue = hw_.mvm_issue_interval(options_.parallelism_degree);
+  const Picoseconds t_issue =
+      hw_.mvm_issue_interval(options_.parallelism_degree);
   const std::int64_t act_bytes = hw_.activation_bits / 8;
 
   std::vector<CoreState> cs(static_cast<std::size_t>(cores));
@@ -111,7 +112,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
       case OpKind::kStoreGlobal: {
         Picoseconds start = std::max(core.clock, dep);
         start = std::max(start, gmem_free);
-        const Picoseconds dur = bandwidth_time(op.bytes, hw_.global_memory_gbps);
+        const Picoseconds dur =
+            bandwidth_time(op.bytes, hw_.global_memory_gbps);
         gmem_free = start + dur;
         core.clock = start + dur;
         core.last_event = std::max(core.last_event, core.clock);
@@ -126,7 +128,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
       }
       case OpKind::kCommSend: {
         const Picoseconds start = std::max(core.clock, dep);
-        const Picoseconds inject = bandwidth_time(op.bytes, hw_.local_memory_gbps);
+        const Picoseconds inject =
+            bandwidth_time(op.bytes, hw_.local_memory_gbps);
         core.clock = start + inject;
         core.busy += inject;
         const Picoseconds arrival =
@@ -237,7 +240,8 @@ SimReport Simulator::run(const Schedule& schedule) const {
     const Operation& op = program[core.pc];
     execute(c, op);
     ++core.pc;
-    if (op.kind == OpKind::kCommSend && parked[static_cast<std::size_t>(op.peer)]) {
+    if (op.kind == OpKind::kCommSend &&
+        parked[static_cast<std::size_t>(op.peer)]) {
       enqueue(op.peer);
     }
     enqueue(c);
@@ -257,7 +261,7 @@ SimReport Simulator::run(const Schedule& schedule) const {
     }
   }
 
-  // --- Aggregate ---------------------------------------------------------------
+  // --- Aggregate -------------------------------------------------------------
   report.core_finish.resize(static_cast<std::size_t>(cores), 0);
   report.core_busy.resize(static_cast<std::size_t>(cores), 0);
   double usage_sum = 0.0;

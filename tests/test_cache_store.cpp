@@ -340,6 +340,96 @@ TEST(DiskStoreTest, DestructiveOperationsNeverTouchForeignFiles) {
   }
 }
 
+/// On-disk bytes of the largest artifact_entry() the tests below store.
+std::uint64_t artifact_bytes(const std::string& dir) {
+  DiskStore probe(disk_config(dir));
+  probe.store(1, artifact_entry(999));
+  const std::uint64_t bytes = probe.stats().bytes;
+  probe.purge();
+  return bytes;
+}
+
+TEST(DiskStoreTest, SharedDirectoryOvershootIsBoundedAndWalksRestoreIt) {
+  // Two writers of one directory each count only their own bytes between
+  // walks, so together they may overshoot the budget by what each writes
+  // before it next walks — and a walk by either brings it back.
+  TempDir dir;
+  const std::uint64_t one = artifact_bytes(dir.path);
+  ASSERT_GT(one, 0u);
+  const std::uint64_t budget = 16 * one;
+  const std::uint64_t bound = budget + 2 * (budget / 8 + one);
+
+  // Alone, a writer's count is the truth: it never leaves the directory
+  // over budget.
+  {
+    TempDir alone_dir;
+    DiskStore alone(disk_config(alone_dir.path, budget));
+    const DiskStore observer(disk_config(alone_dir.path));  // stats() only
+    for (int n = 100; n < 148; ++n) {
+      ASSERT_TRUE(
+          alone.store(static_cast<std::uint64_t>(n), artifact_entry(n)));
+      EXPECT_LE(observer.stats().bytes, budget) << "after store " << n;
+    }
+    EXPECT_GT(alone.stats().evictions, 0u);
+  }
+
+  DiskStore first(disk_config(dir.path, budget));
+  DiskStore second(disk_config(dir.path, budget));
+  const DiskStore observer(disk_config(dir.path));
+  DiskStore* writers[] = {&first, &second};
+  std::uint64_t overshoots = 0;
+  for (int n = 100; n < 196; ++n) {
+    DiskStore& writer = *writers[n % 2];
+    const std::uint64_t evictions = writer.stats().evictions;
+    ASSERT_TRUE(writer.store(static_cast<std::uint64_t>(n),
+                             artifact_entry(n)));
+    const std::uint64_t total = observer.stats().bytes;
+    EXPECT_LE(total, bound) << "after store " << n;
+    if (total > budget) ++overshoots;
+    // A walk that evicted stopped only once the directory fit.
+    if (writer.stats().evictions > evictions) {
+      EXPECT_LE(total, budget) << "after store " << n;
+    }
+  }
+  EXPECT_GT(overshoots, 0u);  // the drift is real, not just allowed
+  EXPECT_GT(first.stats().evictions, 0u);
+  EXPECT_GT(second.stats().evictions, 0u);
+}
+
+TEST(DiskStoreTest, LowOwnCountStillEvictsOtherWritersFilesOnItsWalk) {
+  TempDir dir;
+  const std::uint64_t one = artifact_bytes(dir.path);
+  const std::uint64_t budget = 16 * one;
+  DiskStore store(disk_config(dir.path, budget));
+  ASSERT_TRUE(store.store(1, artifact_entry(1)));  // first store walks
+
+  // Another writer, unbounded, fills the directory far past the budget.
+  DiskStore other(disk_config(dir.path));
+  for (std::uint64_t key = 100; key < 124; ++key) {
+    ASSERT_TRUE(other.store(key, artifact_entry(static_cast<int>(key))));
+    fs::last_write_time(other.artifact_path(key),
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(2));
+  }
+
+  // `store` counts 3 of its own artifacts, far under budget, and has
+  // written no more than budget / 8 since its walk: no walk yet.
+  ASSERT_TRUE(store.store(2, artifact_entry(2)));
+  ASSERT_TRUE(store.store(3, artifact_entry(3)));
+  EXPECT_EQ(store.stats().evictions, 0u);
+  EXPECT_GT(store.stats().bytes, budget);
+
+  // Past budget / 8 written since its walk, it walks and evicts the other
+  // writer's older files until the directory fits.
+  ASSERT_TRUE(store.store(4, artifact_entry(4)));
+  EXPECT_GT(store.stats().evictions, 0u);
+  EXPECT_LE(store.stats().bytes, budget);
+  EXPECT_FALSE(fs::exists(other.artifact_path(100)));
+  for (std::uint64_t key = 1; key <= 4; ++key) {
+    EXPECT_TRUE(fs::exists(store.artifact_path(key))) << key;
+  }
+}
+
 TEST(DiskStoreTest, ConcurrentStoresAndLoadsAreSafe) {
   TempDir dir;
   DiskStore store(disk_config(dir.path));

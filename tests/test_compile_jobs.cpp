@@ -292,8 +292,9 @@ TEST(CompileJobs, HigherPriorityJumpsTheQueue) {
   }
   JobOptions normal = record("normal");
   normal.priority = 0;
-  CompileJob low = session.submit(Scenario{"normal", tiny_options(2), std::nullopt},
-                                  std::move(normal));
+  CompileJob low =
+      session.submit(Scenario{"normal", tiny_options(2), std::nullopt},
+                     std::move(normal));
   JobOptions urgent = record("urgent");
   urgent.priority = 5;
   CompileJob high = session.submit(

@@ -183,7 +183,8 @@ TEST(LLEdges, EltwisePassesRequirementsThrough) {
   const LLFitnessContext ctx(w);
   // d (partition 2) must have waiting edges to both a and c with identical
   // fractions (the eltwise passes positions through unchanged).
-  const auto& edges = ctx.edges()[static_cast<std::size_t>(w.partition_index(d))];
+  const auto& edges =
+      ctx.edges()[static_cast<std::size_t>(w.partition_index(d))];
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_DOUBLE_EQ(edges[0].waiting_fraction, edges[1].waiting_fraction);
   EXPECT_GT(edges[0].waiting_fraction, 0.0);
@@ -200,7 +201,8 @@ TEST(LLEdges, PoolingStretchesReceptiveField) {
   hw.core_count = 36;
   const Workload w(g, hw);
   const LLFitnessContext ctx(w);
-  const auto& edges = ctx.edges()[static_cast<std::size_t>(w.partition_index(c))];
+  const auto& edges =
+      ctx.edges()[static_cast<std::size_t>(w.partition_index(c))];
   ASSERT_EQ(edges.size(), 1u);
   // c's first window needs pool rows 1..2 -> conv rows 1..4 of 16:
   // the pooled receptive field needs a deeper slice than a direct conv

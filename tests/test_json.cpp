@@ -63,6 +63,29 @@ TEST(JsonValue, GetWithFallback) {
   EXPECT_TRUE(obj.get("flag", true));
 }
 
+TEST(JsonValue, IntegerAccessorsAcceptOnlyExactIntegers) {
+  // Untrusted numbers that are not integers, or do not fit, are refused
+  // instead of rounded or wrapped.
+  for (const char* text :
+       {"1e300", "9.3e18", "0.5", "2.5", "9223372036854775808"}) {
+    const Json number = Json::parse(text);
+    EXPECT_THROW(number.as_int(), JsonError) << text;
+  }
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json::parse("4e3").as_int(), 4000);
+
+  const Json obj =
+      Json::parse(R"({"max": 2147483647, "over": 2147483648, "half": 0.5})");
+  EXPECT_EQ(obj.get("max", 0), std::numeric_limits<int>::max());
+  EXPECT_THROW(obj.get("over", 0), JsonError);
+  EXPECT_EQ(obj.get("over", std::int64_t{0}), std::int64_t{2147483648});
+  EXPECT_THROW(obj.get("half", 0), JsonError);
+  EXPECT_THROW(obj.get("half", std::int64_t{0}), JsonError);
+  EXPECT_THROW(Json::parse(R"({"x": -2147483649})").get("x", 0), JsonError);
+}
+
 TEST(JsonValue, ObjectPreservesInsertionOrder) {
   Json obj = Json::object();
   obj["zebra"] = 1;

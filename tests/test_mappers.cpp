@@ -84,7 +84,8 @@ TEST_F(MapperFixture, GeneticLLModeUsesLLFitness) {
   MapperOptions options;
   options.mode = PipelineMode::kLowLatency;
   MappingSolution s = mapper.map(*workload_, options);
-  const FitnessParams params = FitnessParams::from(hw_, options.parallelism_degree);
+  const FitnessParams params =
+      FitnessParams::from(hw_, options.parallelism_degree);
   const LLFitnessContext ctx(*workload_);
   EXPECT_NEAR(mapper.last_stats().final_best, ctx.evaluate(s, params), 1e-6);
 }

@@ -31,7 +31,9 @@ TEST(Rng, ReseedRestoresStream) {
   std::vector<std::uint64_t> first;
   for (int i = 0; i < 16; ++i) first.push_back(a.next_u64());
   a.reseed(7);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(a.next_u64(), first[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a.next_u64(), first[static_cast<std::size_t>(i)]);
+  }
 }
 
 TEST(Rng, UniformIntInRange) {
@@ -46,7 +48,9 @@ TEST(Rng, UniformIntInRange) {
 TEST(Rng, UniformIntCoversRange) {
   Rng rng(5);
   std::vector<bool> seen(8, false);
-  for (int i = 0; i < 1000; ++i) seen[static_cast<std::size_t>(rng.uniform_int(8))] = true;
+  for (int i = 0; i < 1000; ++i) {
+    seen[static_cast<std::size_t>(rng.uniform_int(8))] = true;
+  }
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
 }
 

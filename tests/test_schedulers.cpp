@@ -122,7 +122,9 @@ TEST_F(SchedulerFixture, HtMemoryPoliciesOrderPeakUsage) {
   const Schedule s_naive = schedule_ht(*solution_, naive);
   const Schedule s_ag = schedule_ht(*solution_, ag);
   std::int64_t peak_naive = 0, peak_ag = 0, spill_naive = 0, spill_ag = 0;
-  for (std::int64_t v : s_naive.peak_local_bytes) peak_naive = std::max(peak_naive, v);
+  for (std::int64_t v : s_naive.peak_local_bytes) {
+    peak_naive = std::max(peak_naive, v);
+  }
   for (std::int64_t v : s_ag.peak_local_bytes) peak_ag = std::max(peak_ag, v);
   for (std::int64_t v : s_naive.spill_bytes) spill_naive += v;
   for (std::int64_t v : s_ag.spill_bytes) spill_ag += v;

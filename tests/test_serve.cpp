@@ -356,6 +356,35 @@ TEST(ServeEndToEnd, DeeplyNestedLineIsAnErrorFrameAndTheConnectionServesOn) {
   server.stop();
 }
 
+TEST(ServeEndToEnd, InexactIntegerIsAnErrorFrameAndTheConnectionServesOn) {
+  ServerOptions options;
+  options.unix_path = unique_socket_path("inexact");
+  CompileServer server(options);
+  server.start();
+
+  // An id that is not an exact integer fails the request, not the
+  // connection; the error frame answers under id 0.
+  serve::LineChannel channel(serve::connect_unix(options.unix_path));
+  for (const char* line : {R"({"type": "stats", "id": 0.5})",
+                           R"({"type": "compile", "id": 1e300, )"
+                           R"("model": "squeezenet", "scenarios": [{}]})"}) {
+    channel.write_line(line);
+    const std::optional<std::string> reply = channel.read_line();
+    ASSERT_TRUE(reply.has_value()) << line;
+    const Json error = Json::parse(*reply);
+    EXPECT_EQ(error.get("type", std::string()), "error") << *reply;
+    EXPECT_EQ(error.get("id", std::int64_t{-1}), 0) << *reply;
+    EXPECT_NE(error.get("error", std::string()).find("exact"),
+              std::string::npos)
+        << *reply;
+  }
+  channel.write_line(R"({"type": "ping", "id": 4})");
+  const std::optional<std::string> pong = channel.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(Json::parse(*pong).get("id", std::int64_t{0}), 4);
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // TCP transport and lifecycle.
 // ---------------------------------------------------------------------------

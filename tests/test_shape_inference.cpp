@@ -29,7 +29,8 @@ TEST(ShapeInference, ConvBasic) {
   Graph g = b.build();
   EXPECT_EQ(g.node(c).output_shape, (TensorShape{16, 32, 32}));
   EXPECT_EQ(g.node(c).weight_params, 3 * 3 * 3 * 16);
-  EXPECT_EQ(g.node(c).macs, static_cast<std::int64_t>(3 * 3 * 3 * 16) * 32 * 32);
+  EXPECT_EQ(g.node(c).macs,
+            static_cast<std::int64_t>(3 * 3 * 3 * 16) * 32 * 32);
 }
 
 TEST(ShapeInference, ConvStridedAndAsymmetric) {

@@ -28,7 +28,8 @@ TEST_F(PrinterFixture, StreamListsOpsWithNodeNames) {
   int busiest = 0;
   std::size_t most = 0;
   for (int c = 0; c < result_->schedule.core_count(); ++c) {
-    const auto n = result_->schedule.programs[static_cast<std::size_t>(c)].size();
+    const auto n =
+        result_->schedule.programs[static_cast<std::size_t>(c)].size();
     if (n > most) {
       most = n;
       busiest = c;
