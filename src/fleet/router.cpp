@@ -1,21 +1,53 @@
 #include "fleet/router.hpp"
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <iostream>
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "common/string_util.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
 namespace pimcomp::fleet {
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+/// One forwarded compile: its client, its thread, the upstream channel of
+/// the current attempt, and what the attempts already relayed. The client
+/// connection owns it, so a client that goes away shuts the upstream down:
+/// the forward unblocks, and the backend sees its client leave and cancels
+/// the jobs.
+struct Router::Relay final : serve::Cancellable {
+  Relay(std::shared_ptr<serve::Connection> client_in, std::int64_t id_in)
+      : client(std::move(client_in)), id(id_in) {}
+
+  void cancel() override {
+    MutexLock lock(mutex);
+    if (upstream != nullptr) upstream->shutdown_both();
+  }
+
+  const std::shared_ptr<serve::Connection> client;
+  const std::int64_t id;  ///< the request's reply id
+  Thread thread;
+  std::atomic<bool> finished{false};  ///< flips under Router::mutex_
+
+  Mutex mutex;
+  std::shared_ptr<serve::LineChannel> upstream PIMCOMP_GUARDED_BY(mutex);
+
+  // Retry bookkeeping (forward thread only): scenarios whose frames already
+  // reached the client.
+  std::unordered_set<int> outcomes_relayed;
+  std::unordered_set<int> artifacts_relayed;
+};
+
+Router::Router(RouterOptions options)
+    : Frontend(options.unix_path, options.host, options.port,
+               serve::kDefaultReaders, options.auth_token),
+      options_(std::move(options)) {
   if (options_.backends.empty()) {
     throw serve::ServeError("router needs at least one backend endpoint");
   }
@@ -31,153 +63,40 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
 Router::~Router() { stop(); }
 
 void Router::start() {
-  listener_ = options_.unix_path.empty()
-                  ? serve::listen_tcp(options_.host, options_.port,
-                                      &bound_port_)
-                  : serve::listen_unix(options_.unix_path);
-  started_ = true;
+  stopping_ = false;
+  Frontend::start();
   if (options_.health_interval_seconds > 0) {
     health_thread_ = Thread([this] { health_loop(); });
   }
-  accept_thread_ = Thread([this] { accept_loop(); });
 }
 
 void Router::stop() {
-  if (!started_) return;
-  started_ = false;
-  stopping_.store(true);
-  listener_.shutdown_both();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Stop accepting, drain(), then cut every connection, which aborts the
+  // forwards still running.
+  Frontend::stop();
   if (health_thread_.joinable()) health_thread_.join();
-
-  // Drain: in-flight compile requests keep streaming for up to the grace
-  // period — new ones are refused once `stopping_` is up — then every
-  // connection is cut (idle clients immediately, stragglers forcibly),
-  // which unwinds the serving threads through a ServeError.
-  std::vector<Thread> client_threads;
+  std::vector<std::shared_ptr<Relay>> in_flight;
   {
     MutexLock lock(mutex_);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::seconds(options_.drain_timeout_seconds);
-    while (active_requests_ > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      drained_.wait_for(mutex_, std::chrono::milliseconds(100));
-    }
-    for (const std::weak_ptr<serve::LineChannel>& weak : live_channels_) {
-      if (std::shared_ptr<serve::LineChannel> channel = weak.lock()) {
-        channel->shutdown_both();
-      }
-    }
-    live_channels_.clear();
-    client_threads = std::move(client_threads_);
-    client_threads_.clear();
+    in_flight.swap(in_flight_);
   }
-  for (Thread& thread : client_threads) {
-    if (thread.joinable()) thread.join();
-  }
-
-  listener_.close();
-  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
+  for (const std::shared_ptr<Relay>& relay : in_flight) relay->thread.join();
 }
 
-std::string Router::endpoint() const {
-  if (!options_.unix_path.empty()) return "unix:" + options_.unix_path;
-  return options_.host + ":" + std::to_string(bound_port_);
-}
-
-// ---------------------------------------------------------------------------
-// Frontend: accept + per-connection serving.
-// ---------------------------------------------------------------------------
-
-void Router::accept_loop() {
-  while (true) {
-    std::optional<serve::Socket> socket;
-    try {
-      socket = serve::accept_connection(listener_, &stopping_);
-    } catch (const std::exception&) {
-      break;  // listener torn down
-    }
-    if (!socket.has_value()) break;
-    connections_accepted_.fetch_add(1);
-    auto channel = std::make_shared<serve::LineChannel>(std::move(*socket));
-    MutexLock lock(mutex_);
-    if (stopping_.load()) break;  // raced with stop(): drop, don't spawn
-    ++active_connections_;
-    live_channels_.push_back(channel);
-    // Thread-per-connection: the router holds no compiler state, so a
-    // connection's cost is one mostly-blocked thread — exited threads are
-    // reclaimed wholesale at stop(). Expired channel entries are swept
-    // here so the vectors track connection churn, not history.
-    live_channels_.erase(
-        std::remove_if(live_channels_.begin(), live_channels_.end(),
-                       [](const std::weak_ptr<serve::LineChannel>& weak) {
-                         return weak.expired();
-                       }),
-        live_channels_.end());
-    client_threads_.emplace_back(
-        [this, channel] { serve_connection(channel); });
-  }
-}
-
-void Router::serve_connection(std::shared_ptr<serve::LineChannel> channel) {
-  try {
-    while (std::optional<std::string> line = channel->read_line()) {
-      if (line->empty()) continue;
-      dispatch_line(*channel, *line);
-    }
-  } catch (const std::exception&) {
-    // Client gone (or cut off by the drain): nothing left to tell it.
-  }
-  channel.reset();  // drop our ref before signalling the drain
+void Router::drain() {
+  // In-flight forwards keep streaming for up to the grace period (the
+  // readers still pump their frames); new ones are refused from here on,
+  // under the same mutex handle() checks `stopping_` under.
   MutexLock lock(mutex_);
-  --active_connections_;
-  drained_.notify_all();
-}
-
-void Router::dispatch_line(serve::LineChannel& client,
-                           const std::string& line) {
-  Json json;
-  try {
-    json = Json::parse(line);
-  } catch (const std::exception& e) {
-    client.write_line(
-        serve::to_json(serve::ErrorMessage{0, e.what()}).dump(-1));
-    return;
-  }
-  const std::int64_t id = serve::reply_id(json);
-  const std::string type = json.get("type", std::string("compile"));
-  try {
-    if (!options_.auth_token.empty() &&
-        !serve::constant_time_equal(json.get("auth", std::string()),
-                                    options_.auth_token)) {
-      client.write_line(
-          serve::to_json(serve::ErrorMessage{id,
-                                             "unauthorized: missing or bad "
-                                             "auth token"})
-              .dump(-1));
-      return;
-    }
-    if (type == "ping") {
-      client.write_line(serve::to_json(serve::PongMessage{id}).dump(-1));
-    } else if (type == "stats") {
-      client.write_line(
-          serve::to_json(serve::StatsMessage{id, stats_payload()}).dump(-1));
-    } else if (type == "compile") {
-      handle_compile(client, std::move(json));
-    } else {
-      // cache_get / cache_put included: the cache tier is daemon-to-daemon,
-      // the router deliberately holds no artifacts to serve or accept.
-      client.write_line(
-          serve::to_json(serve::ErrorMessage{
-                             id, "router does not serve '" + type + "'"})
-              .dump(-1));
-    }
-  } catch (const serve::ServeError&) {
-    throw;  // client-side write failure: let serve_connection close up
-  } catch (const std::exception& e) {
-    client.write_line(
-        serve::to_json(serve::ErrorMessage{id, e.what()}).dump(-1));
+  stopping_ = true;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(options_.drain_timeout_seconds);
+  while (std::chrono::steady_clock::now() < deadline &&
+         std::any_of(in_flight_.begin(), in_flight_.end(),
+                     [](const std::shared_ptr<Relay>& relay) {
+                       return !relay->finished.load();
+                     })) {
+    drained_.wait_for(mutex_, std::chrono::milliseconds(100));
   }
 }
 
@@ -185,41 +104,52 @@ void Router::dispatch_line(serve::LineChannel& client,
 // Compile forwarding.
 // ---------------------------------------------------------------------------
 
-void Router::handle_compile(serve::LineChannel& client, Json json) {
-  // Register with the drain before doing any work: stop() waits for
-  // in-flight forwards (not connections), and refusing here — under the
-  // same mutex the drain loop holds — closes the race where a compile
-  // slips in after the drain decided there was nothing left to wait for.
-  {
-    MutexLock lock(mutex_);
-    if (stopping_.load()) {
-      lock.unlock();
-      client.write_line(
-          serve::to_json(serve::ErrorMessage{
-                             serve::reply_id(json),
-                             "router is draining; retry against another "
-                             "instance"})
-              .dump(-1));
-      return;
-    }
-    ++active_requests_;
-  }
-  try {
-    forward_compile(client, std::move(json));
-  } catch (...) {
-    MutexLock lock(mutex_);
-    --active_requests_;
-    drained_.notify_all();
-    throw;
-  }
+bool Router::handle(const std::string& type,
+                    const std::shared_ptr<serve::Connection>& connection,
+                    Json& json) {
+  // cache_get / cache_put included: the cache tier is daemon-to-daemon,
+  // the router deliberately holds no artifacts to serve or accept.
+  if (type != "compile") return false;
+  auto relay = std::make_shared<Relay>(connection, serve::reply_id(json));
+  connection->own(relay);
   MutexLock lock(mutex_);
-  --active_requests_;
-  drained_.notify_all();
+  if (stopping_.load()) {
+    lock.unlock();
+    connection->enqueue_frame(serve::to_json(serve::ErrorMessage{
+        relay->id, "router is draining; retry against another instance"}));
+    return true;
+  }
+  // Join and sweep the finished forwards, so the list tracks in-flight
+  // requests rather than history.
+  for (std::shared_ptr<Relay>& other : in_flight_) {
+    if (other->finished.load()) {
+      other->thread.join();
+      other = nullptr;
+    }
+  }
+  std::erase(in_flight_, nullptr);
+  in_flight_.reserve(in_flight_.size() + 1);  // no throw once it runs
+  // The thread cannot flip `finished` before it is stored: that takes
+  // mutex_, held here. Its own reference is never the last one: entries
+  // leave in_flight_ only once joined.
+  relay->thread = Thread([this, relay, json = std::move(json)]() mutable {
+    try {
+      forward_compile(*relay, std::move(json));
+    } catch (const std::exception& e) {
+      // Escaping the thread would end the process; it ends the request.
+      relay->client->enqueue_frame(
+          serve::to_json(serve::ErrorMessage{relay->id, e.what()}));
+    }
+    relay->cancel();  // hang up on the last backend now, not at the sweep
+    MutexLock done(mutex_);
+    relay->finished = true;
+    drained_.notify_all();
+  });
+  in_flight_.push_back(std::move(relay));
+  return true;
 }
 
-void Router::forward_compile(serve::LineChannel& client, Json json) {
-  const std::int64_t id = serve::reply_id(json);
-
+void Router::forward_compile(Relay& relay, Json json) {
   // Content-addressed shard: resolve the request exactly as a daemon would
   // and key on the (graph, hardware) fingerprint, so identical workloads
   // always land on the same backend's warm session and caches. Requests
@@ -258,97 +188,82 @@ void Router::forward_compile(serve::LineChannel& client, Json json) {
     }
   }
 
-  std::unordered_set<int> outcomes_relayed;
-  std::unordered_set<int> artifacts_relayed;
   bool first_attempt = true;
   for (const std::size_t index : order) {
     Backend& backend = *backends_[index];
     backend.requests.fetch_add(1);
     if (!first_attempt) backend.retries.fetch_add(1);
     first_attempt = false;
-    if (forward(backend, line, client, outcomes_relayed,
-                artifacts_relayed) == Forward::kRelayed) {
-      requests_served_.fetch_add(1);
-      return;
-    }
+    if (forward(backend, line, relay)) return;
     backend.failures.fetch_add(1);
     backend.healthy.store(false);
   }
-  client.write_line(
-      serve::to_json(serve::ErrorMessage{
-                         id, "no backend completed the request (" +
-                                 std::to_string(backends_.size()) +
-                                 " tried)"})
-          .dump(-1));
+  relay.client->enqueue_frame(serve::to_json(serve::ErrorMessage{
+      relay.id, "no backend completed the request (" +
+                    std::to_string(backends_.size()) + " tried)"}));
 }
 
-Router::Forward Router::forward(Backend& backend, const std::string& line,
-                                serve::LineChannel& client,
-                                std::unordered_set<int>& outcomes_relayed,
-                                std::unordered_set<int>& artifacts_relayed) {
-  bool writing_to_client = false;
+bool Router::forward(Backend& backend, const std::string& line,
+                     Relay& relay) {
   try {
     serve::Socket socket = serve::connect_endpoint(backend.endpoint);
     socket.set_recv_timeout(options_.backend_timeout_seconds);
     socket.set_send_timeout(options_.backend_timeout_seconds);
-    serve::LineChannel upstream(std::move(socket));
-    upstream.write_line(line);
+    auto upstream = std::make_shared<serve::LineChannel>(std::move(socket));
+    {
+      MutexLock lock(relay.mutex);
+      relay.upstream = upstream;
+    }
+    // A disconnect sets `broken` before it cancels: either its cancel shuts
+    // this upstream down, or it is seen here.
+    if (relay.client->broken()) return true;
+    upstream->write_line(line);
 
-    while (std::optional<std::string> reply = upstream.read_line()) {
+    while (std::optional<std::string> reply = upstream->read_line()) {
       const Json frame = Json::parse(*reply);
       const std::string type = frame.get("type", std::string());
       // Retry bookkeeping: a scenario whose outcome was already relayed
       // from a backend that later died must not reach the client twice
       // when the retry recompiles it — nor re-announce its progress.
-      if (type == "outcome") {
-        if (!outcomes_relayed.insert(frame.get("index", -1)).second) {
-          continue;
-        }
-      } else if (type == "artifact") {
-        if (!artifacts_relayed.insert(frame.get("index", -1)).second) {
-          continue;
-        }
-      } else if (type == "event" || type == "cache_hit") {
-        if (outcomes_relayed.count(frame.get("index", -1)) != 0) continue;
+      const int index = frame.get("index", -1);
+      if ((type == "outcome" && !relay.outcomes_relayed.insert(index).second) ||
+          (type == "artifact" &&
+           !relay.artifacts_relayed.insert(index).second) ||
+          (type == "event" && relay.outcomes_relayed.count(index) != 0)) {
+        continue;
       }
-      writing_to_client = true;
-      client.write_line(*reply);
-      writing_to_client = false;
+      if (relay.client->broken()) return true;
       // `done` ends the request; an `error` frame is a deterministic
       // request-level verdict — retrying it elsewhere would just repeat
-      // the same failure against the same content-addressed request.
-      if (type == "done" || type == "error") return Forward::kRelayed;
+      // the same failure against the same content-addressed request. The
+      // counter ticks before the enqueue, as on the daemon.
+      const bool terminal = type == "done" || type == "error";
+      if (terminal) requests_served_.fetch_add(1);
+      relay.client->enqueue_line(std::move(*reply),
+                                 /*advisory=*/type == "event");
+      if (terminal) return true;
     }
-    return Forward::kBackendDied;  // EOF before a terminal frame
   } catch (const std::exception&) {
-    if (writing_to_client) throw;  // the *client* died: abort the request
-    return Forward::kBackendDied;
   }
+  // EOF, error or timeout before a terminal frame — or the client went
+  // away and its disconnect shut the upstream down.
+  return relay.client->broken();
 }
 
 // ---------------------------------------------------------------------------
 // Health probing + stats.
 // ---------------------------------------------------------------------------
 
-bool Router::probe(Backend& backend) {
+bool Router::probe(const Backend& backend) const {
   try {
-    serve::Socket socket = serve::connect_endpoint(backend.endpoint);
-    socket.set_recv_timeout(options_.health_timeout_seconds);
-    socket.set_send_timeout(options_.health_timeout_seconds);
-    serve::LineChannel channel(std::move(socket));
-    serve::PingRequest ping;
-    ping.id = 1;
-    ping.auth = options_.auth_token;
-    channel.write_line(serve::to_json(ping).dump(-1));
-    while (std::optional<std::string> reply = channel.read_line()) {
-      const Json frame = Json::parse(*reply);
-      const std::string type = frame.get("type", std::string());
-      if (type == "pong") return true;
-      if (type == "error") return false;
-    }
+    serve::CompileClient client =
+        serve::CompileClient::connect(backend.endpoint);
+    client.set_timeout(options_.health_timeout_seconds);
+    client.set_auth_token(options_.auth_token);
+    return client.ping();
   } catch (const std::exception&) {
+    return false;
   }
-  return false;
 }
 
 void Router::health_loop() {
@@ -385,7 +300,7 @@ Json Router::stats_payload() const {
   payload["requests_served"] =
       Json(static_cast<std::int64_t>(requests_served_.load()));
   payload["connections"] =
-      Json(static_cast<std::int64_t>(connections_accepted_.load()));
+      Json(static_cast<std::int64_t>(connections_accepted()));
   payload["backends"] = std::move(rows);
   return payload;
 }

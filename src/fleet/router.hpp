@@ -5,12 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/thread_annotations.hpp"
-#include "serve/net.hpp"
+#include "serve/frontend.hpp"
 
 namespace pimcomp::fleet {
 
@@ -45,12 +44,14 @@ struct RouterOptions {
 
 /// pimcomp_router — a thin front daemon for a pimcompd fleet.
 ///
-/// Speaks the same newline-delimited JSON protocol as pimcompd on its
-/// frontend socket, but holds no compiler state: every compile request is
-/// forwarded to one backend daemon and its event/outcome/artifact/done
-/// frames are relayed back verbatim (ids untouched, so the client cannot
-/// tell the difference; the backend also answers a request declaring a
-/// foreign protocol version, so that one-line error is relayed too).
+/// Speaks the same newline-delimited JSON protocol as pimcompd on the same
+/// serve::Frontend (reader pool, outbound queues, slow-client reaping,
+/// request preamble), but holds no compiler state: every compile request
+/// is forwarded to one backend daemon, on a thread of its own, and its
+/// event/outcome/artifact/done frames are relayed back verbatim onto the
+/// client's outbound queue (ids untouched, so the client cannot tell the
+/// difference; the backend also answers a request declaring a foreign
+/// protocol version, so that one-line error is relayed too).
 ///
 /// Sharding is content-addressed: the request is resolved exactly like a
 /// daemon would resolve it (serve::resolve_compile_request) and the
@@ -65,21 +66,19 @@ struct RouterOptions {
 /// safe, and outcome/artifact frames already relayed are deduplicated by
 /// scenario index so the client never sees a scenario twice. A backend
 /// *error frame* is terminal (relayed, no retry): request-level errors are
-/// deterministic and would just repeat. A health thread pings every
-/// backend on a fixed cadence so dead backends are skipped before a
-/// client ever waits on them.
+/// deterministic and would just repeat. A client that goes away aborts
+/// its forwards: the upstream connections close, so the backends cancel
+/// the jobs. A health thread pings every backend on a fixed cadence so
+/// dead backends are skipped before a client ever waits on them.
 ///
 /// stop() drains: the listener closes, new compile requests are refused
-/// with an error frame, in-flight requests get `drain_timeout_seconds` to
-/// finish, then every connection (idle ones immediately, stragglers after
-/// the grace) is cut off.
-class Router {
+/// with an error frame, in-flight forwards get `drain_timeout_seconds` to
+/// finish, then every connection is cut, which aborts the stragglers'
+/// forwards too.
+class Router final : public serve::Frontend {
  public:
   explicit Router(RouterOptions options);
-  ~Router();
-
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
+  ~Router() override;
 
   /// Binds the frontend, starts the health prober and the accept loop.
   void start();
@@ -87,17 +86,11 @@ class Router {
   /// Graceful drain, then teardown. Idempotent.
   void stop();
 
-  /// "unix:PATH" or "host:port" (with the ephemeral port resolved).
-  std::string endpoint() const;
-
   std::uint64_t requests_served() const { return requests_served_.load(); }
-  std::uint64_t connections_accepted() const {
-    return connections_accepted_.load();
-  }
 
   /// The `stats` reply: {"role":"router","backends":[{endpoint, healthy,
   /// requests, retries, failures}, ...], ...}.
-  Json stats_payload() const;
+  Json stats_payload() const override;
 
  private:
   struct Backend {
@@ -109,53 +102,39 @@ class Router {
     std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> failures{0};
   };
+  struct Relay;
 
-  /// What one forwarding attempt concluded about the request (not the
-  /// backend): kRelayed means the client got a terminal frame (done or
-  /// error) and the request is over; kBackendDied means the backend went
-  /// away mid-request and the caller should retry elsewhere.
-  enum class Forward { kRelayed, kBackendDied };
-
-  void accept_loop();
-  void serve_connection(std::shared_ptr<serve::LineChannel> channel);
-  void dispatch_line(serve::LineChannel& client, const std::string& line);
-  void handle_compile(serve::LineChannel& client, Json json);
-  void forward_compile(serve::LineChannel& client, Json json);
-  Forward forward(Backend& backend, const std::string& line,
-                  serve::LineChannel& client,
-                  std::unordered_set<int>& outcomes_relayed,
-                  std::unordered_set<int>& artifacts_relayed);
+  /// Spawns the forward of a compile request; refuses it while draining.
+  bool handle(const std::string& type,
+              const std::shared_ptr<serve::Connection>& connection,
+              Json& json) override;
+  /// Waits up to drain_timeout_seconds for in-flight forwards.
+  void drain() override;
+  void forward_compile(Relay& relay, Json json);
+  /// One forwarding attempt. True when the request is over: the client got
+  /// a terminal frame (done or error), or is gone. False when the backend
+  /// went away mid-request and the caller should retry elsewhere.
+  bool forward(Backend& backend, const std::string& line, Relay& relay);
   void health_loop();
-  bool probe(Backend& backend);
+  bool probe(const Backend& backend) const;
 
   const RouterOptions options_;
   std::vector<std::unique_ptr<Backend>> backends_;
   /// Shard fallback for requests whose fingerprint cannot be computed.
   std::atomic<std::uint64_t> rotation_{0};
 
-  serve::Socket listener_;
-  int bound_port_ = -1;
   std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  Thread accept_thread_;
   Thread health_thread_;
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar drained_;
-  std::vector<Thread> client_threads_ PIMCOMP_GUARDED_BY(mutex_);
-  /// Live client channels, for cutting off stragglers after the drain
-  /// grace. Weak: the serving thread owns the channel's lifetime.
-  std::vector<std::weak_ptr<serve::LineChannel>> live_channels_
-      PIMCOMP_GUARDED_BY(mutex_);
-  std::size_t active_connections_ PIMCOMP_GUARDED_BY(mutex_) = 0;
-  /// In-flight compile forwards. This — not open connections — is what
-  /// stop() drains: an idle client holding a connection open must not
-  /// stall teardown for the full grace period.
-  std::size_t active_requests_ PIMCOMP_GUARDED_BY(mutex_) = 0;
+  /// In-flight forwards. This — not open connections — is what stop()
+  /// drains: an idle client holding a connection open must not stall
+  /// teardown for the full grace period. Finished entries are joined and
+  /// swept as new forwards start.
+  std::vector<std::shared_ptr<Relay>> in_flight_ PIMCOMP_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
 };
 
 /// CLI frontend (the body of the pimcomp_router binary):

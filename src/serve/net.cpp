@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -89,7 +90,11 @@ void Socket::set_recv_timeout(int seconds) {
 }
 
 Socket listen_unix(const std::string& path) {
-  const sockaddr_un addr = unix_address(path);
+  unix_address(path);  // validates the length
+  // Bound and listening under a temporary sibling name first, then renamed
+  // into place: the path never exists while connects to it are refused.
+  const std::string temp = path + "." + std::to_string(::getpid()) + ".tmp";
+  const sockaddr_un addr = unix_address(temp);
   Socket socket(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!socket.valid()) throw_errno("socket(AF_UNIX)");
   struct stat st {};
@@ -101,8 +106,8 @@ Socket listen_unix(const std::string& path) {
       throw ServeError("'" + path +
                        "' exists and is not a socket; refusing to replace it");
     }
-    // Only remove the socket if nothing answers a connect probe (a daemon
-    // that died uncleanly): unlinking a *live* daemon's endpoint would
+    // Only replace the socket if nothing answers a connect probe (a daemon
+    // that died uncleanly): taking over a *live* daemon's endpoint would
     // silently steal its address.
     bool live = false;
     try {
@@ -115,13 +120,19 @@ Socket listen_unix(const std::string& path) {
                        "' already has a listening daemon; stop it first or "
                        "pick another socket path");
     }
-    ::unlink(path.c_str());
   }
+  ::unlink(temp.c_str());  // left over by a process that died here
   if (::bind(socket.fd(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
-    throw_errno("bind('" + path + "')");
+    throw_errno("bind('" + temp + "')");
   }
-  if (::listen(socket.fd(), SOMAXCONN) != 0) throw_errno("listen");
+  if (::listen(socket.fd(), SOMAXCONN) != 0 ||
+      ::rename(temp.c_str(), path.c_str()) != 0) {
+    const int error = errno;
+    ::unlink(temp.c_str());
+    errno = error;
+    throw_errno("listen('" + path + "')");
+  }
   return socket;
 }
 

@@ -51,8 +51,10 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Listener factories. `listen_unix` removes a stale socket file at `path`
-/// first (a previous daemon that died without cleanup); `listen_tcp` binds
+/// Listener factories. `listen_unix` listens under a temporary sibling
+/// name and renames it onto `path`, so the path exists only once connects
+/// succeed; it replaces a stale socket file there (a previous daemon that
+/// died without cleanup) but nothing else. `listen_tcp` binds
 /// `host:port` and reports the actually-bound port (ephemeral port 0
 /// resolution) through `bound_port` when non-null. Both throw ServeError.
 Socket listen_unix(const std::string& path);

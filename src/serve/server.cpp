@@ -1,15 +1,12 @@
 #include "serve/server.hpp"
 
 #include <csignal>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <exception>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -24,60 +21,35 @@
 
 namespace pimcomp::serve {
 
-namespace {
-
-std::string compact(const Json& json) { return json.dump(-1); }
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Per-connection / per-request state.
+// Per-request / per-session state.
 // ---------------------------------------------------------------------------
-
-/// One client connection. The pinned reader owns both socket directions:
-/// it parses inbound lines, and it pumps the outbound frame queue with
-/// non-blocking sends when poll(2) reports writability — producers
-/// (session workers finishing jobs, the event router, the reader itself
-/// answering pings) only enqueue. That is what keeps one stalled client
-/// from ever blocking a session worker: the expensive threads never touch
-/// a socket. `broken` is the one-way "this peer is gone or not reading"
-/// latch: the pump sets it on send errors, outbound overflow, or stalls,
-/// and the owning reader observes it and disconnects (cancelling the
-/// connection's outstanding jobs).
-struct CompileServer::Connection {
-  explicit Connection(Socket socket) : channel(std::move(socket)) {}
-
-  LineChannel channel;
-  std::atomic<bool> broken{false};
-  Reader* reader = nullptr;  ///< pinned reader, for outbound wakeups
-
-  Mutex mutex;
-  std::vector<std::weak_ptr<RequestState>> requests PIMCOMP_GUARDED_BY(mutex);
-
-  // Outbound frame queue. Frames carry their trailing '\n'; `offset` is how
-  // much of the front frame already went out; `last_progress` drives the
-  // stall timeout.
-  Mutex out_mutex;
-  std::deque<std::string> outbound PIMCOMP_GUARDED_BY(out_mutex);
-  std::size_t out_bytes PIMCOMP_GUARDED_BY(out_mutex) = 0;
-  std::size_t offset PIMCOMP_GUARDED_BY(out_mutex) = 0;
-  std::chrono::steady_clock::time_point last_progress
-      PIMCOMP_GUARDED_BY(out_mutex){};
-
-  /// Advisory frames (progress events) are dropped once this much output
-  /// is already queued — a slow reader loses progress, never outcomes.
-  static constexpr std::size_t kAdvisoryBudget = 4u << 20;
-  /// Hard cap: a peer that reads nothing while mandatory frames pile past
-  /// this is declared broken (bounds a hostile/stuck client's memory cost).
-  static constexpr std::size_t kOutboundCap = 256u << 20;
-};
 
 /// One in-flight compile request: N jobs fanning into an in-order outcome
 /// stream. Outcome frames are emitted strictly in scenario-enqueue order
 /// (a finished-early job parks in `ready` until its turn), so the wire
 /// contract — events*, outcomes in index order, done — survives the
-/// job-granular concurrency underneath.
-struct CompileServer::RequestState {
+/// job-granular concurrency underneath. Its connection cancels it on
+/// disconnect.
+struct CompileServer::RequestState final : Cancellable {
+  explicit RequestState(CompileServer& server_in) : server(server_in) {}
+
+  /// Cancels the still-outstanding jobs (counted in jobs_cancelled_).
+  void cancel() override {
+    std::vector<CompileJob> snapshot;
+    {
+      MutexLock lock(mutex);
+      snapshot = jobs;
+    }
+    // cancel() outside the request lock: a still-queued job may finalize
+    // (and re-enter this request's bookkeeping via its completion
+    // callback) on another thread while we iterate.
+    for (const CompileJob& job : snapshot) {
+      if (job.cancel()) ++server.jobs_cancelled_;
+    }
+  }
+
+  CompileServer& server;
   std::shared_ptr<Connection> connection;
   std::shared_ptr<SessionEntry> entry;  ///< keeps the session alive
   std::int64_t id = 0;
@@ -99,10 +71,10 @@ struct CompileServer::RequestState {
   int artifact_count PIMCOMP_GUARDED_BY(mutex) = 0;
   bool done_handled PIMCOMP_GUARDED_BY(mutex) = false;
 
-  /// Serializes the pop-and-write sequence so two workers finishing jobs
+  /// Serializes the pop-and-enqueue sequence so two workers finishing jobs
   /// back-to-back cannot interleave their in-order frame runs. Never held
-  /// together with `mutex` across a write (writes block up to the send
-  /// timeout; `mutex` must stay cheap for cancellation paths).
+  /// together with `mutex` across an enqueue (`mutex` must stay cheap for
+  /// cancellation paths).
   Mutex emit_mutex;
 };
 
@@ -117,23 +89,6 @@ struct CompileServer::SessionEntry {
   CompilerSession session;
   JobRouter router;
   std::atomic<std::uint64_t> next_tag{1};
-};
-
-/// One reader of the fixed pool: a thread multiplexing its pinned
-/// connections via poll(2), woken through a self-pipe when the accept loop
-/// hands it a new connection or stop() flips the flag.
-struct CompileServer::Reader {
-  ~Reader() {
-    if (wake_read >= 0) ::close(wake_read);
-    if (wake_write >= 0) ::close(wake_write);
-  }
-
-  Thread thread;
-  int wake_read = -1;
-  int wake_write = -1;
-
-  Mutex mutex;
-  std::vector<std::shared_ptr<Connection>> incoming PIMCOMP_GUARDED_BY(mutex);
 };
 
 // ---------------------------------------------------------------------------
@@ -163,94 +118,12 @@ void CompileServer::JobRouter::on_event(const PipelineEvent& event) {
     connection = it->second.connection.lock();
     request_id = it->second.request_id;
   }
-  if (connection == nullptr ||
-      connection->broken.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (connection == nullptr || connection->broken()) return;
   // Progress events are advisory: a slow reader loses events (the outbound
   // queue drops them past its advisory budget), never outcomes — and this
   // enqueue never blocks the pipeline that is calling us.
-  enqueue_frame(*connection, to_json(EventMessage{request_id, event}),
-                /*advisory=*/true);
-}
-
-// ---------------------------------------------------------------------------
-// Outbound pumping.
-// ---------------------------------------------------------------------------
-
-void CompileServer::enqueue_frame(Connection& connection, const Json& json,
-                                  bool advisory) {
-  std::string line;
-  try {
-    line = compact(json);
-  } catch (const std::exception&) {
-    // Serialization failure (allocation) of a mandatory frame: the stream
-    // would be missing a frame the client waits on, so the connection is
-    // declared broken rather than silently incomplete.
-    if (!advisory) {
-      connection.broken.store(true, std::memory_order_relaxed);
-      connection.channel.shutdown_both();
-    }
-    return;
-  }
-  line.push_back('\n');
-
-  bool wake = false;
-  {
-    MutexLock lock(connection.out_mutex);
-    if (connection.broken.load(std::memory_order_relaxed)) return;
-    if (advisory && connection.out_bytes > Connection::kAdvisoryBudget) {
-      return;  // slow reader: drop progress, keep outcomes
-    }
-    if (connection.out_bytes > Connection::kOutboundCap) {
-      connection.broken.store(true, std::memory_order_relaxed);
-      connection.channel.shutdown_both();
-      return;
-    }
-    if (connection.outbound.empty()) {
-      connection.last_progress = std::chrono::steady_clock::now();
-      wake = true;  // the reader needs to start polling POLLOUT
-    }
-    connection.out_bytes += line.size();
-    connection.outbound.push_back(std::move(line));
-  }
-  if (wake && connection.reader != nullptr) wake_reader(*connection.reader);
-}
-
-void CompileServer::pump_outbound(Connection& connection) {
-  MutexLock lock(connection.out_mutex);
-  while (!connection.outbound.empty()) {
-    const std::string& front = connection.outbound.front();
-    const ssize_t n =
-        ::send(connection.channel.fd(), front.data() + connection.offset,
-               front.size() - connection.offset,
-               MSG_DONTWAIT | MSG_NOSIGNAL);
-    if (n > 0) {
-      connection.offset += static_cast<std::size_t>(n);
-      connection.last_progress = std::chrono::steady_clock::now();
-      if (connection.offset == front.size()) {
-        connection.out_bytes -= front.size();
-        connection.outbound.pop_front();
-        connection.offset = 0;
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EPIPE / ECONNRESET / shutdown: the peer is gone.
-    connection.broken.store(true, std::memory_order_relaxed);
-    break;
-  }
-}
-
-bool CompileServer::outbound_stalled(Connection& connection) const {
-  MutexLock lock(connection.out_mutex);
-  if (connection.outbound.empty()) return false;
-  const double stalled_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               connection.last_progress)
-                               .count();
-  return stalled_s > options_.send_timeout_seconds;
+  connection->enqueue_frame(to_json(EventMessage{request_id, event}),
+                            /*advisory=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,10 +131,10 @@ bool CompileServer::outbound_stalled(Connection& connection) const {
 // ---------------------------------------------------------------------------
 
 CompileServer::CompileServer(ServerOptions options)
-    : options_(std::move(options)) {
+    : Frontend(options.unix_path, options.host, options.port, options.readers,
+               options.auth_token),
+      options_(std::move(options)) {
   options_.max_sessions = std::max<std::size_t>(options_.max_sessions, 1);
-  options_.readers = std::max(options_.readers, 1);
-  options_.send_timeout_seconds = std::max(options_.send_timeout_seconds, 1);
   if (options_.cache.enabled()) {
     // The store peers read from (cache_get) and push into (cache_put).
     // Constructing it is free — DiskStore touches the filesystem lazily.
@@ -271,94 +144,12 @@ CompileServer::CompileServer(ServerOptions options)
 
 CompileServer::~CompileServer() { stop(); }
 
-void CompileServer::start() {
-  MutexLock lock(lifecycle_mutex_);
-  if (running_) throw ServeError("compile server is already running");
-  if (!options_.unix_path.empty()) {
-    listener_ = listen_unix(options_.unix_path);
-    bound_port_ = 0;
-  } else {
-    listener_ = listen_tcp(options_.host, options_.port, &bound_port_);
-  }
-  accept_stop_ = false;
-  reader_stop_ = false;
-  stop_requested_ = false;
-
-  readers_.clear();
-  next_reader_ = 0;
-  for (int i = 0; i < options_.readers; ++i) {
-    auto reader = std::make_unique<Reader>();
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      // Unwind the readers already spawned: destroying a joinable
-      // std::thread is std::terminate, so a half-started server must stop
-      // and join them before reporting the failure.
-      reader_stop_ = true;
-      for (const std::unique_ptr<Reader>& started : readers_) {
-        wake_reader(*started);
-      }
-      for (const std::unique_ptr<Reader>& started : readers_) {
-        if (started->thread.joinable()) started->thread.join();
-      }
-      readers_.clear();
-      reader_stop_ = false;
-      listener_.close();
-      throw ServeError("pipe(reader wakeup) failed");
-    }
-    ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-    ::fcntl(fds[1], F_SETFL, O_NONBLOCK);
-    reader->wake_read = fds[0];
-    reader->wake_write = fds[1];
-    Reader* raw = reader.get();
-    reader->thread = Thread([this, raw] { reader_loop(*raw); });
-    readers_.push_back(std::move(reader));
-  }
-
-  running_ = true;
-  accept_thread_ = Thread([this] { accept_loop(); });
-}
-
 void CompileServer::stop() {
-  {
-    MutexLock lock(lifecycle_mutex_);
-    if (!running_) return;
-    if (stop_requested_) {
-      // Another thread is tearing down; wait for it to finish.
-      while (running_) stopped_.wait(lifecycle_mutex_);
-      return;
-    }
-    stop_requested_ = true;
-  }
-
-  accept_stop_ = true;
-  listener_.shutdown_both();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-
-  // Stop the reader pool, then cut every connection: pending client reads
-  // see EOF, worker writes fail fast, all outstanding jobs get cancelled.
-  reader_stop_ = true;
-  for (const std::unique_ptr<Reader>& reader : readers_) wake_reader(*reader);
-  for (const std::unique_ptr<Reader>& reader : readers_) {
-    if (reader->thread.joinable()) reader->thread.join();
-  }
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    MutexLock lock(conn_mutex_);
-    for (const std::weak_ptr<Connection>& weak : connections_) {
-      if (std::shared_ptr<Connection> connection = weak.lock()) {
-        connections.push_back(std::move(connection));
-      }
-    }
-    connections_.clear();
-  }
-  for (const std::shared_ptr<Connection>& connection : connections) {
-    disconnect(connection);
-  }
+  Frontend::stop();
 
   // Drain the sessions while the registry still holds them: cancelled jobs
-  // finalize quickly, their completion callbacks run (writes fail fast on
-  // the shut-down sockets), and — because the pool destroys each task
+  // finalize quickly, their completion callbacks run (enqueues onto the
+  // cut connections are no-ops), and — because the pool destroys each task
   // closure before counting it done — no worker still holds a RequestState
   // (and through it a SessionEntry) once wait_jobs_idle() returns. Only
   // then is it safe to drop the registry references and destroy sessions
@@ -383,27 +174,6 @@ void CompileServer::stop() {
     session_order_.clear();
     retired_.clear();
   }
-  entries.clear();
-  connections.clear();
-  readers_.clear();
-
-  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
-
-  {
-    MutexLock lock(lifecycle_mutex_);
-    running_ = false;
-  }
-  stopped_.notify_all();
-}
-
-void CompileServer::wait() {
-  MutexLock lock(lifecycle_mutex_);
-  while (running_) stopped_.wait(lifecycle_mutex_);
-}
-
-std::string CompileServer::endpoint() const {
-  if (!options_.unix_path.empty()) return "unix:" + options_.unix_path;
-  return options_.host + ":" + std::to_string(bound_port_);
 }
 
 std::size_t CompileServer::session_count() const {
@@ -411,188 +181,19 @@ std::size_t CompileServer::session_count() const {
   return sessions_.size();
 }
 
-// ---------------------------------------------------------------------------
-// Accepting and reading.
-// ---------------------------------------------------------------------------
-
-void CompileServer::accept_loop() {
-  for (;;) {
-    std::optional<Socket> socket;
-    try {
-      socket = accept_connection(listener_, &accept_stop_);
-    } catch (const ServeError&) {
-      break;  // listener torn down underneath us
-    }
-    if (!socket.has_value()) break;
-    ++connections_accepted_;
-
-    auto connection = std::make_shared<Connection>(std::move(*socket));
-    {
-      MutexLock lock(conn_mutex_);
-      connections_.erase(
-          std::remove_if(connections_.begin(), connections_.end(),
-                         [](const std::weak_ptr<Connection>& weak) {
-                           return weak.expired();
-                         }),
-          connections_.end());
-      connections_.push_back(connection);
-    }
-
-    // Pin the connection to a reader round-robin; the reader owns both
-    // socket directions from here on (inbound parsing, outbound pumping).
-    Reader& reader = *readers_[next_reader_++ % readers_.size()];
-    connection->reader = &reader;
-    {
-      MutexLock lock(reader.mutex);
-      reader.incoming.push_back(std::move(connection));
-    }
-    wake_reader(reader);
+bool CompileServer::handle(const std::string& type,
+                           const std::shared_ptr<Connection>& connection,
+                           Json& json) {
+  if (type == "compile") {
+    handle_compile(connection, json);
+  } else if (type == "cache_get") {
+    handle_cache_get(*connection, json);
+  } else if (type == "cache_put") {
+    handle_cache_put(*connection, json);
+  } else {
+    return false;
   }
-}
-
-void CompileServer::wake_reader(Reader& reader) {
-  const char byte = 1;
-  // Best-effort: a full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t n = ::write(reader.wake_write, &byte, 1);
-}
-
-void CompileServer::reader_loop(Reader& reader) {
-  std::vector<std::shared_ptr<Connection>> connections;
-  std::vector<pollfd> fds;
-  while (!reader_stop_.load()) {
-    {
-      MutexLock lock(reader.mutex);
-      for (std::shared_ptr<Connection>& incoming : reader.incoming) {
-        connections.push_back(std::move(incoming));
-      }
-      reader.incoming.clear();
-    }
-    // Reap connections the pump (or an enqueue overflow) declared broken,
-    // and those whose queued output stalled past the send timeout:
-    // cancel their jobs, drop them.
-    for (std::shared_ptr<Connection>& connection : connections) {
-      if (!connection->broken.load() && outbound_stalled(*connection)) {
-        connection->broken.store(true);
-      }
-      if (connection->broken.load()) {
-        disconnect(connection);
-        connection = nullptr;
-      }
-    }
-    connections.erase(std::remove(connections.begin(), connections.end(),
-                                  nullptr),
-                      connections.end());
-
-    fds.clear();
-    fds.push_back(pollfd{reader.wake_read, POLLIN, 0});
-    for (const std::shared_ptr<Connection>& connection : connections) {
-      short events = POLLIN;
-      {
-        MutexLock lock(connection->out_mutex);
-        if (!connection->outbound.empty()) events |= POLLOUT;
-      }
-      fds.push_back(pollfd{connection->channel.fd(), events, 0});
-    }
-    // The timeout is a safety net: the broken/stall reaping above must not
-    // wait on socket traffic forever.
-    const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 500);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;  // poll on our own fds failing is unrecoverable
-    }
-    if ((fds[0].revents & POLLIN) != 0) {
-      char drain[64];
-      while (::read(reader.wake_read, drain, sizeof(drain)) > 0) {
-      }
-    }
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      std::shared_ptr<Connection>& connection = connections[i - 1];
-      if (fds[i].revents == 0) continue;
-      if ((fds[i].revents & POLLOUT) != 0) pump_outbound(*connection);
-      bool drop = false;
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        try {
-          if (!connection->channel.fill_from_socket()) {
-            drop = true;  // clean EOF: the client hung up
-          } else {
-            while (std::optional<std::string> line =
-                       connection->channel.take_line()) {
-              if (!line->empty()) dispatch_line(connection, *line);
-            }
-          }
-        } catch (const std::exception&) {
-          drop = true;  // read error, oversized frame, or allocation failure
-        }
-      }
-      if (drop) {
-        disconnect(connection);
-        connection = nullptr;
-      }
-    }
-    connections.erase(std::remove(connections.begin(), connections.end(),
-                                  nullptr),
-                      connections.end());
-  }
-  // stop(): the registry walk shuts every connection down; nothing to do.
-}
-
-void CompileServer::dispatch_line(
-    const std::shared_ptr<Connection>& connection, const std::string& line) {
-  Json json;
-  try {
-    json = Json::parse(line);
-  } catch (const JsonError& e) {
-    // Line framing keeps the stream synchronized, so a malformed document
-    // is a request-level error, not a connection killer.
-    enqueue_frame(*connection,
-                  to_json(ErrorMessage{0, std::string("bad json: ") +
-                                              e.what()}),
-                  /*advisory=*/false);
-    return;
-  }
-
-  const std::string type = json.get("type", std::string("compile"));
-  try {
-    if (!options_.auth_token.empty() &&
-        !constant_time_equal(json.get("auth", std::string()),
-                             options_.auth_token)) {
-      // One uniform rejection for every request type, after the
-      // constant-time compare — neither the timing nor the message reveals
-      // how close the presented token was.
-      enqueue_frame(*connection,
-                    to_json(ErrorMessage{reply_id(json),
-                                         "unauthorized: missing or bad auth "
-                                         "token"}),
-                    /*advisory=*/false);
-      return;
-    }
-    if (type == "ping") {
-      enqueue_frame(*connection, to_json(PongMessage{reply_id(json)}),
-                    /*advisory=*/false);
-    } else if (type == "compile") {
-      handle_compile(connection, json);
-    } else if (type == "cache_get") {
-      handle_cache_get(connection, json);
-    } else if (type == "cache_put") {
-      handle_cache_put(connection, json);
-    } else if (type == "stats") {
-      handle_stats(connection, json);
-    } else {
-      enqueue_frame(*connection,
-                    to_json(ErrorMessage{reply_id(json),
-                                         "unknown request type '" + type +
-                                             "'"}),
-                    /*advisory=*/false);
-    }
-  } catch (const std::exception& e) {
-    // Nothing a request does may take the daemon down: an exception that
-    // slipped through handle_compile's own handlers becomes a
-    // request-level error. (Replies never block or throw — delivery
-    // problems surface through the outbound pump's broken flag.)
-    enqueue_frame(*connection,
-                  to_json(ErrorMessage{reply_id(json), e.what()}),
-                  /*advisory=*/false);
-  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -666,8 +267,7 @@ void CompileServer::handle_compile(
     prepared.entry =
         resolve_session(std::move(resolved.graph), resolved.hardware);
   } catch (const std::exception& e) {
-    enqueue_frame(*connection, to_json(ErrorMessage{id, e.what()}),
-                  /*advisory=*/false);
+    connection->enqueue_frame(to_json(ErrorMessage{id, e.what()}));
     return;
   }
 
@@ -677,23 +277,12 @@ void CompileServer::handle_compile(
   // frames in enqueue order and, after the last one, the done frame. The
   // reader returns to its poll loop immediately: requests from any number
   // of clients interleave at job granularity.
-  auto request_state = std::make_shared<RequestState>();
+  auto request_state = std::make_shared<RequestState>(*this);
   request_state->connection = connection;
   request_state->entry = prepared.entry;
   request_state->id = id;
   request_state->simulate = prepared.simulate;
   request_state->total = prepared.batch.size();
-  {
-    MutexLock lock(connection->mutex);
-    connection->requests.erase(
-        std::remove_if(connection->requests.begin(),
-                       connection->requests.end(),
-                       [](const std::weak_ptr<RequestState>& weak) {
-                         return weak.expired();
-                       }),
-        connection->requests.end());
-    connection->requests.push_back(request_state);
-  }
 
   for (std::size_t i = 0; i < prepared.batch.size(); ++i) {
     const std::uint64_t tag = prepared.entry->next_tag.fetch_add(1);
@@ -716,9 +305,9 @@ void CompileServer::handle_compile(
     request_state->jobs.push_back(std::move(job));
   }
 
-  // The client may have died mid-submission (its disconnect ran against a
-  // partial job list); sweep once more so none of its jobs outlive it.
-  if (connection->broken.load()) cancel_request_jobs(request_state);
+  // Owned once every job exists: a client that died mid-submission has
+  // the whole batch cancelled right here.
+  connection->own(request_state);
 }
 
 void CompileServer::on_job_complete(
@@ -743,7 +332,7 @@ void CompileServer::on_job_complete(
       }
       // Simulation is skipped for a broken connection: nobody will receive
       // the frame, and the cycles belong to live clients.
-      if (request->simulate && !request->connection->broken.load()) {
+      if (request->simulate && !request->connection->broken()) {
         try {
           message.simulation = sim_report_to_json(
               request->entry->session.simulate(*outcome.result));
@@ -819,20 +408,18 @@ void CompileServer::flush_outcomes(
     }
 
     // This runs on a pool worker, but enqueue_frame never blocks and never
-    // throws: the frames land on the connection's outbound queue and the
-    // pinned reader pumps them — delivery failures surface through the
+    // throws: the frames land on the connection's outbound queue and go
+    // out with non-blocking sends — delivery failures surface through the
     // broken flag (the reader then cancels the request's remaining jobs).
     Connection& connection = *request->connection;
     if (message.has_value()) {
-      if (!connection.broken.load()) {
+      if (!connection.broken()) {
         const std::string label = message->label;
         const int index = message->index;
-        enqueue_frame(connection, to_json(*message), /*advisory=*/false);
+        connection.enqueue_frame(to_json(*message));
         if (artifact.has_value()) {
-          enqueue_frame(connection,
-                        to_json(ArtifactMessage{request->id, label, index,
-                                                std::move(*artifact)}),
-                        /*advisory=*/false);
+          connection.enqueue_frame(to_json(ArtifactMessage{
+              request->id, label, index, std::move(*artifact)}));
         }
       }
       continue;  // keep draining frames that are already in order
@@ -844,56 +431,21 @@ void CompileServer::flush_outcomes(
     // never answered, so it does not count as served. The counter ticks
     // before the enqueue — a client acting on the done frame must never
     // observe a server that hasn't counted its request yet.
-    if (!connection.broken.load()) {
+    if (!connection.broken()) {
       ++requests_served_;
-      enqueue_frame(connection,
-                    to_json(DoneMessage{request->id, ok_count, error_count,
-                                        artifact_count}),
-                    /*advisory=*/false);
+      connection.enqueue_frame(to_json(
+          DoneMessage{request->id, ok_count, error_count, artifact_count}));
     }
     return;
   }
 }
 
-void CompileServer::cancel_request_jobs(
-    const std::shared_ptr<RequestState>& request) {
-  std::vector<CompileJob> jobs;
-  {
-    MutexLock lock(request->mutex);
-    jobs = request->jobs;
-  }
-  // cancel() outside the request lock: a still-queued job may finalize (and
-  // re-enter this request's bookkeeping via its completion callback) on
-  // another thread while we iterate.
-  for (const CompileJob& job : jobs) {
-    if (job.cancel()) ++jobs_cancelled_;
-  }
-}
-
-void CompileServer::disconnect(const std::shared_ptr<Connection>& connection) {
-  connection->broken.store(true);
-  connection->channel.shutdown_both();
-  std::vector<std::shared_ptr<RequestState>> requests;
-  {
-    MutexLock lock(connection->mutex);
-    for (const std::weak_ptr<RequestState>& weak : connection->requests) {
-      if (std::shared_ptr<RequestState> request = weak.lock()) {
-        requests.push_back(std::move(request));
-      }
-    }
-    connection->requests.clear();
-  }
-  for (const std::shared_ptr<RequestState>& request : requests) {
-    cancel_request_jobs(request);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Peer cache + stats requests.
+// Peer cache requests and stats.
 // ---------------------------------------------------------------------------
 
-void CompileServer::handle_cache_get(
-    const std::shared_ptr<Connection>& connection, const Json& json) {
+void CompileServer::handle_cache_get(Connection& connection,
+                                     const Json& json) {
   const CacheGetRequest request = cache_get_request_from_json(json);
   CacheResultMessage reply;
   reply.id = request.id;
@@ -907,11 +459,10 @@ void CompileServer::handle_cache_get(
       reply.artifact = std::move(hit->entry.artifact);
     }
   }
-  enqueue_frame(*connection, to_json(std::move(reply)), /*advisory=*/false);
+  connection.enqueue_frame(to_json(std::move(reply)));
 }
 
-void CompileServer::handle_cache_put(
-    const std::shared_ptr<Connection>& connection, Json& json) {
+void CompileServer::handle_cache_put(Connection& connection, Json& json) {
   CachePutRequest request = cache_put_request_from_json(std::move(json));
   CacheResultMessage reply;
   reply.id = request.id;
@@ -924,14 +475,7 @@ void CompileServer::handle_cache_put(
     // key already existed or the artifact was refused.
     reply.stored = peer_store_->store(request.key, entry);
   }
-  enqueue_frame(*connection, to_json(reply), /*advisory=*/false);
-}
-
-void CompileServer::handle_stats(
-    const std::shared_ptr<Connection>& connection, const Json& json) {
-  const StatsRequest request = stats_request_from_json(json);
-  enqueue_frame(*connection, to_json(StatsMessage{request.id, stats_payload()}),
-                /*advisory=*/false);
+  connection.enqueue_frame(to_json(reply));
 }
 
 Json CompileServer::stats_payload() const {
@@ -995,7 +539,7 @@ Json CompileServer::stats_payload() const {
   payload["requests_served"] =
       Json(static_cast<std::int64_t>(requests_served_.load()));
   payload["connections"] =
-      Json(static_cast<std::int64_t>(connections_accepted_.load()));
+      Json(static_cast<std::int64_t>(connections_accepted()));
   payload["jobs_cancelled"] =
       Json(static_cast<std::int64_t>(jobs_cancelled_.load()));
   payload["sessions"] = Json(static_cast<std::int64_t>(live_sessions));

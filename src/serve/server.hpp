@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -14,7 +13,7 @@
 
 #include "common/thread_annotations.hpp"
 #include "core/session.hpp"
-#include "serve/net.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 
 namespace pimcomp {
@@ -41,19 +40,12 @@ struct ServerOptions {
   /// connection is pinned to one reader; 2 is plenty, because readers only
   /// parse requests and submit jobs — compilation happens on the sessions'
   /// workers.
-  int readers = 2;
+  int readers = kDefaultReaders;
 
   /// Bound on concurrently cached sessions (distinct (graph, hardware)
   /// identities). Oldest-created sessions are evicted first; in-flight
   /// requests keep evicted sessions alive until they finish.
   std::size_t max_sessions = 8;
-
-  /// Outbound stall bound: a peer with queued frames that accepts no bytes
-  /// for this long is declared gone — its connection drops and its
-  /// remaining jobs are cancelled. (All socket writes are non-blocking and
-  /// performed by the reader pool, so a stalled peer never blocks a
-  /// session worker for even a moment.)
-  int send_timeout_seconds = 30;
 
   /// Persistent mapping-artifact cache shared by every session this daemon
   /// creates (`--cache-dir`). With a directory set, a restarted daemon
@@ -107,49 +99,30 @@ ResolvedRequest resolve_compile_request(const CompileRequest& request);
 /// session's resident workers. A client that disconnects — or stops
 /// reading past the send timeout — has its own jobs cancelled
 /// (cooperatively, mid-GA included) without touching anyone else's.
-class CompileServer {
+class CompileServer final : public Frontend {
  public:
   explicit CompileServer(ServerOptions options);
 
   /// stop()s if still running.
-  ~CompileServer();
+  ~CompileServer() override;
 
-  CompileServer(const CompileServer&) = delete;
-  CompileServer& operator=(const CompileServer&) = delete;
-
-  /// Binds the socket and spawns the accept thread plus the reader pool.
-  /// Throws ServeError when the endpoint cannot be bound.
-  void start();
-
-  /// Graceful shutdown: stops accepting, unblocks the readers, cancels
-  /// every outstanding job, waits for the sessions' workers to go idle,
-  /// joins all threads, and removes the Unix socket file. Idempotent.
+  /// Graceful shutdown: Frontend::stop() (which cancels every connection's
+  /// jobs), then cancels whatever is left, waits for the sessions' workers
+  /// to go idle and drops the sessions. Idempotent.
   void stop();
 
-  /// Blocks until stop() is called from another thread (or a signal
-  /// handler's thread via the helpers below).
-  void wait();
-
-  bool running() const { return running_; }
-
-  /// Actually bound TCP port (resolves port 0), 0 for Unix transport.
-  int port() const { return bound_port_; }
-
-  /// Human-readable endpoint ("unix:/run/pimcompd.sock", "127.0.0.1:7878"),
-  /// in the form CompileClient::connect() accepts.
-  std::string endpoint() const;
-
   std::uint64_t requests_served() const { return requests_served_; }
-  std::uint64_t connections_accepted() const { return connections_accepted_; }
   /// Jobs cancelled because their client disconnected or stopped reading.
   std::uint64_t jobs_cancelled() const { return jobs_cancelled_; }
   std::size_t session_count() const;
 
+  /// The stats payload: daemon counters plus per-tier cache counters
+  /// aggregated across every live and retired session.
+  Json stats_payload() const override;
+
  private:
-  struct Connection;
   struct RequestState;
   struct SessionEntry;
-  struct Reader;
 
   /// Routes tagged observer events of one shared session back to the
   /// connection whose request owns each job. Installed as the session's
@@ -175,43 +148,19 @@ class CompileServer {
         PIMCOMP_GUARDED_BY(mutex_);
   };
 
-  void accept_loop();
-  void reader_loop(Reader& reader);
-  static void wake_reader(Reader& reader);
-
-  /// Serializes `json` onto the connection's outbound queue (the pinned
-  /// reader pumps it with non-blocking sends). Advisory frames (progress
-  /// events) are dropped when the queue is already deep; mandatory frames
-  /// past the hard cap mark the connection broken. Never blocks, never
-  /// throws.
-  static void enqueue_frame(Connection& connection, const Json& json,
-                            bool advisory);
-  /// Drains as much outbound as the socket accepts right now (reader
-  /// thread only); send errors mark the connection broken.
-  static void pump_outbound(Connection& connection);
-  /// True when queued output has made no progress past the stall bound.
-  bool outbound_stalled(Connection& connection) const;
-
-  /// Parses and answers one request line (replies go through the outbound
-  /// queue, so this never blocks on the peer).
-  void dispatch_line(const std::shared_ptr<Connection>& connection,
-                     const std::string& line);
+  /// compile, and the fleet requests cache_get/cache_put.
+  bool handle(const std::string& type,
+              const std::shared_ptr<Connection>& connection,
+              Json& json) override;
   void handle_compile(const std::shared_ptr<Connection>& connection,
                       const Json& json);
 
   /// Fleet requests (v5). cache_get/cache_put answer from this daemon's own
   /// disk tier ONLY — a daemon never forwards a lookup to its peers, which
   /// keeps fleet cache traffic one hop and loop-free by construction.
-  void handle_cache_get(const std::shared_ptr<Connection>& connection,
-                        const Json& json);
+  void handle_cache_get(Connection& connection, const Json& json);
   /// Moves the artifact out of `json` into the disk tier.
-  void handle_cache_put(const std::shared_ptr<Connection>& connection,
-                        Json& json);
-  void handle_stats(const std::shared_ptr<Connection>& connection,
-                    const Json& json);
-  /// The stats payload: daemon counters plus per-tier cache counters
-  /// aggregated across every live and retired session.
-  Json stats_payload() const;
+  void handle_cache_put(Connection& connection, Json& json);
 
   /// Job-completion fan-in (runs on session workers): converts the outcome
   /// to a wire frame (simulating if requested) and streams every frame
@@ -219,15 +168,6 @@ class CompileServer {
   void on_job_complete(const std::shared_ptr<RequestState>& request,
                        std::uint64_t tag, const ScenarioOutcome& outcome);
   void flush_outcomes(const std::shared_ptr<RequestState>& request);
-
-  /// Cancels a request's still-outstanding jobs (counted in
-  /// jobs_cancelled_) — the isolation primitive behind "a dead client
-  /// cancels only its own work".
-  void cancel_request_jobs(const std::shared_ptr<RequestState>& request);
-
-  /// Declares a connection dead: marks it broken, shuts the socket down,
-  /// and cancels the jobs of every request it still owns.
-  void disconnect(const std::shared_ptr<Connection>& connection);
 
   /// Returns the shared session for (graph, hw), creating (and possibly
   /// retiring) under the registry lock. `graph` is consumed on the create
@@ -244,29 +184,6 @@ class CompileServer {
   /// Separate from the sessions' own disk tiers only in object identity —
   /// it reads and writes the same directory.
   std::unique_ptr<DiskStore> peer_store_;
-  // listener_, bound_port_, readers_ are deliberately unannotated: they are
-  // written only inside start() (before any thread that reads them exists)
-  // and torn down only by the single winning stopper of stop() — the
-  // stop_requested_ latch below serializes stoppers, so no mutex guards
-  // these between start and that stopper.
-  Socket listener_;
-  int bound_port_ = 0;
-  Thread accept_thread_;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> accept_stop_{false};
-  std::atomic<bool> reader_stop_{false};
-  bool stop_requested_ PIMCOMP_GUARDED_BY(lifecycle_mutex_) = false;
-  mutable Mutex lifecycle_mutex_;
-  CondVar stopped_;
-
-  std::vector<std::unique_ptr<Reader>> readers_;
-  std::size_t next_reader_ = 0;  // accept-thread only: round-robin pinning
-
-  // Every live connection, so stop() can shut them all down.
-  std::vector<std::weak_ptr<Connection>> connections_
-      PIMCOMP_GUARDED_BY(conn_mutex_);
-  Mutex conn_mutex_;
 
   // Session registry: fingerprint -> shared session, plus creation order
   // for FIFO eviction. Evicted entries move to retired_ until their last
@@ -279,7 +196,6 @@ class CompileServer {
   mutable Mutex session_mutex_;
 
   std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> jobs_cancelled_{0};
 };
 

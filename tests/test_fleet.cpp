@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -515,6 +516,106 @@ TEST(RouterTest, AllBackendsDeadIsARequestError) {
   CompileClient client = CompileClient::connect(router.endpoint());
   EXPECT_THROW(client.submit(inline_graph_request({2})), ServeError);
   router.stop();
+}
+
+TEST(RouterTest, NonStringTypeIsAnErrorFrameAndTheConnectionServesOn) {
+  RouterOptions options;
+  options.unix_path = unique_socket_path("typenum");
+  options.backends = {"unix:/tmp/pimcomp-fleet-dead.sock"};
+  options.health_interval_seconds = 0;
+  Router router(options);
+  router.start();
+
+  serve::LineChannel channel(serve::connect_endpoint(router.endpoint()));
+  channel.set_recv_timeout(10);
+  channel.write_line(R"({"type": 5, "id": 2})");
+  const std::optional<std::string> reply = channel.read_line();
+  ASSERT_TRUE(reply.has_value()) << "connection dropped";
+  const Json error = Json::parse(*reply);
+  EXPECT_EQ(error.get("type", std::string()), "error") << *reply;
+  EXPECT_EQ(error.get("id", std::int64_t{0}), 2) << *reply;
+
+  channel.write_line(R"({"type": "ping", "id": 3})");
+  const std::optional<std::string> pong = channel.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(Json::parse(*pong).get("type", std::string()), "pong") << *pong;
+  EXPECT_EQ(Json::parse(*pong).get("id", std::int64_t{0}), 3) << *pong;
+  router.stop();
+}
+
+TEST(RouterTest, ClientDisconnectMidForwardCancelsTheBackendsJobs) {
+  TempDir dir;
+  CompileServer backend(daemon_options("cancelback", dir.path));
+  backend.start();
+
+  RouterOptions options;
+  options.unix_path = unique_socket_path("cancel");
+  options.backends = {backend.endpoint()};
+  options.health_interval_seconds = 0;
+  options.drain_timeout_seconds = 1;
+  Router router(options);
+  router.start();
+
+  // A GA budget of minutes, so the hangup lands mid-compile. It lands
+  // once the mapping stage has begun: that stage streams no frame until
+  // it ends, so no failed relay tells the router the client is gone.
+  CompileRequest request = inline_graph_request({2});
+  request.scenarios[0].options.ga.population = 256;
+  request.scenarios[0].options.ga.generations = 200'000;
+  {
+    serve::LineChannel channel(serve::connect_endpoint(router.endpoint()));
+    channel.set_recv_timeout(30);
+    channel.write_line(serve::to_json(request).dump(-1));
+    for (;;) {
+      const std::optional<std::string> line = channel.read_line();
+      ASSERT_TRUE(line.has_value());
+      const Json frame = Json::parse(*line);
+      if (frame.get("event", std::string()) == "stage_begin" &&
+          frame.get("stage", std::string()) == "mapping") {
+        break;
+      }
+    }
+  }  // hang up
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (backend.jobs_cancelled() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_GT(backend.jobs_cancelled(), 0u);
+  backend.stop();
+  router.stop();
+}
+
+TEST(RouterTest, StopCutsAForwardToAHungBackendAfterTheDrainGrace) {
+  // A fake backend that accepts (through the listen backlog) and never
+  // replies.
+  const std::string hung_path = unique_socket_path("hung");
+  serve::Socket hung = serve::listen_unix(hung_path);
+
+  RouterOptions options;
+  options.unix_path = unique_socket_path("hungrouter");
+  options.backends = {"unix:" + hung_path};
+  options.health_interval_seconds = 0;
+  options.drain_timeout_seconds = 1;
+  // Bounds how long a stop() that waits on the backend could take, so
+  // such a stop() fails the check below instead of hanging the suite.
+  options.backend_timeout_seconds = 30;
+  Router router(options);
+  router.start();
+
+  serve::LineChannel channel(serve::connect_endpoint(router.endpoint()));
+  channel.write_line(serve::to_json(inline_graph_request({2})).dump(-1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  router.stop();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(seconds, 5.0);
+  ::unlink(hung_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

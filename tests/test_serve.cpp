@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <string>
@@ -385,6 +387,29 @@ TEST(ServeEndToEnd, InexactIntegerIsAnErrorFrameAndTheConnectionServesOn) {
   server.stop();
 }
 
+TEST(ServeEndToEnd, NonStringTypeIsAnErrorFrameAndTheConnectionServesOn) {
+  ServerOptions options;
+  options.unix_path = unique_socket_path("typenum");
+  CompileServer server(options);
+  server.start();
+
+  serve::LineChannel channel(serve::connect_unix(options.unix_path));
+  channel.set_recv_timeout(10);
+  channel.write_line(R"({"type": 5, "id": 2})");
+  const std::optional<std::string> reply = channel.read_line();
+  ASSERT_TRUE(reply.has_value()) << "connection dropped";
+  const Json error = Json::parse(*reply);
+  EXPECT_EQ(error.get("type", std::string()), "error") << *reply;
+  EXPECT_EQ(error.get("id", std::int64_t{0}), 2) << *reply;
+
+  channel.write_line(R"({"type": "ping", "id": 3})");
+  const std::optional<std::string> pong = channel.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(Json::parse(*pong).get("type", std::string()), "pong") << *pong;
+  EXPECT_EQ(Json::parse(*pong).get("id", std::int64_t{0}), 3) << *pong;
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // TCP transport and lifecycle.
 // ---------------------------------------------------------------------------
@@ -439,6 +464,37 @@ TEST(ServeEndToEnd, RefusesToReplaceANonSocketFileButReclaimsStaleSockets) {
   CompileClient client = CompileClient::connect(reclaimer.endpoint());
   EXPECT_TRUE(client.ping());
   reclaimer.stop();
+}
+
+TEST(ServeEndToEnd, UnixSocketPathAppearsOnlyOnceItAcceptsConnections) {
+  // A watcher connects the moment the path exists, as scripts waiting for
+  // `[ -S PATH ]` do; the listener must already be accepting by then.
+  const std::string path = unique_socket_path("appear");
+  for (int i = 0; i < 500; ++i) {
+    std::string failure;
+    std::atomic<bool> watching{false};
+    std::thread watcher([&] {
+      watching = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (::access(path.c_str(), F_OK) != 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          failure = "the socket path never appeared";
+          return;
+        }
+      }
+      try {
+        serve::Socket connected = serve::connect_unix(path);
+      } catch (const ServeError& e) {
+        failure = e.what();
+      }
+    });
+    while (!watching) std::this_thread::yield();
+    serve::Socket listener = serve::listen_unix(path);
+    watcher.join();
+    ::unlink(path.c_str());
+    ASSERT_EQ(failure, "") << "iteration " << i;
+  }
 }
 
 TEST(ServeEndToEnd, StopRemovesTheUnixSocketFile) {
