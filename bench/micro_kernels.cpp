@@ -142,11 +142,16 @@ void BM_LlScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_LlScheduling);
 
-void BM_SimulatorThroughput(benchmark::State& state) {
+// Simulated ops per second on resnet18's PUMA mapping. The LL program
+// carries far more SEND/RECV pairs than the HT one.
+void BM_SimulatorThroughput(benchmark::State& state, PipelineMode mode) {
   const MappingSolution& solution = resnet_solution();
-  const Schedule schedule = schedule_ht(solution, {});
+  const Schedule schedule = mode == PipelineMode::kLowLatency
+                                ? schedule_ll(solution, {})
+                                : schedule_ht(solution, {});
   SimOptions options;
   options.parallelism_degree = 20;
+  options.mode = mode;
   const Simulator simulator(resnet_workload().hardware(), options);
   std::int64_t ops = 0;
   for (auto _ : state) {
@@ -156,7 +161,8 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(ops);
 }
-BENCHMARK(BM_SimulatorThroughput);
+BENCHMARK_CAPTURE(BM_SimulatorThroughput, ht, PipelineMode::kHighThroughput);
+BENCHMARK_CAPTURE(BM_SimulatorThroughput, ll, PipelineMode::kLowLatency);
 
 // A fleet-sized cache artifact (resnet18 at input 32, LL, GA 8x4, P=4:
 // about 500 KB of compact JSON), as a daemon stores and serves it.

@@ -32,12 +32,25 @@ struct SimOptions {
 ///  * on-chip local memory occupancy over time;
 ///  * dynamic energy per operation and leakage over active time.
 ///
-/// The execution loop always advances the core whose next operation can
-/// start earliest (a min-heap keyed on ready time); a core whose next op is
-/// a RECV on an empty channel parks until the matching SEND executes. When
-/// the heap empties with unfinished programs, SimulationError (deadlock)
-/// is raised with diagnostics. This is the only execution engine: the `sim`
+/// Channels are paired before execution: the k-th SEND on a (src, dst, tag)
+/// channel carries the message of the k-th RECV on it, which is the FIFO
+/// order a run-time queue per channel would give, since each channel has
+/// one sending and one receiving core. The execution loop always advances
+/// the core whose next operation can start earliest, ties to the lower
+/// core index (a min-heap of (ready time, core)). The core at the top runs
+/// ahead: after each op its next key replaces the top, and it keeps
+/// running while that key still sorts below every other core's. A core
+/// whose next op is a RECV of a message not yet sent parks until its
+/// paired SEND executes; a RECV with no partner parks for good. When the
+/// heap empties with unfinished programs, SimulationError (deadlock) is
+/// raised with diagnostics. This is the only execution engine: the `sim`
 /// backend runs instruction streams through it as well.
+///
+/// A change that only makes the simulator faster must leave every
+/// SimReport field bit-identical (the same ops in the same global order,
+/// so the same port arbitration and the same floating-point summation
+/// order); scripts/behaviour_digest.py and tests/test_sim_goldens.cpp
+/// gate it.
 class Simulator {
  public:
   Simulator(const HardwareConfig& hw, const SimOptions& options);

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
-#include "sim/channel.hpp"
 
 namespace pimcomp {
 namespace {
@@ -49,6 +50,23 @@ Operation recv(int peer, std::int64_t bytes, int tag = 0) {
   return op;
 }
 
+Operation load(std::int64_t bytes) {
+  Operation op;
+  op.kind = OpKind::kLoadGlobal;
+  op.bytes = bytes;
+  return op;
+}
+
+/// Runs `s` and returns the SimulationError text ("" when it completes).
+std::string simulation_error(const HardwareConfig& hw, const Schedule& s) {
+  try {
+    Simulator(hw, SimOptions{}).run(s);
+  } catch (const SimulationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 Schedule make_schedule(std::vector<std::vector<Operation>> programs,
                        int ag_count) {
   Schedule s;
@@ -58,22 +76,6 @@ Schedule make_schedule(std::vector<std::vector<Operation>> programs,
     s.total_ops += static_cast<std::int64_t>(p.size());
   }
   return s;
-}
-
-TEST(Channel, FifoSemantics) {
-  ChannelNetwork net;
-  EXPECT_FALSE(net.has_message(0, 1, 0));
-  net.send(0, 1, 0, 100, 64);
-  net.send(0, 1, 0, 200, 128);
-  EXPECT_TRUE(net.has_message(0, 1, 0));
-  EXPECT_FALSE(net.has_message(1, 0, 0));
-  EXPECT_FALSE(net.has_message(0, 1, 1));  // different tag
-  EXPECT_EQ(net.in_flight(), 2);
-  const auto first = net.pop(0, 1, 0);
-  EXPECT_EQ(first.arrival, 100);
-  EXPECT_EQ(first.bytes, 64);
-  EXPECT_EQ(net.pop(0, 1, 0).bytes, 128);
-  EXPECT_EQ(net.in_flight(), 0);
 }
 
 TEST(Simulator, SingleMvmTakesMvmLatency) {
@@ -164,6 +166,37 @@ TEST(Simulator, DeadlockDetected) {
   EXPECT_THROW(Simulator(hw, opt).run(s), SimulationError);
 }
 
+TEST(Simulator, MessagesOnOneChannelArriveInSendOrder) {
+  // Two messages of different sizes on one (src, dst, tag): received in
+  // send order they pair up; received in reverse order the first RECV
+  // meets the 64-byte message.
+  const HardwareConfig hw = test_hw(2);
+  const Schedule in_order = make_schedule(
+      {{send(1, 64), send(1, 128)}, {recv(0, 64), recv(0, 128)}}, 0);
+  const SimReport r = Simulator(hw, SimOptions{}).run(in_order);
+  EXPECT_EQ(r.comm_messages, 2);
+  EXPECT_EQ(r.comm_bytes, 192);
+
+  const Schedule reversed = make_schedule(
+      {{send(1, 64), send(1, 128)}, {recv(0, 128), recv(0, 64)}}, 0);
+  EXPECT_NE(simulation_error(hw, reversed).find(
+                "channel byte mismatch on 0->1: sent 64, receiver expected "
+                "128"),
+            std::string::npos);
+}
+
+TEST(Simulator, DeadlockNamesTheBlockedCoreAndCountsOrphanMessages) {
+  // Core 0's tag-0 message is never received: core 1 waits on tag 1.
+  const HardwareConfig hw = test_hw(2);
+  const Schedule s =
+      make_schedule({{send(1, 64, -1, 0)}, {recv(0, 64, 1)}}, 0);
+  const std::string error = simulation_error(hw, s);
+  EXPECT_NE(error.find("deadlock: core 1 blocked at op 0/1 (RECV from core 0"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("; 1 messages in flight"), std::string::npos) << error;
+}
+
 TEST(Simulator, TagsKeepChannelsSeparate) {
   const HardwareConfig hw = test_hw(2);
   // Core 0 sends tag1 then tag0; core 1 receives tag0 then tag1.
@@ -187,6 +220,30 @@ TEST(Simulator, GlobalMemorySerializesAcrossCores) {
   // Two 1000-byte transfers over a shared 1 GB/s port: 2 us total.
   EXPECT_EQ(r.makespan, from_ns(2000.0));
   EXPECT_EQ(r.global_traffic_bytes, 2000);
+}
+
+TEST(Simulator, EarlierReadyCoreTakesTheGlobalPortFirst) {
+  // Core 0 loads at 0 and is ready again at 1 us; core 1 is ready to load
+  // at 0.5 us, so the port serves core 1's load before core 0's second.
+  HardwareConfig hw = test_hw(2);
+  hw.global_memory_gbps = 1.0;  // 1 ns per byte
+  const Schedule s = make_schedule(
+      {{load(1000), load(1000)}, {vfu(600), load(1000)}}, 0);
+  const SimReport r = Simulator(hw, SimOptions{}).run(s);
+  EXPECT_EQ(r.core_finish[1], from_ns(2000.0));
+  EXPECT_EQ(r.core_finish[0], from_ns(3000.0));
+}
+
+TEST(Simulator, EqualReadyTimesGoToTheLowerCore) {
+  // Both cores are ready to load at 1 us; core 1 got there by two steps
+  // of its own, yet core 0 takes the port first.
+  HardwareConfig hw = test_hw(2);
+  hw.global_memory_gbps = 1.0;
+  const Schedule s = make_schedule(
+      {{vfu(1200), load(1000)}, {vfu(600), vfu(600), load(1000)}}, 0);
+  const SimReport r = Simulator(hw, SimOptions{}).run(s);
+  EXPECT_EQ(r.core_finish[0], from_ns(2000.0));
+  EXPECT_EQ(r.core_finish[1], from_ns(3000.0));
 }
 
 TEST(Simulator, EnergyAccountingPositiveAndDecomposed) {
