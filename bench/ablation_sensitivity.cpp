@@ -3,6 +3,7 @@
 // parallelism degree (on-chip bandwidth).
 
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -30,6 +31,7 @@ int main() {
     CompilerSession session(bench_model("resnet18", cfg),
                             HardwareConfig::puma_default());
     session.set_jobs(cfg.jobs);
+    std::vector<Scenario> batch;
     for (const Geometry& g : geometries) {
       HardwareConfig hw = HardwareConfig::puma_default();
       hw.xbar_rows = g.rows;
@@ -38,12 +40,13 @@ int main() {
       hw = fit_core_count(session.graph(), hw, 3.0);
       const std::string label =
           std::to_string(g.rows) + "x" + std::to_string(g.cols);
-      session.enqueue(Scenario{
+      batch.push_back(Scenario{
           label, bench_options(cfg, PipelineMode::kLowLatency, 20), hw});
-      session.enqueue(Scenario{
+      batch.push_back(Scenario{
           label, bench_options(cfg, PipelineMode::kHighThroughput, 20), hw});
     }
-    const std::vector<ScenarioOutcome> outcomes = session.compile_all();
+    const std::vector<ScenarioOutcome> outcomes =
+        session.compile_all(std::move(batch));
     for (std::size_t i = 0; i + 1 < outcomes.size(); i += 2) {
       const Geometry& g = geometries[i / 2];
       const ScenarioOutcome& ll_outcome = outcomes[i];

@@ -5,6 +5,8 @@
 //   ./build/examples/custom_network [output.json]
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "core/compile_report.hpp"
 #include "core/session.hpp"
@@ -41,15 +43,17 @@ int main(int argc, char** argv) {
   // compile on separate workers.
   CompilerSession session(std::move(reloaded), HardwareConfig::puma_default());
   session.set_jobs(0);  // one worker per hardware thread
+  std::vector<Scenario> batch;
   for (PipelineMode mode :
        {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
     CompileOptions options;
     options.mode = mode;
     options.ga.population = 30;
     options.ga.generations = 30;
-    session.enqueue(options, to_string(mode));
+    batch.push_back(Scenario{to_string(mode), options, std::nullopt});
   }
-  for (const ScenarioOutcome& outcome : session.compile_all()) {
+  for (const ScenarioOutcome& outcome :
+       session.compile_all(std::move(batch))) {
     if (!outcome.ok()) {
       std::cerr << "scenario '" << outcome.label << "' failed: "
                 << outcome.error << '\n';

@@ -7,6 +7,8 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -27,6 +29,7 @@ int main(int argc, char** argv) {
   // plugin mapper slots in by name.
   CompilerSession session(std::move(graph), hw);
   session.set_jobs(0);  // one worker per hardware thread
+  std::vector<Scenario> batch;
   for (const std::string& mapper : {std::string("ga"), std::string("puma")}) {
     CompileOptions options;
     options.mode = PipelineMode::kLowLatency;
@@ -34,14 +37,15 @@ int main(int argc, char** argv) {
     options.mapper = mapper;
     options.ga.population = 60;
     options.ga.generations = 80;
-    session.enqueue(options, mapper);
+    batch.push_back(Scenario{mapper, options, std::nullopt});
   }
 
   Table table("LL latency: PIMCOMP GA vs PUMA-like baseline");
   table.set_header({"mapper", "latency (us)", "messages", "comm (kB)",
                     "leakage (uJ)", "active cores"});
   double latency_ga = 0.0, latency_puma = 0.0;
-  for (const ScenarioOutcome& outcome : session.compile_all()) {
+  for (const ScenarioOutcome& outcome :
+       session.compile_all(std::move(batch))) {
     if (!outcome.ok()) {
       std::cerr << "scenario '" << outcome.label << "' failed: "
                 << outcome.error << '\n';

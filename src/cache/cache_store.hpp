@@ -2,26 +2,21 @@
 #define PIMCOMP_CACHE_CACHE_STORE_HPP
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <string>
 
 #include "cache/cache_config.hpp"
 #include "common/json.hpp"
 
 namespace pimcomp {
 
-/// One cached artifact as it moves between tiers. Either form may be
-/// absent:
-///  * `decoded` is the in-process object (e.g. a CompileResult) the memory
-///    tier serves without re-parsing — never persisted, type-erased because
-///    the store layer is deliberately ignorant of what it caches;
-///  * `artifact` is the canonical versioned JSON the disk tier persists.
-/// The session stores both on the compute path (artifact only when a disk
-/// or remote tier is configured, so the memory-only default never pays for
-/// encoding) and attaches `decoded` when it promotes a deeper hit upward.
+/// One cached artifact as it moves between tiers: the canonical versioned
+/// JSON the disk tier persists and peers exchange. The session encodes it
+/// only when a disk or remote tier is configured, so the memory-only
+/// default never pays for encoding; its in-process results live in its
+/// claim map, not in a store.
 struct CacheEntry {
   Json artifact;
-  std::shared_ptr<const void> decoded;
 
   bool has_artifact() const { return !artifact.is_null(); }
 };
@@ -37,7 +32,7 @@ struct CacheHit {
 struct CacheStoreStats {
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;  ///< disk tier: artifact bytes on disk; memory
-                            ///< tier: 0 (decoded sizes are unknowable)
+                            ///< tier: 0 (in-process sizes are unknowable)
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
@@ -45,10 +40,10 @@ struct CacheStoreStats {
 };
 
 /// A keyed artifact store: one slot per 64-bit fingerprint. This is the
-/// seam the session's caching is built on — InMemoryStore is the
-/// in-process tier, DiskStore adds cross-process persistence, and
-/// fleet::RemoteStore reaches peer daemons. The session holds them as one
-/// ordered tier list and walks it itself (see docs/api.md).
+/// seam the session's persistent caching is built on — DiskStore adds
+/// cross-process persistence and fleet::RemoteStore reaches peer daemons.
+/// The session holds them as one ordered tier list below its in-process
+/// claim map and walks it itself (see docs/api.md).
 /// Implementations are thread-safe; keys are content fingerprints, so two
 /// racing writers of one key always carry identical payloads and "first
 /// writer wins" is a correctness-preserving policy everywhere.

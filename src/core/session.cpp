@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "cache/artifact.hpp"
 #include "cache/cache_store.hpp"
 #include "cache/disk_store.hpp"
-#include "cache/memory_store.hpp"
 #include "cache/remote_tier.hpp"
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
@@ -50,12 +48,9 @@ constexpr std::size_t kMaxCachedMappings = 128;
 /// registry grows past this, keeping submit() O(1) amortized.
 constexpr std::size_t kJobRegistrySweep = 64;
 
-/// Builds the mapping tier named `tier` (one of mapping_tier_names()).
+/// Builds the persistent mapping tier named `tier` ("disk" or "remote").
 std::unique_ptr<CacheStore> make_mapping_tier(std::string_view tier,
                                               const CacheConfig& cache) {
-  if (tier == cache_sources::kMemory) {
-    return std::make_unique<InMemoryStore>(kMaxCachedMappings);
-  }
   if (tier == cache_sources::kDisk) return std::make_unique<DiskStore>(cache);
   // Resolved through the cache/remote_tier.hpp seam so core/ never
   // includes fleet/ — the concrete RemoteStore registers its factory when
@@ -272,26 +267,6 @@ std::uint64_t CompileJob::tag() const { return require_state(state_).tag; }
 // CompilerSession.
 // ---------------------------------------------------------------------------
 
-/// The workload cache's entry for one fingerprint. The first scenario to
-/// claim a fingerprint becomes the owner and partitions; concurrent peers
-/// block on `published` until the owner settles the claim with either the
-/// workload or the failure (CapacityError for an infeasible design point),
-/// which every peer rethrows without re-partitioning. A settled claim stays
-/// registered: with its workload it is the cache hit every later scenario
-/// takes, with a deterministic failure it is the negative cache. Only a
-/// non-deterministic failure retires it, so a later compile retries.
-struct CompilerSession::WorkloadClaim {
-  Mutex mutex;
-  CondVar published;
-  bool done PIMCOMP_GUARDED_BY(mutex) = false;
-  std::shared_ptr<const Workload> workload PIMCOMP_GUARDED_BY(mutex);
-  std::exception_ptr failure PIMCOMP_GUARDED_BY(mutex);
-  /// Claimant; written once under workload_mutex_ at claim time, before the
-  /// shared_ptr is published to any peer — immutable (and safe to read
-  /// without `mutex`) afterwards.
-  std::thread::id owner;
-};
-
 /// Serializing forwarder placed between the pipeline and the user observer:
 /// worker threads call in concurrently, the user observer only ever runs
 /// under `session->observer_mutex_`.
@@ -333,13 +308,17 @@ class CompilerSession::ObserverGate final : public PipelineObserver {
 
 CompilerSession::CompilerSession(Graph graph, HardwareConfig hw,
                                  CacheConfig cache)
-    : graph_(std::move(graph)), hw_(hw), cache_config_(std::move(cache)) {
+    : graph_(std::move(graph)),
+      hw_(hw),
+      mappings_(kMaxCachedMappings),
+      cache_config_(std::move(cache)) {
   if (!graph_.finalized()) graph_.finalize();
   hw_.validate();
   graph_fingerprint_ = pimcomp::fingerprint(graph_);
   gate_ = std::make_unique<ObserverGate>(this);
 
   for (const char* tier : mapping_tier_names(cache_config_)) {
+    if (std::string_view(tier) == cache_sources::kMemory) continue;
     mapping_tiers_.push_back(make_mapping_tier(tier, cache_config_));
   }
   tier_hits_ = std::vector<std::atomic<std::uint64_t>>(mapping_tiers_.size());
@@ -372,7 +351,13 @@ void CompilerSession::set_observer(PipelineObserver* observer) {
 }
 
 void CompilerSession::set_jobs(int jobs) {
+  MutexLock lock(job_mutex_);
   jobs_ = jobs <= 0 ? ThreadPool::hardware_threads() : jobs;
+}
+
+int CompilerSession::jobs() const {
+  MutexLock lock(job_mutex_);
+  return jobs_;
 }
 
 void CompilerSession::ensure_pool_locked() {
@@ -521,31 +506,8 @@ void CompilerSession::run_job(const std::shared_ptr<CompileJob::State>& state) {
   outstanding_jobs_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-int CompilerSession::enqueue(Scenario scenario) {
-  MutexLock lock(queue_mutex_);
-  queue_.push_back(std::move(scenario));
-  return static_cast<int>(queue_.size()) - 1;
-}
-
-int CompilerSession::enqueue(CompileOptions options, std::string label) {
-  return enqueue(Scenario{std::move(label), std::move(options), std::nullopt});
-}
-
-int CompilerSession::pending() const {
-  MutexLock lock(queue_mutex_);
-  return static_cast<int>(queue_.size());
-}
-
-std::vector<ScenarioOutcome> CompilerSession::compile_all() {
-  // The queue is moved out first so observer callbacks may enqueue follow-up
-  // scenarios for a later batch without invalidating this loop.
-  std::vector<Scenario> batch;
-  {
-    MutexLock lock(queue_mutex_);
-    batch = std::move(queue_);
-    queue_.clear();
-  }
-
+std::vector<ScenarioOutcome> CompilerSession::compile_all(
+    std::vector<Scenario> batch) {
   // Thin wrapper over the job API: submit-all, wait-all. A one-worker
   // session (the default) runs the jobs strictly FIFO, which keeps this
   // path — outcomes, cache-hit counts, observer event order — identical to
@@ -579,21 +541,6 @@ CompileResult CompilerSession::compile(const Scenario& scenario, int index) {
   return compile_scenario(scenario, index, /*tag=*/0, /*cancel=*/nullptr);
 }
 
-/// One in-flight mapping computation. The first job of a mapping key
-/// becomes the owner and compiles; concurrent identical jobs wait on
-/// `settled` instead of duplicating the GA, then re-read the cache (a
-/// mapping cache hit) — or re-claim if the owner failed without publishing
-/// (e.g. it was cancelled: cancellation must never leak to innocent peers).
-struct CompilerSession::MappingClaim {
-  Mutex mutex;
-  CondVar settled;
-  bool done PIMCOMP_GUARDED_BY(mutex) = false;
-  /// Claimant; written once under mapping_mutex_ at claim time, before the
-  /// shared_ptr is published to any peer — immutable (and safe to read
-  /// without `mutex`) afterwards.
-  std::thread::id owner;
-};
-
 CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
                                                 int index, std::uint64_t tag,
                                                 const CancelToken* cancel) {
@@ -611,6 +558,22 @@ CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
   const std::uint64_t mapping_key =
       combine(workload_key, pimcomp::fingerprint(scenario.options));
 
+  // The claim comes before any lookup: a job arriving while an identical
+  // one is in flight waits for it instead of walking the persistent tiers
+  // (or mapping) a second time.
+  const ClaimMap<CompileResult>::Ticket ticket =
+      mappings_.claim(mapping_key, cancel);
+  if (ticket.value != nullptr) {
+    // The memory tier: a settled claim, whether settled before this job
+    // arrived or while it waited. Each caller gets an independent copy
+    // with zeroed stage times — no stage ran for it.
+    notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
+                     mapping_hits_, cache_sources::kMemory);
+    CompileResult result = *ticket.value;
+    result.stage_times = StageTimes{};
+    return result;
+  }
+
   const auto run_stages = [&]() -> CompileResult {
     double partition_seconds = 0.0;
     std::shared_ptr<const Workload> workload = resolve_workload(
@@ -627,90 +590,48 @@ CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
     ctx.workload = std::move(workload);  // pre-seeded => partitioning skipped
     ctx.stage_times.partitioning = partition_seconds;
     ctx.stream_binding = mapping_key;  // lowered streams carry their cache key
-
-    CompileResult result = run_pipeline(std::move(ctx), gate_.get());
-    store_mapping(mapping_key, workload_key, result, scenario.label, index,
-                  tag);
-    return result;
+    return run_pipeline(std::move(ctx), gate_.get());
   };
 
-  for (;;) {
-    if (std::optional<CompileResult> hit = load_mapping(
-            scenario, hw, index, tag, workload_key, mapping_key)) {
-      return std::move(*hit);
-    }
-    // A miss, or an untrustworthy persisted artifact that was erased: fall
-    // through to the claim-and-compute path *without* re-consulting the
-    // tiers, so a read-only disk tier serving the same bad artifact forever
-    // cannot livelock this loop.
+  if (ticket.owned == nullptr) {
+    // Re-entrant identical compile from inside the owner's own observer
+    // callback: waiting would be waiting on ourselves, so compute
+    // privately; the outer frame settles and stores the shared result.
+    return run_stages();
+  }
 
-    std::shared_ptr<MappingClaim> claim;
-    bool owner = false;
-    {
-      MutexLock lock(mapping_mutex_);
-      std::shared_ptr<MappingClaim>& slot = inflight_mappings_[mapping_key];
-      if (slot == nullptr) {
-        slot = std::make_shared<MappingClaim>();
-        slot->owner = std::this_thread::get_id();
-        owner = true;
-      }
-      claim = slot;
-    }
-
-    if (!owner) {
-      if (claim->owner == std::this_thread::get_id()) {
-        // Re-entrant identical compile from inside the owner's own
-        // observer callback: waiting would be waiting on ourselves, so
-        // compute privately (store_mapping keeps the first publisher).
-        return run_stages();
-      }
-      MutexLock lock(claim->mutex);
-      while (!claim->done) {
-        claim->settled.wait_for(claim->mutex, std::chrono::milliseconds(50));
-        // A cancelled waiter leaves promptly instead of riding out the
-        // owner's whole GA run.
-        if (cancel != nullptr && cancel->cancelled()) {
-          throw CancelledError(
-              "cancelled while waiting for an identical in-flight "
-              "compilation");
-        }
-      }
-      // The owner settled: normally its result is now in the cache (the
-      // loop's load_mapping reports the hit);
-      // if the owner failed or was cancelled without publishing — or the
-      // result was already evicted — this thread re-claims and computes
-      // itself.
-      continue;
-    }
-
-    // Owner: compute, publish (store_mapping inside run_stages), and wake
-    // the peers whether we succeeded or not — on failure they re-claim
-    // rather than inheriting an error that may be ours alone (cancel).
-    try {
-      CompileResult result = run_stages();
-      release_mapping_claim(mapping_key, claim);
-      return result;
-    } catch (...) {
-      release_mapping_claim(mapping_key, claim);
-      throw;
+  // Owner: the persistent tiers, then the pipeline. A failure retires the
+  // claim instead of settling it, so waiters re-claim rather than inherit
+  // an error that may be this job's alone (cancellation).
+  std::optional<CompileResult> result;
+  std::size_t served = mapping_tiers_.size();  // size() = computed here
+  Json artifact;
+  try {
+    result = load_mapping(scenario, hw, index, tag, workload_key, mapping_key,
+                          &served, &artifact);
+    if (!result.has_value()) result = run_stages();
+  } catch (...) {
+    mappings_.fail(mapping_key, ticket.owned, nullptr, /*keep=*/false);
+    throw;
+  }
+  // Settled before anything is pushed outward: a job arriving during the
+  // push already takes a memory hit.
+  mappings_.settle(mapping_key, ticket.owned,
+                   std::make_shared<const CompileResult>(*result));
+  if (served == mapping_tiers_.size()) {
+    store_mapping(mapping_key, workload_key, *result, scenario.label, index,
+                  tag);
+  } else {
+    // Promotion into the persistent tiers above the one that hit, and only
+    // those: a remote hit lands on the local disk, a disk hit sends
+    // nothing over the network. Deliberately no on_cache_store event —
+    // nothing new was computed.
+    const CacheEntry promoted{std::move(artifact)};
+    for (std::size_t above = 0; above < served; ++above) {
+      mapping_tiers_[above]->store(mapping_key, promoted);
     }
   }
-}
-
-void CompilerSession::release_mapping_claim(
-    std::uint64_t key, const std::shared_ptr<MappingClaim>& claim) {
-  {
-    MutexLock lock(mapping_mutex_);
-    const auto it = inflight_mappings_.find(key);
-    if (it != inflight_mappings_.end() && it->second == claim) {
-      inflight_mappings_.erase(it);
-    }
-  }
-  {
-    MutexLock lock(claim->mutex);
-    claim->done = true;
-  }
-  claim->settled.notify_all();
+  return std::move(*result);
 }
 
 SimReport CompilerSession::simulate(const CompileResult& result) const {
@@ -726,20 +647,15 @@ SimReport CompilerSession::simulate(const CompileResult& result) const {
 std::size_t CompilerSession::cached_workloads() const {
   // Only successful partitions count; failed claims are the negative cache,
   // and in-flight ones hold nothing yet.
-  MutexLock lock(workload_mutex_);
-  std::size_t settled = 0;
-  for (const auto& [key, claim] : workload_claims_) {
-    MutexLock claim_lock(claim->mutex);
-    if (claim->workload != nullptr) ++settled;
-  }
-  return settled;
+  return static_cast<std::size_t>(workloads_.stats().entries);
 }
 
 std::size_t CompilerSession::cached_mappings() const {
-  return static_cast<std::size_t>(mapping_tiers_.front()->entry_count());
+  return static_cast<std::size_t>(mappings_.stats().entries);
 }
 
 std::uint64_t CompilerSession::mapping_tier_hits(std::string_view tier) const {
+  if (tier == cache_sources::kMemory) return mappings_.stats().hits;
   for (std::size_t i = 0; i < mapping_tiers_.size(); ++i) {
     if (tier == mapping_tiers_[i]->name()) return tier_hits_[i].load();
   }
@@ -759,7 +675,8 @@ std::vector<const char*> CompilerSession::mapping_tier_names(
 
 std::vector<std::pair<const char*, CacheStoreStats>>
 CompilerSession::mapping_tier_stats() const {
-  std::vector<std::pair<const char*, CacheStoreStats>> tiers;
+  std::vector<std::pair<const char*, CacheStoreStats>> tiers{
+      {cache_sources::kMemory, mappings_.stats()}};
   for (const std::unique_ptr<CacheStore>& tier : mapping_tiers_) {
     tiers.emplace_back(tier->name(), tier->counters());
   }
@@ -769,112 +686,76 @@ CompilerSession::mapping_tier_stats() const {
 std::shared_ptr<const Workload> CompilerSession::resolve_workload(
     std::uint64_t key, const HardwareConfig& hw, const std::string& label,
     int index, std::uint64_t tag, double* partition_seconds) {
-  std::shared_ptr<WorkloadClaim> claim;
-  bool owner = false;
-  {
-    MutexLock lock(workload_mutex_);
-    std::shared_ptr<WorkloadClaim>& slot = workload_claims_[key];
-    if (slot == nullptr) {
-      slot = std::make_shared<WorkloadClaim>();
-      slot->owner = std::this_thread::get_id();
-      owner = true;
-    }
-    claim = slot;
+  const ClaimMap<Workload>::Ticket ticket =
+      workloads_.claim(key, /*cancel=*/nullptr);
+  if (ticket.value != nullptr) {
+    // A settled claim is a cache hit — whether it was settled before this
+    // scenario arrived or while it waited on the owner.
+    notify_cache_hit(cache_names::kWorkload, label, index, tag, workload_hits_,
+                     cache_sources::kMemory);
+    return ticket.value;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  if (ticket.owned == nullptr) {
+    // Re-entrant compile of the same fingerprint from inside this thread's
+    // own partitioning observer callback: waiting would be waiting on
+    // ourselves. Build a private workload instead (the pre-cache
+    // behavior); the outer frame settles the shared one.
+    auto private_workload = std::make_shared<const Workload>(graph_, hw);
+    *partition_seconds = seconds_since(t0);
+    return private_workload;
   }
 
-  if (owner) {
-    // The partitioning stage runs here, outside the pipeline's stage
-    // loop, so its once-per-fingerprint semantics hold under concurrency
-    // — but with the same observer events and timing the loop would
-    // produce. Deliberately no cancellation check on this path: a
-    // cancelled owner would strand innocent peers waiting on the same
-    // fingerprint (partitioning is the cheap stage; cancellation lands
-    // at the next stage boundary instead).
-    StageInfo info{stage_names::kPartitioning, label, index, 0.0, tag};
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      // The begin callback runs inside the try: an observer that throws
-      // must take the failure path below, or the claim would stay
-      // unpublished forever and strand every waiter on this fingerprint.
-      gate_->on_stage_begin(info);
-      auto workload = std::make_shared<const Workload>(graph_, hw);
-      *partition_seconds = seconds_since(t0);
-      info.seconds = *partition_seconds;
-      {
-        MutexLock claim_lock(claim->mutex);
-        claim->workload = workload;
-        claim->done = true;
-      }
-      claim->published.notify_all();
-      gate_->on_stage_end(info);
-      return workload;
-    } catch (...) {
-      // Publish the failure so waiting peers rethrow it instead of
-      // re-partitioning, keeping the observer's begin/end pairing.
-      // Deterministic failures of the input itself (CapacityError: the
-      // model cannot fit; ConfigError: the graph/config is unusable)
-      // keep their claim registered as the negative cache — every retry
-      // would fail identically. Anything else (e.g. a transient
-      // bad_alloc under memory pressure) retires the claim so a later
-      // compile retries partitioning instead of rethrowing a stale error
-      // for the session's lifetime.
-      info.seconds = seconds_since(t0);
-      const std::exception_ptr failure = std::current_exception();
-      bool deterministic = false;
-      try {
-        std::rethrow_exception(failure);
-      } catch (const CapacityError&) {
-        deterministic = true;
-      } catch (const ConfigError&) {
-        deterministic = true;
-      } catch (...) {
-      }
-      {
-        MutexLock claim_lock(claim->mutex);
-        claim->failure = failure;
-        claim->done = true;
-      }
-      claim->published.notify_all();
-      if (!deterministic) {
-        MutexLock lock(workload_mutex_);
-        const auto it = workload_claims_.find(key);
-        if (it != workload_claims_.end() && it->second == claim) {
-          workload_claims_.erase(it);
-        }
-      }
-      gate_->on_stage_end(info);
-      throw;
-    }
-  }
-
+  // The partitioning stage runs here, outside the pipeline's stage loop, so
+  // its once-per-fingerprint semantics hold under concurrency — but with
+  // the same observer events and timing the loop would produce.
+  // Deliberately no cancellation check on this path: a cancelled owner
+  // would strand innocent peers waiting on the same fingerprint
+  // (partitioning is the cheap stage; cancellation lands at the next stage
+  // boundary instead).
+  StageInfo info{stage_names::kPartitioning, label, index, 0.0, tag};
   std::shared_ptr<const Workload> workload;
-  {
-    MutexLock claim_lock(claim->mutex);
-    if (!claim->done && claim->owner == std::this_thread::get_id()) {
-      // Re-entrant compile of the same fingerprint from inside this
-      // thread's own partitioning observer callback: waiting would be
-      // waiting on ourselves. Build a private workload instead (the
-      // pre-cache behavior); the outer frame publishes the shared one.
-      claim_lock.unlock();
-      const auto t0 = std::chrono::steady_clock::now();
-      auto private_workload = std::make_shared<const Workload>(graph_, hw);
-      *partition_seconds = seconds_since(t0);
-      return private_workload;
+  try {
+    // The begin callback runs inside the try: an observer that throws must
+    // take the failure path below, or the claim would stay unsettled
+    // forever and strand every waiter on this fingerprint.
+    gate_->on_stage_begin(info);
+    workload = std::make_shared<const Workload>(graph_, hw);
+  } catch (...) {
+    // Publish the failure so waiting peers rethrow it instead of
+    // re-partitioning, keeping the observer's begin/end pairing.
+    // Deterministic failures of the input itself (CapacityError: the model
+    // cannot fit; ConfigError: the graph/config is unusable) keep their
+    // claim as the negative cache — every retry would fail identically.
+    // Anything else (e.g. a transient bad_alloc under memory pressure)
+    // retires the claim so a later compile retries partitioning instead of
+    // rethrowing a stale error for the session's lifetime.
+    info.seconds = seconds_since(t0);
+    const std::exception_ptr failure = std::current_exception();
+    bool deterministic = false;
+    try {
+      std::rethrow_exception(failure);
+    } catch (const CapacityError&) {
+      deterministic = true;
+    } catch (const ConfigError&) {
+      deterministic = true;
+    } catch (...) {
     }
-    while (!claim->done) claim->published.wait(claim->mutex);
-    if (claim->failure != nullptr) std::rethrow_exception(claim->failure);
-    workload = claim->workload;
+    workloads_.fail(key, ticket.owned, failure, deterministic);
+    gate_->on_stage_end(info);
+    throw;
   }
-  // A settled claim is a cache hit — whether it was settled before this
-  // scenario arrived or while it waited on the owner.
-  notify_cache_hit(cache_names::kWorkload, label, index, tag, workload_hits_,
-                   cache_sources::kMemory);
+  *partition_seconds = seconds_since(t0);
+  info.seconds = *partition_seconds;
+  workloads_.settle(key, ticket.owned, workload);
+  gate_->on_stage_end(info);
   return workload;
 }
 
 std::optional<CompileResult> CompilerSession::load_mapping(
     const Scenario& scenario, const HardwareConfig& hw, int index,
-    std::uint64_t tag, std::uint64_t workload_key, std::uint64_t mapping_key) {
+    std::uint64_t tag, std::uint64_t workload_key, std::uint64_t mapping_key,
+    std::size_t* served, Json* artifact) {
   std::size_t tier = 0;
   std::optional<CacheHit> hit;
   for (; tier < mapping_tiers_.size(); ++tier) {
@@ -882,63 +763,41 @@ std::optional<CompileResult> CompilerSession::load_mapping(
     if (hit.has_value()) break;
   }
   if (!hit.has_value()) return std::nullopt;
-  const char* source = mapping_tiers_[tier]->name();
 
-  if (hit->entry.decoded != nullptr) {
-    // Memory tier: the historical fast path. The shared decoded result is
-    // copied (the session, like before the refactor, hands each caller an
-    // independent CompileResult) with zeroed stage times — no stage ran.
-    auto stored =
-        std::static_pointer_cast<const CompileResult>(hit->entry.decoded);
-    tier_hits_[tier].fetch_add(1, std::memory_order_relaxed);
-    notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
-                     mapping_hits_, source);
-    CompileResult result = *stored;
-    result.stage_times = StageTimes{};
-    return result;
-  }
-
-  // Disk or remote tier: the artifact is only JSON. Resolve the workload
-  // first (a cache hit of its own after the first scenario; partitioning is
-  // the cheap stage) — its failures (CapacityError, cancellation via the
-  // caller's earlier check) are genuine scenario failures and propagate.
-  // The partitioning time it may report is observable through the stage
-  // events but not the result: a cache hit returns zeroed stage times, so
-  // warm results stay byte-identical to memory-tier hits. A remote artifact
-  // passes through exactly this same revalidation — peer answers earn no
-  // shortcut.
+  // The artifact is only JSON. Resolve the workload first (a cache hit of
+  // its own after the first scenario; partitioning is the cheap stage) —
+  // its failures (CapacityError, cancellation via the caller's earlier
+  // check) are genuine scenario failures and propagate. The partitioning
+  // time it may report is observable through the stage events but not the
+  // result: a cache hit returns zeroed stage times, so warm results stay
+  // byte-identical to memory-tier hits. A remote artifact passes through
+  // exactly this same revalidation — peer answers earn no shortcut.
   double partition_seconds = 0.0;
   std::shared_ptr<const Workload> workload = resolve_workload(
       workload_key, hw, scenario.label, index, tag, &partition_seconds);
   (void)partition_seconds;
+  std::optional<CompileResult> result;
   try {
-    CompileResult result = compile_result_from_artifact(
-        hit->entry.artifact, std::move(workload), scenario.options,
-        workload_key);
-    tier_hits_[tier].fetch_add(1, std::memory_order_relaxed);
-    notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
-                     mapping_hits_, source);
-    // Promotion into the tiers above the one that hit, and only those: a
-    // disk hit lands in memory and sends nothing over the network; a
-    // remote hit lands in memory and on the local disk. Deliberately no
-    // on_cache_store event — nothing new was computed.
-    CacheEntry promoted;
-    promoted.artifact = std::move(hit->entry.artifact);
-    promoted.decoded = std::make_shared<const CompileResult>(result);
-    for (std::size_t above = 0; above < tier; ++above) {
-      mapping_tiers_[above]->store(mapping_key, promoted);
-    }
-    return result;
+    result = compile_result_from_artifact(hit->entry.artifact,
+                                          std::move(workload),
+                                          scenario.options, workload_key);
   } catch (const Error&) {
     // Corrupt, mismatched, or invariant-violating artifact: erase it and
-    // report a miss so the caller computes. Never a compile failure — the
-    // cache must not be able to break a compilation it could only have
-    // accelerated.
+    // report a miss so the caller computes — without consulting the deeper
+    // tiers, so a read-only tier serving the same bad artifact forever
+    // cannot livelock anything. Never a compile failure: the cache must
+    // not be able to break a compilation it could only have accelerated.
     for (const std::unique_ptr<CacheStore>& each : mapping_tiers_) {
       each->erase(mapping_key);
     }
     return std::nullopt;
   }
+  tier_hits_[tier].fetch_add(1, std::memory_order_relaxed);
+  notify_cache_hit(cache_names::kMapping, scenario.label, index, tag,
+                   mapping_hits_, mapping_tiers_[tier]->name());
+  *served = tier;
+  *artifact = std::move(hit->entry.artifact);
+  return result;
 }
 
 void CompilerSession::store_mapping(std::uint64_t key,
@@ -947,8 +806,7 @@ void CompilerSession::store_mapping(std::uint64_t key,
                                     const std::string& label, int index,
                                     std::uint64_t tag) {
   CacheEntry entry;
-  entry.decoded = std::make_shared<const CompileResult>(result);
-  if (mapping_tiers_.size() > 1) {
+  if (!mapping_tiers_.empty()) {
     // Encoding is only paid when a persistent or peer tier wants the
     // artifact, and is best-effort: a result that cannot serialize still
     // caches in memory.
@@ -958,15 +816,14 @@ void CompilerSession::store_mapping(std::uint64_t key,
     }
   }
   // First writer wins inside each tier (racing identical scenarios carry
-  // bit-identical payloads); the store event fires only when something was
-  // newly stored, attributed to the deepest tier that took it.
-  const char* deepest = nullptr;
+  // bit-identical payloads). The store event names the deepest tier that
+  // newly took the result: memory, which the settled claim always is,
+  // unless a persistent tier took it too.
+  const char* deepest = cache_sources::kMemory;
   for (const std::unique_ptr<CacheStore>& tier : mapping_tiers_) {
     if (tier->store(key, entry)) deepest = tier->name();
   }
-  if (deepest != nullptr) {
-    notify_cache_store(cache_names::kMapping, label, index, tag, deepest);
-  }
+  notify_cache_store(cache_names::kMapping, label, index, tag, deepest);
 }
 
 void CompilerSession::notify_cache_hit(const char* cache,

@@ -4,13 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "cache/cache_store.hpp"
 #include "common/cancel.hpp"
 #include "common/thread_annotations.hpp"
+#include "core/claim_map.hpp"
 #include "core/compiler.hpp"
 #include "core/pipeline.hpp"
 
@@ -97,7 +96,7 @@ enum class JobStatus { kQueued, kRunning, kDone, kCancelled };
 /// Per-job knobs for CompilerSession::submit().
 struct JobOptions {
   /// Batch position recorded in the outcome and observer callbacks (-1 for
-  /// ad-hoc jobs; compile_all() fills it with the enqueue position).
+  /// ad-hoc jobs; compile_all() fills it with the batch position).
   int index = -1;
 
   /// Queue priority: higher runs sooner, ties are FIFO. Default 0.
@@ -184,24 +183,27 @@ class CompileJob {
 ///     fingerprint), so a sweep revisiting an identical configuration skips
 ///     the GA (and scheduling) entirely. This layer is an ordered tier
 ///     list: memory, then a disk-persisted artifact store when the
-///     CacheConfig sets a dir, then peer daemons when it names peers. A
-///     lookup walks the list and stops at the first hit; a deeper hit is
-///     revalidated against the (cheap, re-partitioned) workload, returns a
-///     result byte-identical to an in-memory hit, and is promoted into the
-///     tiers above it only. A fresh result is stored into every tier. A
-///     corrupt or foreign artifact is a miss, never an error.
+///     CacheConfig sets a dir, then peer daemons when it names peers. The
+///     memory tier is the mapping claim map: a compile takes its key's
+///     claim before any lookup, so identical in-flight compiles wait for
+///     one owner. The owner walks disk, then remote, and stops at the first
+///     hit; that hit is revalidated against the (cheap, re-partitioned)
+///     workload, returns a result byte-identical to an in-memory hit, and
+///     is promoted into the persistent tiers above it only. A fresh result
+///     is stored into every tier. A corrupt or foreign artifact is a miss,
+///     never an error.
 ///
 /// The primitive is submit(): every scenario becomes a CompileJob on a
 /// shared priority-aware queue drained by resident workers (they survive
 /// across batches), with poll()/wait()/cancel() and a completion callback.
-/// compile_all() survives as a thin submit-all + wait-all wrapper: outcomes
-/// keep enqueue order and are bit-identical to the pre-job sequential path —
-/// and to Compiler::compile() — at equal seeds. Scenarios are independent
-/// (each compile owns its mapper and RNG), the caches are mutex-guarded with
-/// once-per-fingerprint partitioning (the first scenario of a fingerprint
-/// partitions, peers block until it publishes), and observer callbacks are
-/// serialized. The session (like Compiler) must outlive the CompileResults
-/// it returns; CompileJob handles themselves may outlive it.
+/// compile_all() is a thin submit-all + wait-all wrapper: outcomes keep
+/// batch order and are bit-identical to the pre-job sequential path — and
+/// to Compiler::compile() — at equal seeds. Scenarios are independent (each
+/// compile owns its mapper and RNG), both caches are claim maps with
+/// once-per-key production (the first scenario of a key produces, peers
+/// block until it settles), and observer callbacks are serialized. The
+/// session (like Compiler) must outlive the CompileResults it returns;
+/// CompileJob handles themselves may outlive it.
 class CompilerSession {
  public:
   /// Takes ownership of the graph (finalizing it if needed); `hw` is the
@@ -237,7 +239,7 @@ class CompilerSession {
   /// Parallel batches return outcomes in enqueue order, bit-identical to
   /// the sequential ones at equal seeds.
   void set_jobs(int jobs);
-  int jobs() const { return jobs_; }
+  int jobs() const;
 
   /// Submits one scenario as an asynchronous job on the shared queue and
   /// returns immediately. Failures (infeasible point, bad options,
@@ -260,19 +262,11 @@ class CompilerSession {
   /// with the wait may extend it.)
   void wait_jobs_idle();
 
-  /// Queues a scenario for the next compile_all(); returns its index in the
-  /// current batch. Safe to call from observer callbacks (follow-up
-  /// scenarios join a later batch).
-  int enqueue(Scenario scenario);
-  int enqueue(CompileOptions options, std::string label = {});
-  int pending() const;
-
-  /// Compatibility wrapper over the job API: submits every queued scenario
-  /// (clearing the queue) and waits for all of them. Outcomes keep enqueue
-  /// order; a scenario failure never throws — each infeasible or
-  /// misconfigured scenario yields an error outcome and the rest of the
-  /// batch completes.
-  std::vector<ScenarioOutcome> compile_all();
+  /// Batch wrapper over the job API: submits every scenario of `batch` and
+  /// waits for all of them. Outcomes keep batch order; a scenario failure
+  /// never throws — each infeasible or misconfigured scenario yields an
+  /// error outcome and the rest of the batch completes.
+  std::vector<ScenarioOutcome> compile_all(std::vector<Scenario> batch);
 
   /// Cache-aware single compilation against the session hardware, run
   /// synchronously on the calling thread (not through the job queue).
@@ -307,12 +301,13 @@ class CompilerSession {
   /// surfaced per-store through PipelineObserver::on_cache_store).
   std::uint64_t mapping_cache_stores() const { return mapping_stores_; }
 
-  /// The mapping tiers a session on `cache` walks, in lookup order: always
-  /// "memory", then "disk" / "remote" as configured.
+  /// The mapping tiers a session on `cache` has, in lookup order: always
+  /// "memory" (the claim map), then "disk" / "remote" as configured.
   static std::vector<const char*> mapping_tier_names(const CacheConfig& cache);
 
-  /// Per-tier (name, CacheStore::counters()) rows of the mapping store, in
-  /// mapping_tier_names() order. No row walks the disk: its entries/bytes
+  /// Per-tier (name, counters) rows of the mapping store, in
+  /// mapping_tier_names() order: the claim map's, then each persistent
+  /// tier's CacheStore::counters(). No row walks the disk: its entries/bytes
   /// are 0, because the directory may be shared by every session of a
   /// daemon and is walked once by whoever renders it (the daemon's stats
   /// request).
@@ -320,8 +315,6 @@ class CompilerSession {
       const;
 
  private:
-  struct WorkloadClaim;
-  struct MappingClaim;
   class ObserverGate;
 
   /// The full-context compile every job and public compile() funnels into:
@@ -347,29 +340,27 @@ class CompilerSession {
                                                    int index, std::uint64_t tag,
                                                    double* partition_seconds);
 
-  /// Walks the mapping tiers in order and turns the first hit into a usable
-  /// CompileResult. A memory hit copies the decoded result (zeroed stage
-  /// times); a deeper hit resolves the workload, revalidates the artifact
-  /// against it, and stores the decoded result into the tiers above the
-  /// one that hit. Returns std::nullopt on a miss, and — after erasing the
-  /// offending entry — when the artifact cannot be trusted; either way the
-  /// caller computes.
+  /// The mapping-claim owner's lookup: walks the persistent tiers in order
+  /// and turns the first hit into a usable CompileResult — it resolves the
+  /// workload and revalidates the artifact against it. On a hit, `*served`
+  /// receives the tier's index and `*artifact` its artifact. Returns
+  /// std::nullopt on a miss, and — after erasing the offending entry — when
+  /// the artifact cannot be trusted; either way the caller computes.
   std::optional<CompileResult> load_mapping(const Scenario& scenario,
                                             const HardwareConfig& hw,
                                             int index, std::uint64_t tag,
                                             std::uint64_t workload_key,
-                                            std::uint64_t mapping_key);
+                                            std::uint64_t mapping_key,
+                                            std::size_t* served,
+                                            Json* artifact);
 
-  /// Publishes a freshly computed result into every tier: decoded for
-  /// memory, plus the encoded artifact when a disk or remote tier is
-  /// configured; one on_cache_store event attributed to the deepest tier
-  /// that newly took it.
+  /// Stores a freshly computed result, already settled in memory, into
+  /// every persistent tier (encoded once, only when there is one); one
+  /// on_cache_store event attributed to the deepest tier that newly took
+  /// it.
   void store_mapping(std::uint64_t key, std::uint64_t workload_key,
                      const CompileResult& result, const std::string& label,
                      int index, std::uint64_t tag);
-  /// Retires an in-flight mapping claim and wakes its waiting peers.
-  void release_mapping_claim(std::uint64_t key,
-                             const std::shared_ptr<MappingClaim>& claim);
   void notify_cache_hit(const char* cache, const std::string& label, int index,
                         std::uint64_t tag, std::atomic<std::uint64_t>& counter,
                         const char* source);
@@ -379,19 +370,19 @@ class CompilerSession {
   Graph graph_;
   HardwareConfig hw_;
   std::uint64_t graph_fingerprint_ = 0;
-  int jobs_ = 1;
 
   // RecursiveMutex: an observer callback may legally re-enter
   // session.compile() — or submit and wait on follow-up jobs — on its own
   // worker thread; cross-thread serialization still holds. Nested compiles
   // from a callback remain unsupported while jobs run on several workers
-  // (the nested call could wait on a WorkloadClaim whose owner is blocked
-  // on this mutex). enqueue() and submit() are always safe.
+  // (the nested call could wait on a workload claim whose owner is blocked
+  // on this mutex). submit() is always safe.
   PipelineObserver* observer_ PIMCOMP_GUARDED_BY(observer_mutex_) = nullptr;
   std::unique_ptr<ObserverGate> gate_;        // serializing forwarder
   mutable RecursiveMutex observer_mutex_;
 
   // Resident job workers plus the registry destruction/cancel_all walk.
+  int jobs_ PIMCOMP_GUARDED_BY(job_mutex_) = 1;
   std::unique_ptr<ThreadPool> pool_ PIMCOMP_GUARDED_BY(job_mutex_);
   std::vector<std::weak_ptr<CompileJob::State>> job_registry_
       PIMCOMP_GUARDED_BY(job_mutex_);
@@ -400,36 +391,29 @@ class CompilerSession {
   mutable Mutex job_mutex_;
   std::atomic<std::size_t> outstanding_jobs_{0};
 
-  std::vector<Scenario> queue_ PIMCOMP_GUARDED_BY(queue_mutex_);
-  mutable Mutex queue_mutex_;
-
   // Workload cache: one claim per fingerprint coordinates
   // once-per-fingerprint partitioning and, once settled, *is* the cache
   // entry — it holds the Workload, or a *deterministic* failure
   // (CapacityError/ConfigError) as the negative cache, since every retry
-  // would fail identically.
-  std::unordered_map<std::uint64_t, std::shared_ptr<WorkloadClaim>>
-      workload_claims_ PIMCOMP_GUARDED_BY(workload_mutex_);
-  mutable Mutex workload_mutex_;
+  // would fail identically. Unbounded: results point into their workloads.
+  ClaimMap<Workload> workloads_;
 
-  // Mapping cache tiers, fastest first: a bounded-FIFO memory tier
-  // (kMaxCachedMappings — a long-lived session sweeping many distinct
-  // configurations must not retain every result forever), then the disk
-  // tier and the remote tier as cache_config_ enables them. The remote tier
-  // comes from the cache/remote_tier.hpp factory seam, so core/ never
-  // names src/fleet/ types.
+  // Mapping cache, fastest tier first. The memory tier is the claim map:
+  // one claim per mapping key dedups identical in-flight compiles and,
+  // once settled, holds the result — a bounded FIFO (kMaxCachedMappings: a
+  // long-lived session sweeping many distinct configurations must not
+  // retain every result forever). A failed owner retires its claim, so
+  // nothing negative is cached here. Then the persistent tiers: disk and
+  // remote as cache_config_ enables them. The remote tier comes from the
+  // cache/remote_tier.hpp factory seam, so core/ never names src/fleet/
+  // types.
+  ClaimMap<CompileResult> mappings_;
   CacheConfig cache_config_;
   std::vector<std::unique_ptr<CacheStore>> mapping_tiers_;
-  // In-flight dedup: concurrent identical jobs (same mapping key) wait for
-  // the first one instead of mapping twice — the second then reads the
-  // cache and reports a mapping cache hit, deterministically.
-  std::unordered_map<std::uint64_t, std::shared_ptr<MappingClaim>>
-      inflight_mappings_ PIMCOMP_GUARDED_BY(mapping_mutex_);
-  mutable Mutex mapping_mutex_;
 
   std::atomic<std::uint64_t> workload_hits_{0};
   std::atomic<std::uint64_t> mapping_hits_{0};
-  /// Hits served per tier, indexed like mapping_tiers_.
+  /// Hits served per persistent tier, indexed like mapping_tiers_.
   std::vector<std::atomic<std::uint64_t>> tier_hits_;
   std::atomic<std::uint64_t> mapping_stores_{0};
 };

@@ -55,8 +55,7 @@ class RemoteStore final : public CacheStore {
 
   /// Offers the artifact to every peer (first writer wins on each, like a
   /// local store). Returns true when at least one peer newly accepted it.
-  /// Entries without an encoded artifact are not sent — decoded objects
-  /// cannot travel.
+  /// An entry without an artifact (its encoding failed) is not sent.
   bool store(std::uint64_t key, const CacheEntry& entry) override;
 
   /// No-op (see class comment).

@@ -1,7 +1,8 @@
-// Unit tests of the src/cache/ stores: the extracted in-memory tier, the
-// persistent disk tier (atomic writes, corrupt-entry self-healing, LRU
-// eviction, read-only mode). The session's walk over its tier list is
-// covered in test_disk_cache and test_fleet. These run under the CI
+// Unit tests of the src/cache/ stores: the persistent disk tier (atomic
+// writes, corrupt-entry self-healing, LRU eviction, read-only mode). The
+// session's memory tier (its mapping claim map) is covered in
+// test_session_concurrency, its walk over the persistent tiers in
+// test_disk_cache and test_fleet. These run under the CI
 // ThreadSanitizer job like every other test, which keeps the concurrent
 // store paths race-free.
 
@@ -20,7 +21,6 @@
 
 #include "cache/cache_store.hpp"
 #include "cache/disk_store.hpp"
-#include "cache/memory_store.hpp"
 
 namespace pimcomp {
 namespace {
@@ -56,16 +56,6 @@ CacheEntry artifact_entry(int value) {
   return entry;
 }
 
-CacheEntry decoded_entry(int value) {
-  CacheEntry entry;
-  entry.decoded = std::make_shared<const int>(value);
-  return entry;
-}
-
-int decoded_value(const CacheEntry& entry) {
-  return *std::static_pointer_cast<const int>(entry.decoded);
-}
-
 // ---------------------------------------------------------------------------
 // Hex keys.
 // ---------------------------------------------------------------------------
@@ -84,69 +74,6 @@ TEST(CacheKeyHex, RoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(cache_key_from_hex("deadbeef").has_value());          // short
   EXPECT_FALSE(cache_key_from_hex("00000000DEADBEEF").has_value());  // upper
   EXPECT_FALSE(cache_key_from_hex("00000000deadbeeg").has_value());
-}
-
-// ---------------------------------------------------------------------------
-// InMemoryStore.
-// ---------------------------------------------------------------------------
-
-TEST(InMemoryStoreTest, MissThenStoreThenHit) {
-  InMemoryStore store;
-  EXPECT_FALSE(store.load(1).has_value());
-  EXPECT_TRUE(store.store(1, decoded_entry(42)));
-  const auto hit = store.load(1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(decoded_value(hit->entry), 42);
-  const CacheStoreStats stats = store.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.stores, 1u);
-}
-
-TEST(InMemoryStoreTest, FirstWriterWins) {
-  InMemoryStore store;
-  EXPECT_TRUE(store.store(7, decoded_entry(1)));
-  EXPECT_FALSE(store.store(7, decoded_entry(2)));  // kept the first
-  EXPECT_EQ(decoded_value(store.load(7)->entry), 1);
-}
-
-TEST(InMemoryStoreTest, FifoEvictionRespectsBound) {
-  InMemoryStore store(/*max_entries=*/2);
-  store.store(1, decoded_entry(1));
-  store.store(2, decoded_entry(2));
-  store.store(3, decoded_entry(3));  // evicts key 1
-  EXPECT_FALSE(store.load(1).has_value());
-  EXPECT_TRUE(store.load(2).has_value());
-  EXPECT_TRUE(store.load(3).has_value());
-  EXPECT_EQ(store.stats().entries, 2u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-}
-
-TEST(InMemoryStoreTest, DropsRedundantArtifactWhenDecodedPresent) {
-  InMemoryStore store;
-  CacheEntry both = artifact_entry(5);
-  both.decoded = std::make_shared<const int>(5);
-  store.store(1, both);
-  const auto hit = store.load(1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(hit->entry.has_artifact());  // decoded-only in memory
-  EXPECT_EQ(decoded_value(hit->entry), 5);
-
-  // Artifact-only entries are kept as-is (pure-JSON store still works).
-  store.store(2, artifact_entry(9));
-  ASSERT_TRUE(store.load(2).has_value());
-  EXPECT_EQ(store.load(2)->entry.artifact.get("value", 0), 9);
-}
-
-TEST(InMemoryStoreTest, EraseDropsOnlyThatKey) {
-  InMemoryStore store;
-  store.store(1, decoded_entry(1));
-  store.store(2, decoded_entry(2));
-  store.erase(1);
-  EXPECT_FALSE(store.load(1).has_value());
-  EXPECT_TRUE(store.load(2).has_value());
-  EXPECT_EQ(store.stats().entries, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +99,6 @@ TEST(DiskStoreTest, StoreThenLoadRoundTripsThroughTheFilesystem) {
   const auto hit = reopened.load(0xabcdef);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->entry.artifact.get("value", 0), 42);
-  EXPECT_EQ(hit->entry.decoded, nullptr);
   // The envelope was stamped on the way in.
   EXPECT_EQ(hit->entry.artifact.get("schema", -1), kCacheSchemaVersion);
   EXPECT_EQ(hit->entry.artifact.get("key", std::string()),
@@ -187,10 +113,10 @@ TEST(DiskStoreTest, NeverRewritesAnExistingArtifact) {
   EXPECT_EQ(store.load(1)->entry.artifact.get("value", 0), 1);
 }
 
-TEST(DiskStoreTest, DecodedOnlyEntriesAreNotPersisted) {
+TEST(DiskStoreTest, ArtifactlessEntriesAreNotPersisted) {
   TempDir dir;
   DiskStore store(disk_config(dir.path));
-  EXPECT_FALSE(store.store(1, decoded_entry(1)));
+  EXPECT_FALSE(store.store(1, CacheEntry{}));
   EXPECT_FALSE(store.load(1).has_value());
 }
 

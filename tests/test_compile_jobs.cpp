@@ -402,17 +402,38 @@ TEST(CompileJobs, MixedSubmitAndCancelFromManyThreads) {
   EXPECT_GE(ok, kThreads);
 }
 
+TEST(CompileJobs, SetJobsWhileAnotherThreadSubmits) {
+  // The worker count is read under the job lock by every submit (it sizes
+  // the pool); resizing from another thread meanwhile must be race-free.
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  std::thread submitter([&session] {
+    for (int i = 0; i < 16; ++i) {
+      const CompileJob job =
+          session.submit(tiny_options(), "S" + std::to_string(i));
+      EXPECT_TRUE(job.wait().ok()) << job.wait().error;
+    }
+  });
+  for (int i = 0; i < 64; ++i) {
+    session.set_jobs(1 + i % 3);
+    EXPECT_GE(session.jobs(), 1);
+    std::this_thread::yield();
+  }
+  submitter.join();
+  session.set_jobs(2);
+  EXPECT_EQ(session.jobs(), 2);
+}
+
 TEST(CompileJobs, ResidentWorkersSurviveAcrossBatches) {
   CompilerSession session(small_cnn(), HardwareConfig::puma_default());
   session.set_jobs(2);
   // Two back-to-back batches reuse the same resident pool; the second
   // batch's identical scenario hits the mapping cache warmed by the first.
-  session.enqueue(tiny_options(), "warm");
-  const std::vector<ScenarioOutcome> first = session.compile_all();
+  const std::vector<ScenarioOutcome> first =
+      session.compile_all({Scenario{"warm", tiny_options(), std::nullopt}});
   ASSERT_TRUE(first[0].ok());
 
-  session.enqueue(tiny_options(), "hit");
-  const std::vector<ScenarioOutcome> second = session.compile_all();
+  const std::vector<ScenarioOutcome> second =
+      session.compile_all({Scenario{"hit", tiny_options(), std::nullopt}});
   ASSERT_TRUE(second[0].ok());
   EXPECT_EQ(session.mapping_cache_hits(), 1u);
   EXPECT_EQ(second[0].result->solution.encode(),

@@ -29,6 +29,7 @@
 #include "graph/builder.hpp"
 #include "schedule_tamper.hpp"
 #include "sim/sim_report.hpp"
+#include "stage_gate.hpp"
 
 namespace pimcomp {
 namespace {
@@ -90,8 +91,7 @@ std::vector<Scenario> batch() {
 }
 
 std::vector<ScenarioOutcome> compile_batch(CompilerSession& session) {
-  for (const Scenario& scenario : batch()) session.enqueue(scenario);
-  return session.compile_all();
+  return session.compile_all(batch());
 }
 
 /// The full observable surface of one outcome: human report, machine
@@ -141,8 +141,7 @@ TEST(DiskCache, WarmRunFromDiskOnlyIsByteIdenticalAndNeverMaps) {
 
     // Reference renders via the *memory* tier (zeroed stage times), which
     // is the exact contract the warm run must reproduce byte for byte.
-    for (const Scenario& scenario : batch()) cold.enqueue(scenario);
-    for (const ScenarioOutcome& outcome : cold.compile_all()) {
+    for (const ScenarioOutcome& outcome : cold.compile_all(batch())) {
       memory_hit_renders.push_back(render(cold, outcome));
     }
   }  // session destroyed: no in-process state survives
@@ -215,6 +214,39 @@ TEST(DiskCache, SurvivesConcurrentWarmJobs) {
   }
   EXPECT_EQ(warm.mapping_cache_stores(), 0u);  // disk served everything
   EXPECT_EQ(warm.mapping_cache_hits(), 12u);
+}
+
+TEST(DiskCache, ConcurrentIdenticalWarmJobsReadTheDiskOnce) {
+  TempDir dir;
+  {
+    CompilerSession cold(small_cnn(), small_hw(), cache_at(dir.path));
+    cold.compile(tiny_options(2));
+  }
+  // N identical jobs overlap on a warm disk (the first is held while it
+  // partitions, on its way to decoding the artifact): it alone reads and
+  // decodes the file; the others wait on its claim and take the decoded
+  // result from memory.
+  constexpr int kJobs = 4;
+  CompilerSession warm(small_cnn(), small_hw(), cache_at(dir.path));
+  warm.set_jobs(kJobs);
+  StageGate gate(stage_names::kPartitioning);
+  warm.set_observer(&gate);
+  std::vector<CompileJob> jobs;
+  jobs.push_back(warm.submit(tiny_options(2), "J0"));
+  gate.wait_until_held();
+  for (int i = 1; i < kJobs; ++i) {
+    jobs.push_back(warm.submit(tiny_options(2), "J" + std::to_string(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.release();
+  for (const CompileJob& job : jobs) {
+    const ScenarioOutcome& outcome = job.wait();
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+  }
+  EXPECT_EQ(warm.mapping_tier_hits(cache_sources::kDisk), 1u);
+  EXPECT_EQ(warm.mapping_tier_hits(cache_sources::kMemory),
+            static_cast<std::uint64_t>(kJobs - 1));
+  EXPECT_EQ(warm.mapping_cache_stores(), 0u);
 }
 
 TEST(DiskCache, CorruptArtifactRecomputesAndSelfHeals) {

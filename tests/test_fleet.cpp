@@ -36,6 +36,7 @@
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "stage_gate.hpp"
 
 namespace pimcomp {
 namespace {
@@ -412,6 +413,40 @@ TEST(FleetEndToEnd, HitsPromoteOnlyIntoTheTiersAboveThem) {
   peerless.compile(options);
   EXPECT_EQ(peerless.mapping_tier_hits(cache_sources::kDisk), 1u);
   EXPECT_EQ(peerless.mapping_cache_stores(), 0u);
+  peer.stop();
+}
+
+TEST(FleetEndToEnd, WaitersOnAnInFlightKeyAskNoPeer) {
+  TempDir peer_dir;
+  CompileServer peer(daemon_options("waiters", peer_dir.path));
+  peer.start();
+
+  // A cold key on a peered session: the job that claims it asks the peer
+  // once (a miss) and computes; identical jobs arriving while it maps wait
+  // on its claim and never send a cache_get of their own.
+  constexpr int kJobs = 4;
+  CompilerSession session(small_cnn(), small_hw(),
+                          remote_only_config(peer.endpoint()));
+  session.set_jobs(kJobs);
+  StageGate gate(stage_names::kMapping);
+  session.set_observer(&gate);
+  std::vector<CompileJob> jobs;
+  jobs.push_back(session.submit(tiny_options(2), "J0"));
+  gate.wait_until_held();
+  for (int i = 1; i < kJobs; ++i) {
+    jobs.push_back(session.submit(tiny_options(2), "J" + std::to_string(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.release();
+  for (const CompileJob& job : jobs) {
+    const ScenarioOutcome& outcome = job.wait();
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+  }
+  EXPECT_EQ(tier_lookups(session, cache_sources::kRemote),
+            std::make_pair(std::uint64_t{0}, std::uint64_t{1}));
+  EXPECT_EQ(session.mapping_tier_hits(cache_sources::kMemory),
+            static_cast<std::uint64_t>(kJobs - 1));
+  EXPECT_EQ(session.mapping_cache_stores(), 1u);
   peer.stop();
 }
 

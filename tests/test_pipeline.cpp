@@ -186,14 +186,15 @@ TEST(CompilerSession, BatchOfThreeRunsPartitioningOnce) {
   CountingObserver observer;
   session.set_observer(&observer);
 
+  std::vector<Scenario> batch;
   for (int parallelism : {1, 20, 200}) {
     CompileOptions options = tiny_options();
     options.parallelism_degree = parallelism;
-    session.enqueue(options, "P=" + std::to_string(parallelism));
+    batch.push_back(
+        Scenario{"P=" + std::to_string(parallelism), options, std::nullopt});
   }
-  EXPECT_EQ(session.pending(), 3);
-  const std::vector<ScenarioOutcome> outcomes = session.compile_all();
-  EXPECT_EQ(session.pending(), 0);
+  const std::vector<ScenarioOutcome> outcomes =
+      session.compile_all(std::move(batch));
   ASSERT_EQ(outcomes.size(), 3u);
   std::vector<const CompileResult*> results;
   for (const ScenarioOutcome& outcome : outcomes) {
@@ -230,10 +231,10 @@ TEST(CompilerSession, HardwareOverridePartitionsPerFingerprint) {
   HardwareConfig wide = HardwareConfig::puma_default();
   wide.core_count = 2 * wide.cores_per_chip;
 
-  session.enqueue(Scenario{"default", tiny_options(), std::nullopt});
-  session.enqueue(Scenario{"wide", tiny_options(), wide});
-  session.enqueue(Scenario{"default-again", tiny_options(), std::nullopt});
-  session.compile_all();
+  session.compile_all(
+      {Scenario{"default", tiny_options(), std::nullopt},
+       Scenario{"wide", tiny_options(), wide},
+       Scenario{"default-again", tiny_options(), std::nullopt}});
 
   // Two distinct hardware fingerprints => exactly two partitioning passes.
   EXPECT_EQ(observer.begins(stage_names::kPartitioning), 2);

@@ -169,11 +169,14 @@ TEST(ServeEndToEnd, ConcurrentClientsShareOneSessionAndMatchDirectCompile) {
   const HardwareConfig hw =
       fit_core_count(reference_graph, HardwareConfig::puma_default(), 3.0);
   CompilerSession reference(std::move(reference_graph), hw);
+  std::vector<Scenario> batch;
   for (int p : {2, 3, 4}) {
-    reference.enqueue(tiny_options(p), "P=" + std::to_string(p));
+    batch.push_back(
+        Scenario{"P=" + std::to_string(p), tiny_options(p), std::nullopt});
   }
   std::map<std::string, std::string> expected;
-  for (const ScenarioOutcome& outcome : reference.compile_all()) {
+  for (const ScenarioOutcome& outcome :
+       reference.compile_all(std::move(batch))) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;
     expected[outcome.label] =
         strip_stage_times(compile_result_to_json(*outcome.result)).dump(0);

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/session.hpp"
 #include "graph/builder.hpp"
+#include "stage_gate.hpp"
 
 namespace pimcomp {
 namespace {
@@ -72,30 +75,31 @@ class RecordingObserver : public PipelineObserver {
 
 /// A mixed DSE-style batch: feasible, infeasible, feasible, misconfigured,
 /// feasible — exercising both error types in the middle of a sweep.
-void enqueue_mixed_batch(CompilerSession& session) {
-  session.enqueue(Scenario{"ht", tiny_options(PipelineMode::kHighThroughput),
+std::vector<Scenario> mixed_batch() {
+  std::vector<Scenario> batch;
+  batch.push_back(Scenario{"ht", tiny_options(PipelineMode::kHighThroughput),
                            std::nullopt});
-  session.enqueue(Scenario{"too-small", tiny_options(), one_xbar_hardware()});
-  session.enqueue(Scenario{"ll", tiny_options(PipelineMode::kLowLatency),
+  batch.push_back(Scenario{"too-small", tiny_options(), one_xbar_hardware()});
+  batch.push_back(Scenario{"ll", tiny_options(PipelineMode::kLowLatency),
                            std::nullopt});
   CompileOptions bad_mapper = tiny_options();
   bad_mapper.mapper = "not-a-mapper";
-  session.enqueue(Scenario{"bad-mapper", bad_mapper, std::nullopt});
+  batch.push_back(Scenario{"bad-mapper", bad_mapper, std::nullopt});
   CompileOptions other_seed = tiny_options(PipelineMode::kHighThroughput, 7);
-  session.enqueue(Scenario{"ht-seed7", other_seed, std::nullopt});
+  batch.push_back(Scenario{"ht-seed7", other_seed, std::nullopt});
+  return batch;
 }
 
 TEST(CompilerSessionBatch, InfeasibleScenarioDoesNotAbortTheBatch) {
   for (int jobs : {1, 4}) {
     CompilerSession session(small_cnn(), HardwareConfig::puma_default());
     session.set_jobs(jobs);
-    enqueue_mixed_batch(session);
 
-    const std::vector<ScenarioOutcome> outcomes = session.compile_all();
+    const std::vector<ScenarioOutcome> outcomes =
+        session.compile_all(mixed_batch());
     ASSERT_EQ(outcomes.size(), 5u) << "jobs=" << jobs;
-    EXPECT_EQ(session.pending(), 0);
 
-    // Outcomes keep enqueue order and labels.
+    // Outcomes keep batch order and labels.
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       EXPECT_EQ(outcomes[i].index, static_cast<int>(i));
     }
@@ -130,13 +134,15 @@ TEST(CompilerSessionBatch, InfeasibleFingerprintFailsOncePartitionsOnce) {
   RecordingObserver observer;
   session.set_observer(&observer);
 
+  std::vector<Scenario> batch;
   for (int i = 0; i < 4; ++i) {
-    session.enqueue(Scenario{"bad-" + std::to_string(i),
+    batch.push_back(Scenario{"bad-" + std::to_string(i),
                              tiny_options(PipelineMode::kHighThroughput,
                                           static_cast<std::uint64_t>(i + 1)),
                              one_xbar_hardware()});
   }
-  const std::vector<ScenarioOutcome> outcomes = session.compile_all();
+  const std::vector<ScenarioOutcome> outcomes =
+      session.compile_all(std::move(batch));
   for (const ScenarioOutcome& outcome : outcomes) {
     ASSERT_FALSE(outcome.ok());
     EXPECT_NE(outcome.error.find("crossbars"), std::string::npos);
@@ -158,25 +164,23 @@ TEST(CompilerSessionParallel, BitIdenticalToSequential) {
   HardwareConfig wide = HardwareConfig::puma_default();
   wide.core_count = 2 * wide.cores_per_chip;
 
-  const auto enqueue_batch = [&wide](CompilerSession& session) {
-    session.enqueue(tiny_options(PipelineMode::kHighThroughput), "ht");
-    session.enqueue(tiny_options(PipelineMode::kLowLatency), "ll");
-    CompileOptions p200 = tiny_options();
-    p200.parallelism_degree = 200;
-    session.enqueue(p200, "p200");
-    session.enqueue(Scenario{"wide", tiny_options(), wide});
-    session.enqueue(tiny_options(PipelineMode::kHighThroughput, 42), "seed42");
-  };
+  CompileOptions p200 = tiny_options();
+  p200.parallelism_degree = 200;
+  const std::vector<Scenario> batch = {
+      {"ht", tiny_options(PipelineMode::kHighThroughput), std::nullopt},
+      {"ll", tiny_options(PipelineMode::kLowLatency), std::nullopt},
+      {"p200", p200, std::nullopt},
+      {"wide", tiny_options(), wide},
+      {"seed42", tiny_options(PipelineMode::kHighThroughput, 42),
+       std::nullopt}};
 
   CompilerSession sequential(small_cnn(), HardwareConfig::puma_default());
   sequential.set_jobs(1);
-  enqueue_batch(sequential);
-  const std::vector<ScenarioOutcome> base = sequential.compile_all();
+  const std::vector<ScenarioOutcome> base = sequential.compile_all(batch);
 
   CompilerSession parallel(small_cnn(), HardwareConfig::puma_default());
   parallel.set_jobs(4);
-  enqueue_batch(parallel);
-  const std::vector<ScenarioOutcome> fanned = parallel.compile_all();
+  const std::vector<ScenarioOutcome> fanned = parallel.compile_all(batch);
 
   ASSERT_EQ(base.size(), fanned.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -200,12 +204,15 @@ TEST(CompilerSessionParallel, WorkloadPartitionedOnceUnderContention) {
 
   // Eight scenarios, one hardware fingerprint, distinct seeds (so the
   // mapping cache cannot short-circuit the contention being tested).
+  std::vector<Scenario> batch;
   for (int i = 0; i < 8; ++i) {
-    session.enqueue(tiny_options(PipelineMode::kHighThroughput,
-                                 static_cast<std::uint64_t>(i + 1)),
-                    "seed-" + std::to_string(i + 1));
+    batch.push_back(Scenario{"seed-" + std::to_string(i + 1),
+                             tiny_options(PipelineMode::kHighThroughput,
+                                          static_cast<std::uint64_t>(i + 1)),
+                             std::nullopt});
   }
-  const std::vector<ScenarioOutcome> outcomes = session.compile_all();
+  const std::vector<ScenarioOutcome> outcomes =
+      session.compile_all(std::move(batch));
   for (const ScenarioOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;
   }
@@ -268,12 +275,16 @@ TEST(CompilerSessionCache, MappingCacheHitsAreObserved) {
   session.set_observer(&observer);
 
   // Three identical scenarios + one distinct: two mapping hits expected.
+  std::vector<Scenario> batch;
   for (int i = 0; i < 3; ++i) {
-    session.enqueue(tiny_options(), "same-" + std::to_string(i));
+    batch.push_back(
+        Scenario{"same-" + std::to_string(i), tiny_options(), std::nullopt});
   }
-  session.enqueue(tiny_options(PipelineMode::kLowLatency), "other");
+  batch.push_back(
+      Scenario{"other", tiny_options(PipelineMode::kLowLatency), std::nullopt});
 
-  const std::vector<ScenarioOutcome> outcomes = session.compile_all();
+  const std::vector<ScenarioOutcome> outcomes =
+      session.compile_all(std::move(batch));
   for (const ScenarioOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;
   }
@@ -327,6 +338,105 @@ TEST(CompilerSessionCache, MappingKeySeparatesOptions) {
   EXPECT_EQ(fingerprint(base), fingerprint(changed));
   changed.scheduler = "ll";
   EXPECT_NE(fingerprint(base), fingerprint(changed));
+}
+
+// ---------------------------------------------------------------------------
+// One claim per mapping key: in-flight dedup and the bounded memory tier.
+// ---------------------------------------------------------------------------
+
+/// The memory tier's counter row.
+CacheStoreStats memory_row(const CompilerSession& session) {
+  for (const auto& [name, stats] : session.mapping_tier_stats()) {
+    if (std::string(name) == cache_sources::kMemory) return stats;
+  }
+  ADD_FAILURE() << "session has no memory tier";
+  return {};
+}
+
+TEST(CompilerSessionDedup, IdenticalConcurrentJobsMapOnce) {
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  session.set_jobs(4);
+  StageGate gate(stage_names::kMapping);
+  session.set_observer(&gate);
+
+  // The owner is held in its mapping stage while the other workers' jobs
+  // reach its claim; the rest queue behind them.
+  std::vector<CompileJob> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(session.submit(tiny_options(), "same-" + std::to_string(i)));
+  }
+  gate.wait_until_held();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.release();
+  const ScenarioOutcome& first = jobs.front().wait();
+  ASSERT_TRUE(first.ok()) << first.error;
+  for (const CompileJob& job : jobs) {
+    const ScenarioOutcome& outcome = job.wait();
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    EXPECT_EQ(outcome.result->solution.encode(),
+              first.result->solution.encode());
+    EXPECT_EQ(outcome.result->schedule.total_ops,
+              first.result->schedule.total_ops);
+    EXPECT_EQ(outcome.result->estimated_fitness,
+              first.result->estimated_fitness);
+  }
+  EXPECT_EQ(gate.begins(), 1);
+  EXPECT_EQ(session.mapping_cache_hits(), 7u);
+  EXPECT_EQ(session.mapping_tier_hits(cache_sources::kMemory), 7u);
+  EXPECT_EQ(session.cached_mappings(), 1u);
+}
+
+TEST(CompilerSessionDedup, CancelledOwnerHandsTheKeyToItsWaiter) {
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  session.set_jobs(2);
+  StageGate gate(stage_names::kMapping);
+  session.set_observer(&gate);
+
+  CompileJob owner = session.submit(tiny_options(), "owner");
+  gate.wait_until_held();  // the owner is inside its mapping stage
+  CompileJob waiter = session.submit(tiny_options(), "waiter");
+  // Let the waiter reach the owner's claim before the owner goes away.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(owner.cancel());
+  gate.release();
+
+  EXPECT_TRUE(owner.wait().cancelled());
+  const ScenarioOutcome& outcome = waiter.wait();
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_EQ(outcome.error_kind, ErrorKind::kNone);
+  // The waiter re-claimed the retired key and mapped it itself.
+  EXPECT_EQ(gate.begins(), 2);
+  EXPECT_EQ(session.mapping_cache_hits(), 0u);
+
+  CompilerSession fresh(small_cnn(), HardwareConfig::puma_default());
+  EXPECT_EQ(fresh.compile(tiny_options()).solution.encode(),
+            outcome.result->solution.encode());
+}
+
+TEST(CompilerSessionDedup, MemoryTierKeepsTheNewest128Mappings) {
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  const auto puma = [](std::uint64_t seed) {
+    CompileOptions options = tiny_options(PipelineMode::kHighThroughput, seed);
+    options.mapper = "puma";  // cheap: no GA
+    return options;
+  };
+  for (std::uint64_t seed = 1; seed <= 129; ++seed) session.compile(puma(seed));
+
+  CacheStoreStats row = memory_row(session);
+  EXPECT_EQ(session.cached_mappings(), 128u);
+  EXPECT_EQ(row.entries, 128u);
+  EXPECT_EQ(row.stores, 129u);
+  EXPECT_EQ(row.evictions, 1u);
+  EXPECT_EQ(row.misses, 129u);
+  EXPECT_EQ(row.hits, 0u);
+
+  // FIFO: the first configuration was the one evicted, the second is kept.
+  session.compile(puma(2));
+  session.compile(puma(1));
+  row = memory_row(session);
+  EXPECT_EQ(row.hits, 1u);
+  EXPECT_EQ(row.misses, 130u);
+  EXPECT_EQ(session.mapping_cache_hits(), 1u);
 }
 
 TEST(CompilerSessionParallel, JobsZeroMeansHardwareThreads) {
