@@ -111,18 +111,79 @@ void BM_LlFitnessEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_LlFitnessEvaluation);
 
-void BM_GaGeneration(benchmark::State& state) {
+/// vgg16 at input 64 on cores fitted at 3x headroom (1008 cores): the
+/// chip a GA fills nearly to the brim, where the feasibility search's
+/// random probes fail and its first-fit scan runs.
+const Workload& vgg16_workload() {
+  static const Graph graph = zoo::vgg16(64);
+  static const HardwareConfig hw =
+      fit_core_count(graph, HardwareConfig::puma_default(), 3.0);
+  static const Workload workload(graph, hw);
+  return workload;
+}
+
+/// A whole GA run of range(0) generations (HT mode) at the given
+/// population.
+void BM_GaGeneration(benchmark::State& state, const Workload& (*workload)(),
+                     int population) {
   GaConfig ga;
-  ga.population = 20;
+  ga.population = population;
   ga.generations = static_cast<int>(state.range(0));
   for (auto _ : state) {
     GeneticMapper mapper(ga);
     MapperOptions options;
-    MappingSolution s = mapper.map(resnet_workload(), options);
+    MappingSolution s = mapper.map(workload(), options);
     benchmark::DoNotOptimize(s.total_xbars_used());
   }
 }
-BENCHMARK(BM_GaGeneration)->Arg(1)->Arg(8);
+BENCHMARK_CAPTURE(BM_GaGeneration, resnet18, resnet_workload, 20)
+    ->Arg(1)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_GaGeneration, vgg16_near_full, vgg16_workload, 100)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+
+/// Scores one mutated child the way the GA does: each iteration grows or
+/// (on the next) shrinks the most-windowed node of resnet18's PUMA mapping
+/// by one replica on one core — which moves that node's cycles, so every
+/// core hosting it is re-scored along with the touched one — and then
+/// evaluates the result against the previous iteration's score.
+void BM_PopulationEvaluate(benchmark::State& state, PipelineMode mode) {
+  const Workload& workload = resnet_workload();
+  const FitnessParams params = FitnessParams::from(workload.hardware(), 20);
+  const LLFitnessContext ll_context(workload);
+  MapperOptions options;
+  PopulationEvaluator evaluator(workload, params, mode, ll_context,
+                                /*slots=*/1, options.max_nodes_per_core);
+  MappingSolution child = resnet_solution();
+  const NodePartition* grown = &workload.partitions()[0];
+  for (const NodePartition& p : workload.partitions()) {
+    if (p.windows > grown->windows) grown = &p;
+  }
+  const int ags = grown->ags_per_replica();
+  int core = 0;
+  while (core < child.core_count() && !child.can_add(core, grown->node, ags)) {
+    ++core;
+  }
+  if (core == child.core_count()) {
+    state.SkipWithError("no core takes another replica");
+    return;
+  }
+  ScoreCache cache;
+  evaluator.evaluate(0, child, cache);
+  bool grow = true;
+  for (auto _ : state) {
+    if (grow) {
+      child.add(core, grown->node, ags);
+    } else {
+      child.remove(core, grown->node, ags);
+    }
+    grow = !grow;
+    benchmark::DoNotOptimize(evaluator.evaluate(0, child, cache));
+  }
+}
+BENCHMARK_CAPTURE(BM_PopulationEvaluate, ht, PipelineMode::kHighThroughput);
+BENCHMARK_CAPTURE(BM_PopulationEvaluate, ll, PipelineMode::kLowLatency);
 
 void BM_HtScheduling(benchmark::State& state) {
   const MappingSolution& solution = resnet_solution();

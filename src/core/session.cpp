@@ -229,7 +229,7 @@ JobStatus CompileJob::poll() const {
 
 bool CompileJob::done() const { return require_state(state_).terminal(); }
 
-const ScenarioOutcome& CompileJob::wait() const {
+const ScenarioOutcome& CompileJob::wait() const& {
   State& state = require_state(state_);
   // Deadlock avoidance for nested waits: a session worker waiting on a job
   // of its own pool (a completion callback or observer that submitted
@@ -244,6 +244,8 @@ const ScenarioOutcome& CompileJob::wait() const {
   while (!state.terminal()) state.cv.wait(state.mutex);
   return state.outcome;
 }
+
+ScenarioOutcome CompileJob::wait() && { return std::as_const(*this).wait(); }
 
 bool CompileJob::cancel() const {
   State& state = require_state(state_);

@@ -150,8 +150,10 @@ class CompileJob {
   /// a follow-up with the *same options and hardware* as a job still
   /// running — the in-flight mapping dedup would make the follow-up wait
   /// on the very job hosting the callback. The returned reference lives as
-  /// long as some CompileJob handle does.
-  const ScenarioOutcome& wait() const;
+  /// long as some CompileJob handle does, so on a temporary handle
+  /// (`session.submit(...).wait()`) the outcome is returned by value.
+  const ScenarioOutcome& wait() const&;
+  ScenarioOutcome wait() &&;
 
   /// Requests cooperative cancellation. A still-queued job is finalized as
   /// cancelled immediately; a running one aborts at its next stage or GA

@@ -1,6 +1,8 @@
 #include "mapping/fitness.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -237,23 +239,16 @@ PopulationEvaluator::PopulationEvaluator(const Workload& workload,
       slots_(slots),
       cores_(workload.hardware().core_count),
       parts_(workload.partition_count()),
-      max_nodes_per_core_(max_nodes_per_core),
       core_slots_(std::min(max_nodes_per_core, workload.partition_count())),
-      genes_stride_(workload.hardware().core_count * core_slots_) {
+      words_((workload.hardware().core_count + 63) / 64) {
   PIMCOMP_CHECK(slots >= 1, "PopulationEvaluator needs at least one slot");
   PIMCOMP_CHECK(max_nodes_per_core >= 1,
                 "max_nodes_per_core must be positive");
   const auto s = static_cast<std::size_t>(slots_);
-  gene_part_.resize(s * static_cast<std::size_t>(genes_stride_));
-  gene_ags_.resize(s * static_cast<std::size_t>(genes_stride_));
-  core_off_.resize(s * static_cast<std::size_t>(cores_ + 1));
-  node_cycles_.resize(s * static_cast<std::size_t>(parts_));
-  node_off_.resize(s * static_cast<std::size_t>(parts_ + 1));
-  node_core_.resize(s * static_cast<std::size_t>(genes_stride_));
-  node_ags_.resize(s * static_cast<std::size_t>(genes_stride_));
-  node_cursor_.resize(s * static_cast<std::size_t>(parts_));
+  cycles_.resize(s * static_cast<std::size_t>(parts_));
   penalty_.resize(s * static_cast<std::size_t>(cores_));
   if (mode_ == PipelineMode::kHighThroughput) {
+    dirty_.resize(s * static_cast<std::size_t>(words_));
     staircase_.resize(s * static_cast<std::size_t>(core_slots_));
   } else {
     finish_.resize(s * static_cast<std::size_t>(parts_));
@@ -261,181 +256,180 @@ PopulationEvaluator::PopulationEvaluator(const Workload& workload,
   }
 }
 
-void PopulationEvaluator::load(int slot, const MappingSolution& solution) {
-  PIMCOMP_ASSERT(slot >= 0 && slot < slots_, "evaluator slot out of range");
-  PIMCOMP_ASSERT(solution.core_count() == cores_ &&
-                     solution.max_nodes_per_core() <= max_nodes_per_core_,
-                 "solution shape does not match the evaluator");
-  const Workload& workload = *workload_;
-  const auto base = static_cast<std::size_t>(slot);
-  int* gene_part = &gene_part_[base * static_cast<std::size_t>(genes_stride_)];
-  int* gene_ags = &gene_ags_[base * static_cast<std::size_t>(genes_stride_)];
-  int* core_off = &core_off_[base * static_cast<std::size_t>(cores_ + 1)];
-  int* node_cycles = &node_cycles_[base * static_cast<std::size_t>(parts_)];
-  int* node_off = &node_off_[base * static_cast<std::size_t>(parts_ + 1)];
-  int* node_core = &node_core_[base * static_cast<std::size_t>(genes_stride_)];
-  int* node_ags = &node_ags_[base * static_cast<std::size_t>(genes_stride_)];
-  int* cursor = &node_cursor_[base * static_cast<std::size_t>(parts_)];
+namespace {
 
-  // Gather the genes core-major and total each node's AGs on the way.
-  std::fill_n(cursor, parts_, 0);  // doubles as the per-node AG total here
-  int pos = 0;
-  for (int core = 0; core < cores_; ++core) {
-    core_off[core] = pos;
-    for (const Gene& g : solution.genes(core)) {
-      const int part = workload.partition_index(g.node);
-      gene_part[pos] = part;
-      gene_ags[pos] = g.ag_count;
-      cursor[part] += g.ag_count;
-      ++pos;
-    }
-  }
-  core_off[cores_] = pos;
-
-  // Totals -> replication -> cycles, exactly as MappingSolution::cycles().
-  for (int i = 0; i < parts_; ++i) {
-    const NodePartition& p =
-        workload.partitions()[static_cast<std::size_t>(i)];
-    const int replication = cursor[i] / p.ags_per_replica();
-    PIMCOMP_ASSERT(replication >= 1, "node without a full replica");
-    node_cycles[i] = ceil_div(p.windows, replication);
-  }
-
-  // Per-node host-core CSR, rows core-ascending (the gather order above).
-  std::fill_n(node_off, parts_ + 1, 0);
-  for (int g = 0; g < pos; ++g) ++node_off[gene_part[g] + 1];
-  for (int i = 0; i < parts_; ++i) node_off[i + 1] += node_off[i];
-  std::copy_n(node_off, parts_, cursor);
-  for (int core = 0; core < cores_; ++core) {
-    for (int g = core_off[core]; g < core_off[core + 1]; ++g) {
-      const int at = cursor[gene_part[g]]++;
-      node_core[at] = core;
-      node_ags[at] = gene_ags[g];
-    }
-  }
+/// Slot `slot`'s `width`-wide slice of a per-slot scratch vector.
+template <typename T>
+std::span<T> slot_slice(std::vector<T>& stripe, int slot, int width) {
+  return std::span<T>(stripe).subspan(
+      static_cast<std::size_t>(slot) * static_cast<std::size_t>(width),
+      static_cast<std::size_t>(width));
 }
 
-double PopulationEvaluator::evaluate(int slot) {
-  PIMCOMP_ASSERT(slot >= 0 && slot < slots_, "evaluator slot out of range");
-  const Workload& workload = *workload_;
-  const auto base = static_cast<std::size_t>(slot);
-  const int* gene_part =
-      &gene_part_[base * static_cast<std::size_t>(genes_stride_)];
-  const int* gene_ags =
-      &gene_ags_[base * static_cast<std::size_t>(genes_stride_)];
-  const int* core_off = &core_off_[base * static_cast<std::size_t>(cores_ + 1)];
-  const int* node_cycles =
-      &node_cycles_[base * static_cast<std::size_t>(parts_)];
-  const int* node_off = &node_off_[base * static_cast<std::size_t>(parts_ + 1)];
-  const int* node_core =
-      &node_core_[base * static_cast<std::size_t>(genes_stride_)];
-  const int* node_ags =
-      &node_ags_[base * static_cast<std::size_t>(genes_stride_)];
-  double* penalty = &penalty_[base * static_cast<std::size_t>(cores_)];
+}  // namespace
+
+void PopulationEvaluator::cycles_and_penalties(
+    const MappingSolution& solution, std::span<int> cycles,
+    std::span<double> penalty) const {
+  const std::span<const int> totals = solution.ag_totals();
+  const std::vector<NodePartition>& parts = workload_->partitions();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    // Totals -> replication -> cycles, exactly as MappingSolution::cycles().
+    const int replication = totals[i] / parts[i].ags_per_replica();
+    PIMCOMP_ASSERT(replication >= 1, "node without a full replica");
+    cycles[i] = ceil_div(parts[i].windows, replication);
+  }
 
   // Cross-core accumulation penalties — mirrors accumulation_penalties():
   // partitions ascending, host cores ascending, identical arithmetic.
-  std::fill_n(penalty, cores_, 0.0);
-  for (int i = 0; i < parts_; ++i) {
-    const NodePartition& p =
-        workload.partitions()[static_cast<std::size_t>(i)];
+  std::fill(penalty.begin(), penalty.end(), 0.0);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const NodePartition& p = parts[i];
     const int per_replica = p.ags_per_replica();
     if (per_replica <= 1) continue;
-    const double elements =
-        static_cast<double>(node_cycles[i]) * p.cols_per_chunk;
+    const double elements = static_cast<double>(cycles[i]) * p.cols_per_chunk;
     const double bytes = elements * params_.activation_bytes;
     const double comm_ps = bytes * 1000.0 / params_.local_memory_gbps;
     const double fold_ps = elements / params_.vfu_ops_per_ns * 1000.0;
 
     int owner = -1;
-    for (int e = node_off[i]; e < node_off[i + 1]; ++e) {
-      if (node_ags[e] % per_replica == 0) continue;
+    for_each_bit(solution.hosts(static_cast<int>(i)), [&](int core) {
+      if (solution.ags_on(core, p.node) % per_replica == 0) return;
       if (owner < 0) {
-        owner = node_core[e];
+        owner = core;
       } else {
-        penalty[node_core[e]] += comm_ps;
-        penalty[owner] += comm_ps + fold_ps;
+        penalty[static_cast<std::size_t>(core)] += comm_ps;
+        penalty[static_cast<std::size_t>(owner)] += comm_ps + fold_ps;
       }
-    }
+    });
   }
+}
+
+double PopulationEvaluator::staircase_time(
+    const MappingSolution& solution, int core, std::span<const int> cycles,
+    std::span<std::pair<int, int>> staircase) const {
+  // Mirrors one core of ht_core_times().
+  std::size_t len = 0;
+  int live = 0;
+  for (const Gene& g : solution.genes(core)) {
+    const auto part =
+        static_cast<std::size_t>(workload_->partition_index(g.node));
+    staircase[len++] = {cycles[part], g.ag_count};
+    live += g.ag_count;
+  }
+  const std::span<std::pair<int, int>> steps = staircase.first(len);
+  std::sort(steps.begin(), steps.end());
+  double time = 0.0;
+  int prev_cycles = 0;
+  for (const auto& [node_cycles, ag_count] : steps) {
+    if (node_cycles > prev_cycles) {
+      time += static_cast<double>(cycle_time(live, params_)) *
+              (node_cycles - prev_cycles);
+      prev_cycles = node_cycles;
+    }
+    live -= ag_count;
+  }
+  return time;
+}
+
+double PopulationEvaluator::evaluate(int slot, MappingSolution& solution,
+                                     ScoreCache& cache) {
+  PIMCOMP_ASSERT(slot >= 0 && slot < slots_, "evaluator slot out of range");
+  PIMCOMP_ASSERT(solution.core_count() == cores_ &&
+                     solution.workload().partition_count() == parts_ &&
+                     std::min(solution.max_nodes_per_core(), parts_) <=
+                         core_slots_,
+                 "solution shape does not match the evaluator");
+  const std::span<int> cycles = slot_slice(cycles_, slot, parts_);
+  const std::span<double> penalty = slot_slice(penalty_, slot, cores_);
+  cycles_and_penalties(solution, cycles, penalty);
+  const auto cores = static_cast<std::size_t>(cores_);
 
   if (mode_ == PipelineMode::kHighThroughput) {
-    // Fig 5 staircase per core — mirrors ht_core_times(); the max that
-    // ht_fitness takes afterwards folds into the loop.
-    std::pair<int, int>* staircase =
-        &staircase_[base * static_cast<std::size_t>(core_slots_)];
+    const std::span<std::pair<int, int>> staircase =
+        slot_slice(staircase_, slot, core_slots_);
+    if (cache.stair.size() != cores) {
+      cache.stair.resize(cores);
+      for (int core = 0; core < cores_; ++core) {
+        cache.stair[static_cast<std::size_t>(core)] =
+            staircase_time(solution, core, cycles, staircase);
+      }
+    } else {
+      // Dirty = touched cores + hosts of every partition whose cycles moved.
+      const std::span<std::uint64_t> dirty = slot_slice(dirty_, slot, words_);
+      const std::span<const std::uint64_t> touched = solution.touched();
+      std::copy(touched.begin(), touched.end(), dirty.begin());
+      for (std::size_t i = 0; i < cycles.size(); ++i) {
+        if (cycles[i] == cache.cycles[i]) continue;
+        const std::span<const std::uint64_t> hosts =
+            solution.hosts(static_cast<int>(i));
+        for (std::size_t w = 0; w < dirty.size(); ++w) dirty[w] |= hosts[w];
+      }
+      for_each_bit(dirty, [&](int core) {
+        cache.stair[static_cast<std::size_t>(core)] =
+            staircase_time(solution, core, cycles, staircase);
+      });
+    }
+    cache.cycles.assign(cycles.begin(), cycles.end());
+    solution.clear_touched();
+    // The max that ht_fitness takes over ht_core_times().
     double worst = 0.0;
-    for (int core = 0; core < cores_; ++core) {
-      int len = 0;
-      int live = 0;
-      for (int g = core_off[core]; g < core_off[core + 1]; ++g) {
-        staircase[len++] = {node_cycles[gene_part[g]], gene_ags[g]};
-        live += gene_ags[g];
-      }
-      std::sort(staircase, staircase + len);
-      double time = 0.0;
-      int prev_cycles = 0;
-      for (int k = 0; k < len; ++k) {
-        const auto& [cycles, ag_count] = staircase[k];
-        if (cycles > prev_cycles) {
-          time += static_cast<double>(cycle_time(live, params_)) *
-                  (cycles - prev_cycles);
-          prev_cycles = cycles;
-        }
-        live -= ag_count;
-      }
-      worst = std::max(worst, time + penalty[core]);
+    for (std::size_t core = 0; core < cores; ++core) {
+      worst = std::max(worst, cache.stair[core] + penalty[core]);
     }
     return worst;
   }
+  solution.clear_touched();
 
   // LL mode — mirrors LLFitnessContext::finish_times()/evaluate().
-  double* finish = &finish_[base * static_cast<std::size_t>(parts_)];
-  double* duration = &duration_[base * static_cast<std::size_t>(parts_)];
+  const std::span<double> finish = slot_slice(finish_, slot, parts_);
+  const std::span<double> duration = slot_slice(duration_, slot, parts_);
+  const std::vector<NodePartition>& parts = workload_->partitions();
   const std::vector<std::vector<int>>& consumers = ll_->consumers();
-  for (int i = 0; i < parts_; ++i) {
-    const NodePartition& p =
-        workload.partitions()[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const NodePartition& p = parts[i];
     int max_ags_one_core = 0;
     double comm_penalty = 0.0;
-    for (int e = node_off[i]; e < node_off[i + 1]; ++e) {
-      max_ags_one_core = std::max(max_ags_one_core, node_ags[e]);
-      comm_penalty = std::max(comm_penalty, penalty[node_core[e]]);
-    }
+    for_each_bit(solution.hosts(static_cast<int>(i)), [&](int core) {
+      max_ags_one_core =
+          std::max(max_ags_one_core, solution.ags_on(core, p.node));
+      comm_penalty =
+          std::max(comm_penalty, penalty[static_cast<std::size_t>(core)]);
+    });
     PIMCOMP_ASSERT(max_ags_one_core > 0, "node with no mapped AGs");
 
     int subscriber_cores = 0;
-    for (int consumer : consumers[static_cast<std::size_t>(i)]) {
-      subscriber_cores += node_off[consumer + 1] - node_off[consumer];
+    for (int consumer : consumers[i]) {
+      for (std::uint64_t word : solution.hosts(consumer)) {
+        subscriber_cores += std::popcount(word);
+      }
     }
-    const double fanout_bytes = static_cast<double>(node_cycles[i]) *
+    const double fanout_bytes = static_cast<double>(cycles[i]) *
                                 p.cols_per_chunk * params_.activation_bytes *
                                 subscriber_cores;
     const double fanout_ps =
         fanout_bytes * 1000.0 / params_.local_memory_gbps;
 
     duration[i] =
-        static_cast<double>(node_cycles[i]) *
+        static_cast<double>(cycles[i]) *
             static_cast<double>(cycle_time(max_ags_one_core, params_)) +
         comm_penalty + fanout_ps;
   }
   const std::vector<std::vector<LLFitnessContext::Edge>>& edges = ll_->edges();
-  for (int i = 0; i < parts_; ++i) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
     double start = 0.0;
     double provider_finish_max = 0.0;
-    for (const LLFitnessContext::Edge& e :
-         edges[static_cast<std::size_t>(i)]) {
+    for (const LLFitnessContext::Edge& e : edges[i]) {
       if (e.provider < 0) continue;
-      const double provider_finish = finish[e.provider];
-      const double provider_duration = duration[e.provider];
-      start = std::max(start, provider_finish - (1.0 - e.waiting_fraction) *
-                                                    provider_duration);
-      provider_finish_max = std::max(provider_finish_max, provider_finish);
+      const auto provider = static_cast<std::size_t>(e.provider);
+      start = std::max(start, finish[provider] - (1.0 - e.waiting_fraction) *
+                                                     duration[provider]);
+      provider_finish_max = std::max(provider_finish_max, finish[provider]);
     }
     finish[i] = std::max(start + duration[i], provider_finish_max);
   }
   double latest = 0.0;
-  for (int i = 0; i < parts_; ++i) latest = std::max(latest, finish[i]);
+  for (const double f : finish) latest = std::max(latest, f);
   return latest;
 }
 

@@ -1,6 +1,8 @@
 #ifndef PIMCOMP_MAPPING_FITNESS_HPP
 #define PIMCOMP_MAPPING_FITNESS_HPP
 
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,26 +89,42 @@ class LLFitnessContext {
   std::vector<std::vector<int>> consumers_;   // per partition index
 };
 
-/// Data-oriented fitness evaluation over a whole population. The GA keeps
-/// one evaluator per island, sized to the island's population: every
-/// per-gene quantity the per-candidate estimators recompute through
-/// MappingSolution's accessors — gene lists, per-node host core sets (one
-/// freshly allocated `cores_of` vector per node and call), per-node
-/// replication and cycle counts, per-core load/penalty accumulators — is
-/// flattened into contiguous population-sized stripes allocated once and
-/// reused across generations. Gene stripes are sized like MappingSolution's
-/// gene store, min(max_nodes_per_core, partitions) slots per core, so a
-/// large wire-supplied max_nodes_per_core cannot inflate them. `load()`
-/// gathers a candidate into its slot; `evaluate()` then runs the Fig 5 /
-/// Fig 6 estimator entirely on the slot's stripes without allocating.
+/// The parts of an individual's HT score that a mutation leaves mostly
+/// intact, carried by the GA's individuals from one scoring to the next.
+/// Empty (the default) until the evaluator first scores the individual.
+struct ScoreCache {
+  std::vector<double> stair;  ///< per core: Fig 5 staircase time, no penalty
+  std::vector<int> cycles;    ///< per partition: ceil(windows / replication)
+};
+
+/// Fitness evaluation for the GA's population, reading the solution's own
+/// flat arrays: node cycles come from its per-partition AG totals, host
+/// cores from its per-partition bitsets (ascending — the order the scalar
+/// estimators' cores_of scan uses, which fixes the penalty accumulation
+/// order), and genes from its per-core spans. The GA keeps one evaluator
+/// per island, with per-slot scratch (penalties, the dirty-core bitset, the
+/// staircase, the LL recursion) allocated once and reused, so evaluation
+/// allocates nothing once every individual's cache is sized.
 ///
 /// Slots share no mutable state, so a generation's changed children can be
-/// loaded and evaluated as a lock-free parallel-for over distinct slots.
+/// evaluated as a lock-free parallel-for over distinct slots.
+///
+/// HT re-scores only what a mutation touched. The fitness is the max over
+/// cores of stair + penalty; a core's staircase depends only on its genes
+/// and on their nodes' cycles. `evaluate` therefore recomputes the
+/// staircase of the solution's touched cores and of the hosts of every
+/// partition whose cycles differ from the cache, keeps the rest from the
+/// cache, recomputes the accumulation penalties in full, and refreshes the
+/// cache. An empty cache means a full score. LL runs its full recursion on
+/// every call and leaves the cache alone. Either way the solution's
+/// touched-cores bitset is cleared afterwards: the cache (if any) now
+/// describes it.
 ///
 /// `evaluate()` mirrors ht_fitness / LLFitnessContext::evaluate operation
 /// for operation — same iteration order, same floating-point association —
-/// so a slot's fitness is bit-identical to the reference estimators'
-/// (tests/test_island_ga.cpp pins the equivalence). Any change to the
+/// so its fitness is bit-identical to the reference estimators'
+/// (tests/test_island_ga.cpp and tests/test_fitness.cpp pin the
+/// equivalence, the latter along random edit walks). Any change to the
 /// reference estimators must be replayed here.
 class PopulationEvaluator {
  public:
@@ -114,17 +132,26 @@ class PopulationEvaluator {
                       PipelineMode mode, const LLFitnessContext& ll_context,
                       int slots, int max_nodes_per_core);
 
-  /// Gathers `solution` into slot `slot`'s stripes.
-  void load(int slot, const MappingSolution& solution);
-
-  /// Fitness of the solution most recently loaded into `slot` (lower is
-  /// better). Touches only slot-local stripes; distinct slots may run
-  /// concurrently.
-  double evaluate(int slot);
+  /// Fitness of `solution` (lower is better), using slot `slot`'s scratch
+  /// and, in HT mode, re-scoring against and refreshing `cache`, which
+  /// must be empty or describe `solution` as it was when its touched cores
+  /// were last cleared. Clears the touched cores. Distinct slots (with
+  /// distinct solutions and caches) may run concurrently.
+  double evaluate(int slot, MappingSolution& solution, ScoreCache& cache);
 
   int slots() const { return slots_; }
 
  private:
+  /// Fills one slot's `cycles` (per partition) and `penalty` (per core)
+  /// for `solution`.
+  void cycles_and_penalties(const MappingSolution& solution,
+                            std::span<int> cycles,
+                            std::span<double> penalty) const;
+  /// Fig 5 staircase time of one core, without its penalty.
+  double staircase_time(const MappingSolution& solution, int core,
+                        std::span<const int> cycles,
+                        std::span<std::pair<int, int>> staircase) const;
+
   const Workload* workload_;
   FitnessParams params_;
   PipelineMode mode_;
@@ -132,28 +159,13 @@ class PopulationEvaluator {
   int slots_;
   int cores_;
   int parts_;
-  int max_nodes_per_core_;
-  int core_slots_;    ///< min(max_nodes_per_core_, parts_): genes per core
-  int genes_stride_;  ///< cores_ * core_slots_: max genes per slot
+  int core_slots_;  ///< min(max_nodes_per_core, parts_): genes per core
+  int words_;       ///< 64-bit words per core bitset
 
-  // Chromosome stripes, core-major compact per slot (genes_stride_ wide).
-  std::vector<int> gene_part_;  ///< partition index of each gene's node
-  std::vector<int> gene_ags_;   ///< AG count of each gene
-  std::vector<int> core_off_;   ///< per-core gene offsets; (cores_+1) wide
-
-  // Per-partition stripes (parts_ wide).
-  std::vector<int> node_cycles_;  ///< ceil(windows / replication)
-
-  // Per-partition CSR over host cores — the flat replacement for
-  // MappingSolution::cores_of; rows are core-ascending like the original
-  // scan, which fixes the penalty accumulation order.
-  std::vector<int> node_off_;     ///< (parts_+1) wide
-  std::vector<int> node_core_;    ///< genes_stride_ wide
-  std::vector<int> node_ags_;     ///< genes_stride_ wide
-  std::vector<int> node_cursor_;  ///< CSR fill scratch; parts_ wide
-
-  // evaluate() scratch (never read across calls).
-  std::vector<double> penalty_;  ///< per-core accumulation penalties
+  // Per-slot scratch (never read across calls).
+  std::vector<int> cycles_;      ///< parts_ wide
+  std::vector<double> penalty_;  ///< cores_ wide
+  std::vector<std::uint64_t> dirty_;  ///< HT; words_ wide
   std::vector<std::pair<int, int>> staircase_;  ///< HT; core_slots_ wide
   std::vector<double> finish_;    ///< LL; parts_ wide
   std::vector<double> duration_;  ///< LL; parts_ wide

@@ -37,8 +37,8 @@ struct Scratch {
 };
 
 /// Finds a core that can accept `ag_count` AGs of `node`, trying a few random
-/// probes before falling back to a full scan from a random offset. Returns
-/// -1 when no core fits.
+/// probes before falling back to a cyclic first-fit scan from a random
+/// offset. Returns -1 when no core fits.
 int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
                        int ag_count, int exclude = -1) {
   const int cores = s.core_count();
@@ -46,12 +46,7 @@ int find_feasible_core(const MappingSolution& s, Rng& rng, NodeId node,
     const int c = rng.uniform_int(cores);
     if (c != exclude && s.can_add(c, node, ag_count)) return c;
   }
-  const int offset = rng.uniform_int(cores);
-  for (int i = 0; i < cores; ++i) {
-    const int c = (offset + i) % cores;
-    if (c != exclude && s.can_add(c, node, ag_count)) return c;
-  }
-  return -1;
+  return s.first_fit(rng.uniform_int(cores), node, ag_count, exclude);
 }
 
 /// Places one full replica (ags_per_replica AGs) of `node`, preferring a
@@ -283,12 +278,6 @@ bool mutate_merge(MappingSolution& s, Rng& rng, Scratch& scratch,
   if (cores.size() < 2) return false;
 
   const int per_replica = p.ags_per_replica();
-  auto count_on = [&](int core) {
-    for (const Gene& g : s.genes(core)) {
-      if (g.node == p.node) return g.ag_count;
-    }
-    return 0;
-  };
 
   int src = -1;
   int dst = -1;
@@ -297,7 +286,9 @@ bool mutate_merge(MappingSolution& s, Rng& rng, Scratch& scratch,
     std::vector<int>& misaligned = scratch.misaligned;
     misaligned.clear();
     for (int core : cores) {
-      if (count_on(core) % per_replica != 0) misaligned.push_back(core);
+      if (s.ags_on(core, p.node) % per_replica != 0) {
+        misaligned.push_back(core);
+      }
     }
     if (misaligned.size() >= 2) {
       rng.shuffle(misaligned);
@@ -311,27 +302,32 @@ bool mutate_merge(MappingSolution& s, Rng& rng, Scratch& scratch,
     dst = cores[1];
   }
 
-  const int src_count = count_on(src);
+  // dst already hosts the node, so can_add(dst, node, k) holds exactly for
+  // k up to both the crossbars dst has free and the gene encoding bound.
+  const int src_count = s.ags_on(src, p.node);
+  const int fits_dst =
+      std::min(s.free_xbars(dst) / p.xbars_per_ag,
+               kMaxAgCountPerGene - s.ags_on(dst, p.node));
   int movable = 0;
   if (per_replica > 1 && src_count % per_replica != 0) {
     // Prefer moving exactly the misaligned remainder.
     const int remainder = src_count % per_replica;
-    if (s.can_add(dst, p.node, remainder)) movable = remainder;
+    if (remainder <= fits_dst) movable = remainder;
   }
-  if (movable == 0) {
-    while (movable < src_count && s.can_add(dst, p.node, movable + 1)) {
-      ++movable;
-    }
-  }
+  if (movable == 0) movable = std::max(0, std::min(src_count, fits_dst));
   if (movable == 0) return false;
   s.remove(src, p.node, movable);
   s.add(dst, p.node, movable);
   return true;
 }
 
+/// A member of the population. `cache` holds the parts of the HT score
+/// that survive a mutation (see ScoreCache); a child copies it from its
+/// parent along with the solution and its touched-cores bitset.
 struct Individual {
   MappingSolution solution;
   double fitness = 0.0;
+  ScoreCache cache;
 };
 
 /// First index of the lowest fitness (the tie rule the sequential GA used).
@@ -353,7 +349,7 @@ std::size_t worst_index(const std::vector<Individual>& population) {
 }
 
 /// One island of the model: a sub-population and the buffer its next
-/// generation is bred into, its private RNG stream, its SoA evaluator, its
+/// generation is bred into, its private RNG stream, its evaluator, its
 /// breed-loop scratch, and its convergence record. Between migration barriers
 /// every field is touched only by the parallel_for index that owns the
 /// island; migration runs on the orchestrating thread after the barrier
@@ -440,7 +436,7 @@ MappingSolution GeneticMapper::map(const Workload& workload,
   // as a batch: evaluation draws no randomness and nothing reads a child's
   // fitness within the generation that breeds it, so deferring the
   // evaluations preserves the sequential GA's RNG draw sequence exactly
-  // while letting the batch run data-oriented over the island's SoA slots —
+  // while letting the batch run over the evaluator's per-slot scratch —
   // and, for islands=1, as a parallel-for over distinct slots.
   auto evaluate_batch = [](Island& island, std::vector<Individual>& crowd,
                            const std::vector<int>& pending,
@@ -448,8 +444,8 @@ MappingSolution GeneticMapper::map(const Workload& workload,
     auto evaluate_one = [&](int j) {
       const int slot = pending[static_cast<std::size_t>(j)];
       Individual& individual = crowd[static_cast<std::size_t>(slot)];
-      island.evaluator->load(slot, individual.solution);
-      individual.fitness = island.evaluator->evaluate(slot);
+      individual.fitness = island.evaluator->evaluate(
+          slot, individual.solution, individual.cache);
     };
     if (batch_pool != nullptr && pending.size() > 1) {
       batch_pool->parallel_for(static_cast<int>(pending.size()),

@@ -9,6 +9,13 @@
 
 namespace pimcomp {
 
+namespace {
+
+/// Core `core`'s bit within its word of a core bitset.
+std::uint64_t bit_of(int core) { return std::uint64_t{1} << (core % 64); }
+
+}  // namespace
+
 MappingSolution::MappingSolution(const Workload& workload,
                                  int max_nodes_per_core)
     : workload_(&workload),
@@ -25,6 +32,7 @@ MappingSolution::MappingSolution(const Workload& workload,
   xbars_used_.assign(cores, 0);
   total_ags_.assign(parts, 0);
   hosts_.assign(parts * static_cast<std::size_t>(host_words_), 0);
+  touched_.assign(static_cast<std::size_t>(host_words_), 0);
 }
 
 Gene* MappingSolution::core_genes(int core) {
@@ -33,17 +41,6 @@ Gene* MappingSolution::core_genes(int core) {
 
 std::uint64_t* MappingSolution::host_bits(int part) {
   return hosts_.data() + static_cast<std::size_t>(part) * host_words_;
-}
-
-const std::uint64_t* MappingSolution::host_bits(int part) const {
-  return hosts_.data() + static_cast<std::size_t>(part) * host_words_;
-}
-
-std::span<const Gene> MappingSolution::genes(int core) const {
-  PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
-  return {genes_.data() + static_cast<std::size_t>(core) * stride_,
-          static_cast<std::size_t>(
-              gene_count_[static_cast<std::size_t>(core)])};
 }
 
 bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
@@ -57,10 +54,35 @@ bool MappingSolution::can_add(int core, NodeId node, int ag_count) const {
   }
   if (!has_node(core, node)) return gene_count(core) < max_nodes_per_core_;
   // Guard the integer gene encoding bound.
-  for (const Gene& g : genes(core)) {
-    if (g.node == node) return g.ag_count + ag_count <= kMaxAgCountPerGene;
+  return ags_on(core, node) + ag_count <= kMaxAgCountPerGene;
+}
+
+int MappingSolution::first_fit(int offset, NodeId node, int ag_count,
+                               int exclude) const {
+  PIMCOMP_ASSERT(offset >= 0 && offset < core_count_, "offset out of range");
+  PIMCOMP_ASSERT(ag_count > 0, "ag_count must be positive");
+  // can_add's three tests with everything that does not depend on the core
+  // hoisted: the partition, the crossbar need and the host bitset.
+  const NodePartition& p = workload_->partition_of(node);
+  const std::span<const std::uint64_t> bits =
+      hosts(workload_->partition_index(node));
+  const int limit =
+      workload_->hardware().xbars_per_core - ag_count * p.xbars_per_ag;
+  auto fits = [&](int c) {
+    const auto core = static_cast<std::size_t>(c);
+    if (c == exclude || xbars_used_[core] > limit) return false;
+    if ((bits[core / 64] & bit_of(c)) == 0) {
+      return gene_count_[core] < max_nodes_per_core_;
+    }
+    return ags_on(c, node) + ag_count <= kMaxAgCountPerGene;
+  };
+  for (int c = offset; c < core_count_; ++c) {
+    if (fits(c)) return c;
   }
-  return true;
+  for (int c = 0; c < offset; ++c) {
+    if (fits(c)) return c;
+  }
+  return -1;
 }
 
 void MappingSolution::add(int core, NodeId node, int ag_count) {
@@ -74,12 +96,14 @@ void MappingSolution::add(int core, NodeId node, int ag_count) {
                           [node](const Gene& g) { return g.node == node; });
   if (it == slots + count) {
     slots[count++] = Gene{node, ag_count};
-    host_bits(part)[core / 64] |= std::uint64_t{1} << (core % 64);
+    host_bits(part)[core / 64] |= bit_of(core);
   } else {
     it->ag_count += ag_count;
   }
   xbars_used_[static_cast<std::size_t>(core)] += ag_count * p.xbars_per_ag;
+  total_xbars_ += ag_count * p.xbars_per_ag;
   total_ags_[static_cast<std::size_t>(part)] += ag_count;
+  touched_[static_cast<std::size_t>(core / 64)] |= bit_of(core);
 }
 
 int MappingSolution::remove(int core, NodeId node, int ag_count) {
@@ -98,11 +122,13 @@ int MappingSolution::remove(int core, NodeId node, int ag_count) {
     // genes by index, so the order is part of the GA's trajectory.
     std::copy(it + 1, slots + count, it);
     --count;
-    host_bits(part)[core / 64] &= ~(std::uint64_t{1} << (core % 64));
+    host_bits(part)[core / 64] &= ~bit_of(core);
   }
   const NodePartition& p = workload_->partition_of(node);
   xbars_used_[static_cast<std::size_t>(core)] -= removed * p.xbars_per_ag;
+  total_xbars_ -= removed * p.xbars_per_ag;
   total_ags_[static_cast<std::size_t>(part)] -= removed;
+  touched_[static_cast<std::size_t>(core / 64)] |= bit_of(core);
   return removed;
 }
 
@@ -140,7 +166,8 @@ bool MappingSolution::has_node(int core, NodeId node) const {
   PIMCOMP_ASSERT(core >= 0 && core < core_count_, "core out of range");
   const int part = workload_->partition_index(node);
   if (part < 0) return false;
-  return (host_bits(part)[core / 64] >> (core % 64) & 1U) != 0;
+  const std::span<const std::uint64_t> bits = hosts(part);
+  return (bits[static_cast<std::size_t>(core / 64)] & bit_of(core)) != 0;
 }
 
 std::vector<int> MappingSolution::cores_of(NodeId node) const {
@@ -153,18 +180,7 @@ void MappingSolution::cores_of(NodeId node, std::vector<int>& out) const {
   out.clear();
   const int part = workload_->partition_index(node);
   if (part < 0) return;
-  const std::uint64_t* bits = host_bits(part);
-  for (int w = 0; w < host_words_; ++w) {
-    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
-      out.push_back(w * 64 + std::countr_zero(word));
-    }
-  }
-}
-
-std::int64_t MappingSolution::total_xbars_used() const {
-  std::int64_t total = 0;
-  for (int used : xbars_used_) total += used;
-  return total;
+  for_each_bit(hosts(part), [&out](int core) { out.push_back(core); });
 }
 
 void MappingSolution::validate() const {
@@ -173,6 +189,7 @@ void MappingSolution::validate() const {
                                workload_->partition_count()),
                            0);
   std::int64_t gene_total = 0;
+  std::int64_t xbar_total = 0;
   for (int c = 0; c < core_count_; ++c) {
     const std::span<const Gene> core_genes = genes(c);
     gene_total += static_cast<std::int64_t>(core_genes.size());
@@ -204,11 +221,15 @@ void MappingSolution::validate() const {
     if (xbars != xbars_used_[static_cast<std::size_t>(c)]) {
       throw Error("core " + std::to_string(c) + " crossbar cache is stale");
     }
+    xbar_total += xbars;
     if (xbars > hw.xbars_per_core) {
       throw Error("core " + std::to_string(c) + " uses " +
                   std::to_string(xbars) + " crossbars, budget is " +
                   std::to_string(hw.xbars_per_core));
     }
+  }
+  if (xbar_total != total_xbars_) {
+    throw Error("chip-wide crossbar total is stale");
   }
   // Every gene's bit is set (checked above); equal totals rule out strays.
   std::int64_t bits_set = 0;

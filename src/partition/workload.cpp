@@ -34,22 +34,6 @@ Workload::Workload(const Graph& graph, const HardwareConfig& hw)
   }
 }
 
-const NodePartition& Workload::partition_of(NodeId node) const {
-  const int index = partition_index(node);
-  PIMCOMP_CHECK(index >= 0, "node is not a crossbar node");
-  return partitions_[static_cast<std::size_t>(index)];
-}
-
-bool Workload::has_partition(NodeId node) const {
-  return partition_index(node) >= 0;
-}
-
-int Workload::partition_index(NodeId node) const {
-  PIMCOMP_ASSERT(node >= 0 && node < graph_->node_count(),
-                 "node id out of range");
-  return partition_index_[static_cast<std::size_t>(node)];
-}
-
 int Workload::recommended_core_count(double headroom) const {
   return recommend_cores(min_xbars_, hw_, headroom);
 }

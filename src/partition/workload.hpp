@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arch/hardware_config.hpp"
+#include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "partition/node_partitioner.hpp"
 
@@ -29,12 +30,21 @@ class Workload {
   int partition_count() const { return static_cast<int>(partitions_.size()); }
 
   /// Partition lookup by graph node id; throws if the node is not a
-  /// crossbar node.
-  const NodePartition& partition_of(NodeId node) const;
-  bool has_partition(NodeId node) const;
+  /// crossbar node. Inline, like partition_index: the GA's feasibility
+  /// checks call both on every probe.
+  const NodePartition& partition_of(NodeId node) const {
+    const int index = partition_index(node);
+    PIMCOMP_CHECK(index >= 0, "node is not a crossbar node");
+    return partitions_[static_cast<std::size_t>(index)];
+  }
+  bool has_partition(NodeId node) const { return partition_index(node) >= 0; }
 
   /// Dense partition index for a node id (-1 when not a crossbar node).
-  int partition_index(NodeId node) const;
+  int partition_index(NodeId node) const {
+    PIMCOMP_ASSERT(node >= 0 && node < graph_->node_count(),
+                   "node id out of range");
+    return partition_index_[static_cast<std::size_t>(node)];
+  }
 
   /// Crossbars required for exactly one replica of every node.
   std::int64_t min_xbars_required() const { return min_xbars_; }

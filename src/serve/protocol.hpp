@@ -39,8 +39,9 @@ inline constexpr int kProtocolVersion = 6;
 inline constexpr long long kMaxWireCores = 1 << 20;
 inline constexpr long long kMaxWireParallelism = 1 << 20;
 inline constexpr long long kMaxWireGaBudget = 1'000'000;
-/// Each island costs a population-sized SoA evaluator, so the cap is far
-/// tighter than the generation/population budget.
+/// Each island costs an evaluator with population-sized per-slot scratch
+/// and its own breed buffer, so the cap is far tighter than the
+/// generation/population budget.
 inline constexpr long long kMaxWireGaIslands = 4096;
 inline constexpr long long kMaxWireDimension = 1 << 20;  // xbar/core geometry
 inline constexpr long long kMaxWireInputSize = 1 << 16;

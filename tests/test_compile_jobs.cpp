@@ -120,6 +120,23 @@ TEST(CompileJobs, WaitAfterCompletionIsIdempotent) {
   EXPECT_EQ(job.poll(), JobStatus::kDone);
 }
 
+TEST(CompileJobs, WaitOnATemporaryHandleOwnsItsOutcome) {
+  // `submit(...).wait()` waits on a handle that dies at the end of the
+  // statement. Once the session is gone too (its workers joined, its job
+  // registry dropped), nothing of the job is left but what wait()
+  // returned: on a temporary handle that must be the outcome itself, not
+  // a reference into the freed job state (AddressSanitizer reports the
+  // latter as a heap-use-after-free).
+  auto session = std::make_unique<CompilerSession>(
+      small_cnn(), HardwareConfig::puma_default());
+  const auto& outcome = session->submit(tiny_options(5), "temporary").wait();
+  session.reset();
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_EQ(outcome.label, "temporary");
+  EXPECT_EQ(outcome.error_kind, ErrorKind::kNone);
+  EXPECT_GT(outcome.result->estimated_fitness, 0.0);
+}
+
 TEST(CompileJobs, CancelBeforeStartNeverRunsAStage) {
   CompilerSession session(small_cnn(), HardwareConfig::puma_default());
   StageWatcher watcher;

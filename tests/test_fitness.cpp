@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/random.hpp"
 #include "graph/builder.hpp"
 #include "graph/zoo/zoo.hpp"
 
@@ -208,6 +214,162 @@ TEST(LLEdges, PoolingStretchesReceptiveField) {
   // the pooled receptive field needs a deeper slice than a direct conv
   // consumer would (which would need rows 1..2).
   EXPECT_GT(edges[0].waiting_fraction, 2.0 / 16.0);
+}
+
+// ---------------------------------------------------------------------------
+// PopulationEvaluator against the scalar estimators along random edit walks.
+// ---------------------------------------------------------------------------
+
+/// One replica of every node, scattered AG by AG round-robin over the cores
+/// so that many replicas span cores and pay accumulation penalties.
+MappingSolution scattered_start(const Workload& workload) {
+  MappingSolution s(workload, 8);
+  int core = 0;
+  for (const NodePartition& p : workload.partitions()) {
+    for (int k = 0; k < p.ags_per_replica(); ++k) {
+      while (!s.can_add(core, p.node, 1)) core = (core + 1) % s.core_count();
+      s.add(core, p.node, 1);
+      core = (core + 1) % s.core_count();
+    }
+  }
+  return s;
+}
+
+/// A random core hosting `node`.
+int random_host(Rng& rng, const MappingSolution& s, NodeId node) {
+  const std::vector<int> hosts = s.cores_of(node);
+  return hosts[static_cast<std::size_t>(rng.pick_index(hosts))];
+}
+
+/// Moves `count` AGs of `node` from `src` to the first core after it that
+/// takes them; false when none does.
+bool move_ags(MappingSolution& s, int src, NodeId node, int count) {
+  for (int i = 1; i < s.core_count(); ++i) {
+    const int dst = (src + i) % s.core_count();
+    if (s.can_add(dst, node, count)) {
+      s.remove(src, node, count);
+      s.add(dst, node, count);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// One random edit that keeps at least one full replica of every node (the
+/// estimators' precondition): AG additions and removals (which also change
+/// replication when a total crosses a multiple of the replica size, and
+/// drop a node from a core when its gene empties), whole-replica growth and
+/// shrinkage, moves between cores, and emptying a core.
+void random_edit(Rng& rng, MappingSolution& s) {
+  const Workload& workload = s.workload();
+  const NodePartition& p = workload.partitions()[static_cast<std::size_t>(
+      rng.uniform_int(workload.partition_count()))];
+  const int per_replica = p.ags_per_replica();
+  const int spare = s.total_ags(p.node) - per_replica;  // removable AGs
+  switch (rng.uniform_int(6)) {
+    case 0: {
+      const int core = rng.uniform_int(s.core_count());
+      const int count = rng.uniform_range(1, 2 * per_replica);
+      if (s.can_add(core, p.node, count)) s.add(core, p.node, count);
+      break;
+    }
+    case 1: {
+      const int core = random_host(rng, s, p.node);
+      const int count = std::min(
+          spare, rng.uniform_range(1, s.ags_on(core, p.node)));
+      if (count > 0) s.remove(core, p.node, count);
+      break;
+    }
+    case 2: {  // grow or shrink by one whole replica
+      if (rng.bernoulli(0.5)) {
+        const int core = rng.uniform_int(s.core_count());
+        if (s.can_add(core, p.node, per_replica)) {
+          s.add(core, p.node, per_replica);
+        }
+      } else if (spare >= per_replica) {
+        int remaining = per_replica;
+        for (int core : s.cores_of(p.node)) {
+          remaining -= s.remove(core, p.node, remaining);
+          if (remaining == 0) break;
+        }
+      }
+      break;
+    }
+    case 3: {
+      const int src = random_host(rng, s, p.node);
+      move_ags(s, src, p.node,
+               rng.uniform_range(1, s.ags_on(src, p.node)));
+      break;
+    }
+    case 4: {  // drop the node from a core by moving its whole gene
+      const int src = random_host(rng, s, p.node);
+      move_ags(s, src, p.node, s.ags_on(src, p.node));
+      break;
+    }
+    default: {  // empty a core
+      const int core = rng.uniform_int(s.core_count());
+      const std::vector<Gene> genes(s.genes(core).begin(),
+                                    s.genes(core).end());
+      for (const Gene& g : genes) {
+        if (!move_ags(s, core, g.node, g.ag_count)) break;
+      }
+      break;
+    }
+  }
+}
+
+TEST(PopulationEvaluator, CachedScoringMatchesScalarAlongRandomWalks) {
+  // A few individuals take random edits; some are copied over others (a
+  // child copies its parent's solution, touched cores and cache), and some
+  // edits are left unscored so that touched cores accumulate across steps
+  // and copies. After every scored step the evaluator's fitness must equal
+  // the scalar estimator's bit for bit, and the touched cores are clear.
+  const Graph graph = zoo::build("resnet18", 32);
+  HardwareConfig hw = HardwareConfig::puma_default();
+  hw.core_count = Workload::recommend_cores(
+      Workload::min_xbars_for(graph, hw), hw, 3.0);
+  const Workload workload(graph, hw);
+  ASSERT_NE(hw.core_count % 64, 0);  // a partial last bitset word
+  const LLFitnessContext ll_context(workload);
+  for (const int parallelism : {1, 20}) {
+    const FitnessParams params = FitnessParams::from(hw, parallelism);
+    for (const auto mode :
+         {PipelineMode::kHighThroughput, PipelineMode::kLowLatency}) {
+      SCOPED_TRACE(to_string(mode) + " P=" + std::to_string(parallelism));
+      PopulationEvaluator evaluator(workload, params, mode, ll_context,
+                                    /*slots=*/2, /*max_nodes_per_core=*/8);
+      struct Individual {
+        MappingSolution solution;
+        ScoreCache cache;
+      };
+      std::vector<Individual> crowd(3, Individual{scattered_start(workload),
+                                                  ScoreCache{}});
+      Rng rng(static_cast<std::uint64_t>(parallelism) * 2 +
+              (mode == PipelineMode::kLowLatency ? 1 : 0));
+      int scored = 0;
+      for (int step = 0; step < 1500; ++step) {
+        Individual& one = crowd[static_cast<std::size_t>(rng.uniform_int(3))];
+        if (rng.bernoulli(0.1)) {
+          one = crowd[static_cast<std::size_t>(rng.uniform_int(3))];
+        } else {
+          random_edit(rng, one.solution);
+        }
+        if (rng.bernoulli(0.3)) continue;  // left unscored
+        const double expected =
+            mode == PipelineMode::kHighThroughput
+                ? ht_fitness(one.solution, params)
+                : ll_context.evaluate(one.solution, params);
+        ASSERT_EQ(evaluator.evaluate(step % 2, one.solution, one.cache),
+                  expected)
+            << "step " << step;
+        for (const std::uint64_t word : one.solution.touched()) {
+          ASSERT_EQ(word, 0U) << "step " << step;
+        }
+        ++scored;
+      }
+      EXPECT_GT(scored, 900);
+    }
+  }
 }
 
 }  // namespace

@@ -428,5 +428,134 @@ TEST(FlatGeneStore, CopyAssignReusedAcrossShapesEqualsFreshCopy) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// first_fit against the cyclic can_add scan it replaces in the GA's
+// feasibility search.
+// ---------------------------------------------------------------------------
+
+int naive_first_fit(const MappingSolution& s, int offset, NodeId node,
+                    int ag_count, int exclude) {
+  for (int i = 0; i < s.core_count(); ++i) {
+    const int c = (offset + i) % s.core_count();
+    if (c != exclude && s.can_add(c, node, ag_count)) return c;
+  }
+  return -1;
+}
+
+/// first_fit == the naive scan at every offset, with no exclusion, with
+/// the offset itself excluded, and with another core excluded.
+void expect_first_fit_matches(const MappingSolution& s, NodeId node,
+                              int ag_count) {
+  for (int offset = 0; offset < s.core_count(); ++offset) {
+    const int other = (offset * 7 + 3) % s.core_count();
+    for (const int exclude : {-1, offset, other}) {
+      ASSERT_EQ(s.first_fit(offset, node, ag_count, exclude),
+                naive_first_fit(s, offset, node, ag_count, exclude))
+          << "offset " << offset << " exclude " << exclude << " node "
+          << node << " ags " << ag_count;
+    }
+  }
+}
+
+TEST(FirstFit, MatchesCyclicCanAddScanOnRandomSolutions) {
+  const Graph graph = zoo::squeezenet(64);
+  for (const int cores : {36, 150}) {
+    HardwareConfig hw = HardwareConfig::puma_default();
+    hw.core_count = cores;
+    const Workload workload(graph, hw);
+    for (const int max_nodes : {1, 2, 8}) {
+      SCOPED_TRACE("cores=" + std::to_string(cores) +
+                   " max_nodes=" + std::to_string(max_nodes));
+      Rng rng(static_cast<std::uint64_t>(cores * 31 + max_nodes));
+      MappingSolution s(workload, max_nodes);
+      NaiveSolution model(workload, max_nodes);
+      for (int step = 0; step < 2000; ++step) {
+        random_step(rng, s, model);
+        if (step % 200 != 0) continue;
+        for (int probe = 0; probe < 4; ++probe) {
+          const NodePartition& p =
+              workload.partitions()[static_cast<std::size_t>(
+                  rng.uniform_int(workload.partition_count()))];
+          expect_first_fit_matches(s, p.node, rng.uniform_range(1, 8));
+        }
+      }
+    }
+  }
+}
+
+TEST(FirstFit, MatchesCyclicCanAddScanAtEveryBound) {
+  const Graph graph = zoo::squeezenet(64);
+  HardwareConfig hw = HardwareConfig::puma_default();
+  hw.core_count = 36;
+  const Workload workload(graph, hw);
+  const NodePartition* fill = nullptr;  // an AG size dividing the budget
+  for (const NodePartition& p : workload.partitions()) {
+    if (hw.xbars_per_core % p.xbars_per_ag == 0) fill = &p;
+  }
+  ASSERT_NE(fill, nullptr);
+  const int per_core = hw.xbars_per_core / fill->xbars_per_ag;
+  const NodeId a = workload.partitions()[0].node;
+  const NodeId b = workload.partitions()[1].node;
+  const NodeId c = workload.partitions()[2].node;
+
+  MappingSolution s(workload, 2);
+  s.add(5, fill->node, per_core);  // exactly at the crossbar budget
+  ASSERT_EQ(s.free_xbars(5), 0);
+  if (per_core > 1) {
+    s.add(6, fill->node, per_core - 1);  // room for exactly one more AG
+  }
+  s.add(7, a, 1);  // both node slots taken
+  s.add(7, b, 1);
+  for (const NodePartition& p : workload.partitions()) {
+    for (const int ags : {1, 2, per_core}) {
+      expect_first_fit_matches(s, p.node, ags);
+    }
+  }
+  EXPECT_NE(s.first_fit(5, fill->node, 1, -1), 5);
+  EXPECT_EQ(s.first_fit(6, fill->node, 1, -1), 6);
+  EXPECT_NE(s.first_fit(7, c, 1, -1), 7);
+  EXPECT_EQ(s.first_fit(7, a, 1, -1), 7);
+  EXPECT_EQ(s.first_fit(7, a, 1, 7), 8);
+
+  // Every core full: no fit from any offset.
+  MappingSolution full(workload, 8);
+  for (int core = 0; core < full.core_count(); ++core) {
+    full.add(core, fill->node, per_core);
+  }
+  expect_first_fit_matches(full, fill->node, 1);
+  EXPECT_EQ(full.first_fit(0, fill->node, 1, -1), -1);
+}
+
+TEST(FirstFit, MatchesCyclicCanAddScanAtTheGeneEncodingBound) {
+  // Crossbars to spare, so only the gene's integer encoding bound stops a
+  // core from taking more AGs of a node it already hosts.
+  const Graph graph = zoo::squeezenet(64);
+  HardwareConfig hw = HardwareConfig::puma_default();
+  hw.core_count = 36;
+  const Workload small(graph, hw);
+  const NodePartition* thin = &small.partitions()[0];
+  for (const NodePartition& p : small.partitions()) {
+    if (p.xbars_per_ag < thin->xbars_per_ag) thin = &p;
+  }
+  hw.xbars_per_core = 2 * kMaxAgCountPerGene * thin->xbars_per_ag;
+  const Workload workload(graph, hw);
+  const NodeId node = thin->node;
+  const NodeId other = node == workload.partitions()[0].node
+                           ? workload.partitions()[1].node
+                           : workload.partitions()[0].node;
+
+  MappingSolution s(workload, 8);
+  s.add(3, node, kMaxAgCountPerGene);      // at the bound
+  s.add(4, node, kMaxAgCountPerGene - 1);  // one below it
+  for (const int ags : {1, 2}) {
+    expect_first_fit_matches(s, node, ags);
+    expect_first_fit_matches(s, other, ags);
+  }
+  EXPECT_EQ(s.first_fit(3, node, 1, -1), 4);
+  EXPECT_EQ(s.first_fit(4, node, 1, -1), 4);
+  EXPECT_EQ(s.first_fit(4, node, 2, -1), 5);
+  EXPECT_EQ(s.first_fit(3, other, 1, -1), 3);
+}
+
 }  // namespace
 }  // namespace pimcomp

@@ -5,7 +5,7 @@
 //    chromosome digest, same final fitness, same evaluation count);
 //  * equal (seed, islands) is bit-reproducible at ANY thread count — the
 //    pool is execution environment, never identity;
-//  * the SoA PopulationEvaluator computes bitwise the same fitness as the
+//  * the PopulationEvaluator computes bitwise the same fitness as the
 //    scalar ht_fitness / LLFitnessContext::evaluate it restructures;
 //  * at a realistic budget, the island model's final fitness is no worse
 //    than the sequential trajectory's at an equal generation budget.
@@ -164,7 +164,7 @@ TEST(IslandGa, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(IslandGa, PopulationEvaluatorMatchesScalarFitness) {
-  // The SoA evaluator is a restructuring, not a reimplementation: on any
+  // The evaluator is a restructuring, not a reimplementation: on any
   // solution it must produce bitwise the fitness of the scalar paths it
   // replaced (same operations in the same association order).
   Graph graph = zoo::build("squeezenet", 32);
@@ -191,13 +191,14 @@ TEST(IslandGa, PopulationEvaluatorMatchesScalarFitness) {
       MapperOptions run = options;
       run.mode = mode;
       run.seed = seed;
-      const MappingSolution s = mapper.map(workload, run);
+      MappingSolution s = mapper.map(workload, run);
 
-      evaluator.load(0, s);
+      ScoreCache cache;
       const double expected = mode == PipelineMode::kHighThroughput
                                   ? ht_fitness(s, params)
                                   : ll_context.evaluate(s, params);
-      EXPECT_EQ(evaluator.evaluate(0), expected);  // bitwise, not NEAR
+      // Bitwise, not NEAR.
+      EXPECT_EQ(evaluator.evaluate(0, s, cache), expected);
     }
   }
 }
