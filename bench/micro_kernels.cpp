@@ -194,14 +194,28 @@ void BM_HtScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_HtScheduling);
 
-void BM_LlScheduling(benchmark::State& state) {
-  const MappingSolution& solution = resnet_solution();
+/// vgg16's PUMA mapping on its 1008-core chip: the replication-heavy LL
+/// case, where every consumer core drains many providers' channels.
+const MappingSolution& vgg16_solution() {
+  static const MappingSolution solution = [] {
+    PumaMapper mapper;
+    MapperOptions options;
+    return mapper.map(vgg16_workload(), options);
+  }();
+  return solution;
+}
+
+void BM_LlScheduling(benchmark::State& state,
+                     const MappingSolution& (*solution)()) {
   for (auto _ : state) {
-    Schedule s = schedule_ll(solution, {});
+    Schedule s = schedule_ll(solution(), {});
     benchmark::DoNotOptimize(s.total_ops);
   }
 }
-BENCHMARK(BM_LlScheduling);
+BENCHMARK_CAPTURE(BM_LlScheduling, resnet18, resnet_solution)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LlScheduling, vgg16, vgg16_solution)
+    ->Unit(benchmark::kMillisecond);
 
 // Simulated ops per second on resnet18's PUMA mapping. The LL program
 // carries far more SEND/RECV pairs than the HT one.

@@ -16,12 +16,15 @@ baseline, not a silently skewed comparison. Per-model ratios are printed
 for the humans reading the CI log; only cross-model sums gate, because
 single small models are too noisy on shared runners.
 
-Two sums gate independently, each against the same --slack:
-  * the TOTAL stage time (the historical gate); and
+Three sums gate independently, each against the same --slack:
+  * the TOTAL stage time (the historical gate);
   * the MAPPING stage alone (summed over every row) — the island-model GA
     parallelized exactly this stage, so a mapping-only regression must not
-    be able to hide inside a total dominated by scheduling. Skipped with a
-    notice when the baseline predates the `mapping_seconds` field.
+    be able to hide inside a total dominated by scheduling; and
+  * the SCHEDULING stage alone, so that an LL scheduling regression cannot
+    hide inside a total dominated by mapping.
+A stage gate is skipped with a notice when the baseline predates its
+`<stage>_seconds` field.
 """
 
 import argparse
@@ -91,13 +94,14 @@ def main() -> int:
     ok = gate("total stage time", artifact["scenario_seconds"],
               baseline["scenario_seconds"])
 
-    base_mapping = baseline.get("mapping_seconds")
-    if base_mapping is None:
-        print("notice: baseline lacks mapping_seconds; mapping-only gate "
-              "skipped (regenerate the baseline to arm it)")
-    else:
-        mapping = sum(r["mapping_s"] for r in artifact["stages"])
-        ok = gate("mapping stage time", mapping, base_mapping) and ok
+    for stage in ("mapping", "scheduling"):
+        base_stage = baseline.get(f"{stage}_seconds")
+        if base_stage is None:
+            print(f"notice: baseline lacks {stage}_seconds; {stage}-only "
+                  f"gate skipped (regenerate the baseline to arm it)")
+            continue
+        stage_total = sum(r[f"{stage}_s"] for r in artifact["stages"])
+        ok = gate(f"{stage} stage time", stage_total, base_stage) and ok
     return 0 if ok else 1
 
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -31,9 +30,10 @@ struct PacketGen {
   std::int64_t bytes = 0;
 };
 
-/// Generation-time channel bookkeeping: packets sent, in order, and how far
-/// the consumer core has drained.
+/// Generation-time channel bookkeeping: the sending core, packets sent, in
+/// order, and how far the consumer core has drained.
 struct ChannelGen {
+  int src = -1;
   std::vector<PacketGen> packets;
   std::size_t drained = 0;
 };
@@ -45,12 +45,22 @@ struct HeldPacket {
   int block = -1;
 };
 
+/// One provider's data flowing into one core: the inbound channels that
+/// carry it (first-occurrence order over the provider's groups), the highest
+/// row drained for it so far, and each consumer partition's retirement floor.
+struct Inlet {
+  int provider = -1;
+  int drained_row = std::numeric_limits<int>::min();
+  std::vector<int> channels;
+  std::vector<std::pair<int, int>> floors;  ///< (consumer, floor)
+};
+
 struct CoreCtx {
   std::vector<Operation> program;
   LocalMemoryPlanner planner;
   std::int64_t last_stamp = -1;
-  std::vector<HeldPacket> held;
-  std::map<int, std::map<int, int>> floors;  // provider -> consumer -> floor
+  std::vector<HeldPacket> held;  ///< live packets, in arrival order
+  std::vector<Inlet> inlets;
   int input_rows_loaded = 0;
 
   CoreCtx(MemoryPolicy policy, std::int64_t capacity)
@@ -67,16 +77,41 @@ struct CoreCtx {
   }
 };
 
+/// Static per-group indexes: the distinct member cores (ascending), each
+/// member's position among them, each distinct core's position among the
+/// partition's hosts, and the channel to each subscriber of the partition.
+struct GroupIndex {
+  std::vector<int> cores;
+  std::vector<int> member_pos;
+  std::vector<int> host_pos;
+  std::vector<int> out_channels;
+};
+
 /// Per-(group, row) accumulation state while the row is in flight.
 struct RowAcc {
-  int windows = 0;                      ///< windows of this group in the row
-  int owner_acc_block = -1;             ///< accumulator on the owner core
-  std::map<int, int> remote_row_block;  ///< member core -> row buffer block
+  int windows = 0;           ///< windows of this group in the row
+  int owner_acc_block = -1;  ///< accumulator on the owner core
+  std::vector<int> remote;   ///< per GroupIndex::cores: row buffer or -1
   std::vector<std::pair<int, int>> transients;  ///< (core, block) to retire
 };
 
+/// Position of `value` in the ascending vector `sorted`, which holds it.
+int position_of(const std::vector<int>& sorted, int value) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
+  PIMCOMP_ASSERT(it != sorted.end() && *it == value, "missing index entry");
+  return static_cast<int>(it - sorted.begin());
+}
+
 }  // namespace
 
+// The indexes below rest on three invariants of the emission order:
+//  1. Partitions are emitted in index order and every provider's index is
+//     lower than its consumer's, so a provider is fully emitted before any
+//     consumer drains it: its channels and packets no longer change.
+//  2. Per channel, packets arrive grouped by provider in index order, and a
+//     provider's rows arrive in ascending order (rows are the outer loop).
+//  3. A core's drained row per provider only rises, so a need at or below
+//     it is already resident (or was drained and retired).
 Schedule schedule_ll(const MappingSolution& solution,
                      const LlScheduleOptions& options) {
   const Workload& workload = solution.workload();
@@ -93,8 +128,6 @@ Schedule schedule_ll(const MappingSolution& solution,
   for (int c = 0; c < cores; ++c) {
     ctx.emplace_back(policy, hw.local_memory_bytes);
   }
-
-  std::map<std::pair<int, int>, ChannelGen> channels;
 
   // --- Static per-partition facts --------------------------------------------
   struct ProviderInfo {
@@ -140,6 +173,50 @@ Schedule schedule_ll(const MappingSolution& solution,
   }
   for (auto& subs : subscribers) std::sort(subs.begin(), subs.end());
 
+  // --- Static per-group indexes and dense channel ids ------------------------
+  std::vector<GroupIndex> index(layout.groups.size());
+  std::vector<std::vector<int>> owned(static_cast<std::size_t>(cores));
+  for (std::size_t gid = 0; gid < layout.groups.size(); ++gid) {
+    const AccumGroup& g = layout.groups[gid];
+    GroupIndex& gi = index[gid];
+    for (int member : g.members) {
+      gi.cores.push_back(
+          layout.instances[static_cast<std::size_t>(member)].core);
+    }
+    std::sort(gi.cores.begin(), gi.cores.end());
+    gi.cores.erase(std::unique(gi.cores.begin(), gi.cores.end()),
+                   gi.cores.end());
+    for (int member : g.members) {
+      gi.member_pos.push_back(position_of(
+          gi.cores, layout.instances[static_cast<std::size_t>(member)].core));
+    }
+    const auto& hosts =
+        layout.partition_host_cores[static_cast<std::size_t>(g.partition)];
+    for (int core : gi.cores) gi.host_pos.push_back(position_of(hosts, core));
+    if (!g.empty()) {
+      owned[static_cast<std::size_t>(g.owner_core)].push_back(
+          static_cast<int>(gid));
+    }
+  }
+  // One channel per distinct (owner core, subscriber core) pair.
+  std::vector<ChannelGen> channels;
+  std::vector<int> channel_to(static_cast<std::size_t>(cores), -1);
+  for (int owner = 0; owner < cores; ++owner) {
+    for (int gid : owned[static_cast<std::size_t>(owner)]) {
+      const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
+      for (int sub : subscribers[static_cast<std::size_t>(g.partition)]) {
+        int& id = channel_to[static_cast<std::size_t>(sub)];
+        if (id < 0 || channels[static_cast<std::size_t>(id)].src != owner) {
+          id = static_cast<int>(channels.size());
+          channels.emplace_back().src = owner;
+        }
+        index[static_cast<std::size_t>(gid)].out_channels.push_back(id);
+      }
+    }
+  }
+  std::vector<int> channel_seen(channels.size(), -1);
+  int inlets_built = 0;
+
   const std::int64_t input_row_bytes =
       static_cast<std::int64_t>(graph.node(0).output_shape.width) *
       graph.node(0).output_shape.channels * act_bytes;
@@ -151,31 +228,58 @@ Schedule schedule_ll(const MappingSolution& solution,
     return policy == MemoryPolicy::kAgReuse ? 0 : span_rows;
   };
 
-  auto retire_packets = [&](int c, int provider) {
-    CoreCtx& core = ctx[static_cast<std::size_t>(c)];
-    auto floors_it = core.floors.find(provider);
-    if (floors_it == core.floors.end()) return;
-    int floor = kRowInf;
-    for (const auto& [consumer, f] : floors_it->second) {
-      floor = std::min(floor, f);
+  // The inlet of `provider` on core `c`, built on first use by consumer
+  // partition `consumer`.
+  auto inlet_of = [&](int c, int provider, int consumer) {
+    auto& inlets = ctx[static_cast<std::size_t>(c)].inlets;
+    for (std::size_t i = 0; i < inlets.size(); ++i) {
+      if (inlets[i].provider == provider) return static_cast<int>(i);
     }
+    Inlet& inlet = inlets.emplace_back();
+    inlet.provider = provider;
+    if (provider >= 0) {
+      PIMCOMP_ASSERT(provider < consumer,
+                     "a provider must be emitted before its consumers");
+      const int sub = position_of(
+          subscribers[static_cast<std::size_t>(provider)], c);
+      for (int gid :
+           layout.partition_groups[static_cast<std::size_t>(provider)]) {
+        if (layout.groups[static_cast<std::size_t>(gid)].empty()) continue;
+        const int ch = index[static_cast<std::size_t>(gid)]
+                           .out_channels[static_cast<std::size_t>(sub)];
+        if (channel_seen[static_cast<std::size_t>(ch)] != inlets_built) {
+          channel_seen[static_cast<std::size_t>(ch)] = inlets_built;
+          inlet.channels.push_back(ch);
+        }
+      }
+      ++inlets_built;
+    }
+    return static_cast<int>(inlets.size()) - 1;
+  };
+
+  auto retire_packets = [&](int c, const Inlet& inlet) {
+    CoreCtx& core = ctx[static_cast<std::size_t>(c)];
+    int floor = kRowInf;
+    for (const auto& [consumer, f] : inlet.floors) floor = std::min(floor, f);
     if (floor <= 0) return;
-    bool freed = false;
-    for (HeldPacket& held : core.held) {
-      if (held.provider == provider && held.block >= 0 && held.row < floor) {
+    auto kept = core.held.begin();
+    for (const HeldPacket& held : core.held) {
+      if (held.provider == inlet.provider && held.row < floor) {
         core.planner.force_free(held.block);
-        held.block = -1;
-        freed = true;
+      } else {
+        *kept++ = held;
       }
     }
-    if (freed) core.stamp();
+    if (kept == core.held.end()) return;
+    core.held.erase(kept, core.held.end());
+    core.stamp();
   };
 
   // Makes provider data up to `need_row` resident on core `c` (drains
   // channels / stages graph input). Idempotent per (core, provider, row).
-  auto ensure_available = [&](int c, const ProviderInfo& info, int need_row) {
+  auto ensure_available = [&](int c, Inlet& inlet, int need_row) {
     CoreCtx& core = ctx[static_cast<std::size_t>(c)];
-    if (info.provider < 0) {
+    if (inlet.provider < 0) {
       const int target = std::min(need_row, input_rows);
       if (target > core.input_rows_loaded) {
         const int new_rows = target - core.input_rows_loaded;
@@ -192,30 +296,30 @@ Schedule schedule_ll(const MappingSolution& solution,
       }
       return;
     }
-    for (int gid :
-         layout.partition_groups[static_cast<std::size_t>(info.provider)]) {
-      const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
-      if (g.empty()) continue;
-      auto it = channels.find({g.owner_core, c});
-      if (it == channels.end()) continue;
-      ChannelGen& ch = it->second;
+    if (need_row <= inlet.drained_row) return;  // invariant 3
+    inlet.drained_row = need_row;
+    for (int id : inlet.channels) {
+      ChannelGen& ch = channels[static_cast<std::size_t>(id)];
+      // Drain through this provider's last packet at or below `need_row`,
+      // taking any earlier provider's packets ahead of it in FIFO order
+      // (invariant 2 bounds the scan).
       std::size_t target = ch.drained;
       for (std::size_t i = ch.drained; i < ch.packets.size(); ++i) {
-        if (ch.packets[i].provider == info.provider &&
-            ch.packets[i].row <= need_row) {
-          target = i + 1;
-        }
+        const PacketGen& pkt = ch.packets[i];
+        if (pkt.provider < inlet.provider) continue;
+        if (pkt.provider > inlet.provider || pkt.row > need_row) break;
+        target = i + 1;
       }
       while (ch.drained < target) {
         const PacketGen& pkt = ch.packets[ch.drained];
         const int block = core.planner.alloc(pkt.bytes, BlockClass::kInput);
-        if (g.owner_core != c) {
+        if (ch.src != c) {
           Operation recv;
           recv.kind = OpKind::kCommRecv;
           recv.node =
               workload.partitions()[static_cast<std::size_t>(pkt.provider)]
                   .node;
-          recv.peer = g.owner_core;
+          recv.peer = ch.src;
           recv.bytes = pkt.bytes;
           core.emit(recv);
         }
@@ -226,20 +330,42 @@ Schedule schedule_ll(const MappingSolution& solution,
     }
   };
 
-  auto publish_row = [&](const AccumGroup& g, int row, std::int64_t bytes) {
+  auto publish_row = [&](const AccumGroup& g, const GroupIndex& gi, int row,
+                         std::int64_t bytes) {
     CoreCtx& owner = ctx[static_cast<std::size_t>(g.owner_core)];
-    for (int sub : subscribers[static_cast<std::size_t>(g.partition)]) {
-      ChannelGen& ch = channels[{g.owner_core, sub}];
+    const auto& subs = subscribers[static_cast<std::size_t>(g.partition)];
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      ChannelGen& ch = channels[static_cast<std::size_t>(gi.out_channels[i])];
+      PIMCOMP_ASSERT(ch.packets.empty() ||
+                         ch.packets.back().provider < g.partition ||
+                         (ch.packets.back().provider == g.partition &&
+                          ch.packets.back().row <= row),
+                     "channel packets out of stream order");
       ch.packets.push_back({g.partition, row, bytes});
-      if (sub == g.owner_core) continue;
+      if (subs[i] == g.owner_core) continue;
       Operation send;
       send.kind = OpKind::kCommSend;
       send.node = g.node;
-      send.peer = sub;
+      send.peer = subs[i];
       send.bytes = bytes;
       owner.emit(send);
     }
   };
+
+  struct InletRef {
+    int inlet = -1;
+    int floor = -1;  ///< this consumer's slot in Inlet::floors
+  };
+  std::vector<InletRef> refs;
+  struct RowNeed {
+    int provider_slot = -1;
+    int row = 0;
+  };
+  std::vector<RowNeed> needs;
+  std::vector<std::vector<int>> row_groups;
+  std::vector<RowAcc> row_accs;
+  std::vector<int> member_slot(layout.instances.size(), -1);
+  std::vector<int> slotted;
 
   // --- Main emission: partitions in topological order, rows in stream order.
   for (int pi = 0; pi < part_count; ++pi) {
@@ -248,61 +374,100 @@ Schedule schedule_ll(const MappingSolution& solution,
     const int w_out = p.out_width;
     const auto& group_ids =
         layout.partition_groups[static_cast<std::size_t>(pi)];
+    const auto& hosts =
+        layout.partition_host_cores[static_cast<std::size_t>(pi)];
     const auto& provider_infos = providers[static_cast<std::size_t>(pi)];
+    const std::size_t nprov = provider_infos.size();
 
-    // Reusable per-member output slots (AG-reuse policy).
-    std::map<int, int> member_slot;
+    // refs[host * nprov + k]: provider k's inlet on that host.
+    refs.assign(hosts.size() * nprov, {});
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      for (std::size_t k = 0; k < nprov; ++k) {
+        const int id = inlet_of(hosts[h], provider_infos[k].provider, pi);
+        Inlet& inlet = ctx[static_cast<std::size_t>(hosts[h])]
+                           .inlets[static_cast<std::size_t>(id)];
+        inlet.floors.emplace_back(pi, 0);
+        refs[h * nprov + k] = {id, static_cast<int>(inlet.floors.size()) - 1};
+      }
+    }
+
+    // The groups with windows in each row, in group order.
+    row_groups.assign(static_cast<std::size_t>(p.out_height), {});
+    for (int gid : group_ids) {
+      const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
+      if (g.empty() || w_out <= 0) continue;
+      const int last = std::min(p.out_height - 1, (g.window_end - 1) / w_out);
+      for (int row = g.window_begin / w_out; row <= last; ++row) {
+        row_groups[static_cast<std::size_t>(row)].push_back(gid);
+      }
+    }
 
     for (int row = 0; row < p.out_height; ++row) {
-      std::map<int, RowAcc> row_accs;  // gid -> state
+      const auto& active = row_groups[static_cast<std::size_t>(row)];
+      // A window's requirement rows depend on its row, not its column.
+      needs.clear();
+      if (nprov > 0 && !active.empty()) {
+        for (const ProviderRequirement& req :
+             trace_requirements(workload, p.node, row + 1, 1)) {
+          RowNeed need;
+          for (std::size_t k = 0; k < nprov; ++k) {
+            if (provider_infos[k].provider == req.provider) {
+              need.provider_slot = static_cast<int>(k);
+            }
+          }
+          PIMCOMP_ASSERT(need.provider_slot >= 0, "untracked provider");
+          need.row = req.pos.full ? kRowInf : req.pos.row;
+          needs.push_back(need);
+        }
+      }
+      if (row_accs.size() < active.size()) row_accs.resize(active.size());
+      for (std::size_t a = 0; a < active.size(); ++a) {
+        RowAcc& acc = row_accs[a];
+        acc.windows = 0;
+        acc.owner_acc_block = -1;
+        acc.remote.assign(
+            index[static_cast<std::size_t>(active[a])].cores.size(), -1);
+        acc.transients.clear();
+      }
 
       for (int w = row * w_out; w < (row + 1) * w_out; ++w) {
-        const int r = row + 1;
-        const int col = w - row * w_out + 1;
-
-        std::vector<ProviderRequirement> needs;
-        if (!provider_infos.empty()) {
-          needs = trace_requirements(workload, p.node, r, col);
-        }
-
-        for (int gid : group_ids) {
+        for (std::size_t a = 0; a < active.size(); ++a) {
+          const int gid = active[a];
           const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
           if (w < g.window_begin || w >= g.window_end) continue;
-          RowAcc& acc = row_accs[gid];
+          const GroupIndex& gi = index[static_cast<std::size_t>(gid)];
+          RowAcc& acc = row_accs[a];
           ++acc.windows;
 
-          // Distinct cores participating in this group.
-          std::set<int> member_cores;
-          for (int member : g.members) {
-            member_cores.insert(
-                layout.instances[static_cast<std::size_t>(member)].core);
-          }
-
           // Stage inputs + advance retirement floors on every member core.
-          for (int member_core : member_cores) {
+          for (std::size_t m = 0; m < gi.cores.size(); ++m) {
+            const int member_core = gi.cores[m];
             CoreCtx& core = ctx[static_cast<std::size_t>(member_core)];
-            for (const ProviderRequirement& need : needs) {
-              const ProviderInfo* info = nullptr;
-              for (const ProviderInfo& cand : provider_infos) {
-                if (cand.provider == need.provider) info = &cand;
-              }
-              PIMCOMP_ASSERT(info != nullptr, "untracked provider");
-              const int need_row = need.pos.full ? kRowInf : need.pos.row;
-              ensure_available(member_core, *info, need_row);
-              if (!info->full) {
-                const int floor = need_row - info->span_rows -
-                                  retention_margin(info->span_rows);
-                auto& f = core.floors[info->provider][pi];
+            const std::size_t base =
+                static_cast<std::size_t>(gi.host_pos[m]) * nprov;
+            for (const RowNeed& need : needs) {
+              const ProviderInfo& info =
+                  provider_infos[static_cast<std::size_t>(need.provider_slot)];
+              const InletRef ref =
+                  refs[base + static_cast<std::size_t>(need.provider_slot)];
+              Inlet& inlet = core.inlets[static_cast<std::size_t>(ref.inlet)];
+              ensure_available(member_core, inlet, need.row);
+              if (!info.full) {
+                const int floor = need.row - info.span_rows -
+                                  retention_margin(info.span_rows);
+                int& f = inlet.floors[static_cast<std::size_t>(ref.floor)]
+                             .second;
                 if (floor > f) {
                   f = floor;
-                  retire_packets(member_core, info->provider);
+                  retire_packets(member_core, inlet);
                 }
               }
             }
           }
 
           // MVMs + partial folds.
-          for (int member : g.members) {
+          for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
+            const int member = g.members[mi];
             const AgInstance& ag =
                 layout.instances[static_cast<std::size_t>(member)];
             CoreCtx& core = ctx[static_cast<std::size_t>(ag.core)];
@@ -310,9 +475,10 @@ Schedule schedule_ll(const MappingSolution& solution,
                 static_cast<std::int64_t>(g.cols) * act_bytes;
 
             if (policy == MemoryPolicy::kAgReuse) {
-              if (member_slot.find(member) == member_slot.end()) {
-                member_slot[member] =
-                    core.planner.alloc(partial_bytes, BlockClass::kPartial);
+              int& slot = member_slot[static_cast<std::size_t>(member)];
+              if (slot < 0) {
+                slot = core.planner.alloc(partial_bytes, BlockClass::kPartial);
+                slotted.push_back(member);
               }
             } else {
               acc.transients.emplace_back(
@@ -349,10 +515,11 @@ Schedule schedule_ll(const MappingSolution& solution,
               core.stamp();
             } else {
               core.emit(fold);
-              auto slot = acc.remote_row_block.find(ag.core);
-              if (slot == acc.remote_row_block.end()) {
-                acc.remote_row_block[ag.core] = core.planner.alloc(
-                    row_buffer_bytes, BlockClass::kAccumulator);
+              int& slot =
+                  acc.remote[static_cast<std::size_t>(gi.member_pos[mi])];
+              if (slot < 0) {
+                slot = core.planner.alloc(row_buffer_bytes,
+                                          BlockClass::kAccumulator);
               } else if (policy == MemoryPolicy::kNaive) {
                 // Fresh block per fold under naive; retire with the row.
                 acc.transients.emplace_back(
@@ -367,17 +534,20 @@ Schedule schedule_ll(const MappingSolution& solution,
 
       // Row retirement per group (ascending gid keeps channel FIFOs and
       // the deadlock-freedom ordering argument intact).
-      for (int gid : group_ids) {
-        auto it = row_accs.find(gid);
-        if (it == row_accs.end() || it->second.windows == 0) continue;
-        const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
-        RowAcc& acc = it->second;
+      for (std::size_t a = 0; a < active.size(); ++a) {
+        const auto gid = static_cast<std::size_t>(active[a]);
+        const AccumGroup& g = layout.groups[gid];
+        const GroupIndex& gi = index[gid];
+        RowAcc& acc = row_accs[a];
         CoreCtx& owner = ctx[static_cast<std::size_t>(g.owner_core)];
         const std::int64_t row_bytes =
             static_cast<std::int64_t>(acc.windows) * g.cols * act_bytes;
 
         // Remote member cores ship their row buffers to the owner.
-        for (const auto& [member_core, row_block] : acc.remote_row_block) {
+        for (std::size_t m = 0; m < gi.cores.size(); ++m) {
+          const int row_block = acc.remote[m];
+          if (row_block < 0) continue;
+          const int member_core = gi.cores[m];
           CoreCtx& member = ctx[static_cast<std::size_t>(member_core)];
           Operation send;
           send.kind = OpKind::kCommSend;
@@ -423,7 +593,7 @@ Schedule schedule_ll(const MappingSolution& solution,
         }
 
         if (has_crossbar_consumer[static_cast<std::size_t>(pi)]) {
-          publish_row(g, row, row_bytes);
+          publish_row(g, gi, row, row_bytes);
         } else {
           Operation store;
           store.kind = OpKind::kStoreGlobal;
@@ -443,18 +613,22 @@ Schedule schedule_ll(const MappingSolution& solution,
 
     // Node complete: release reusable member slots and lift retirement
     // floors so fully-consumed provider packets retire everywhere.
-    for (const auto& [member, block] : member_slot) {
+    for (int member : slotted) {
       const AgInstance& ag =
           layout.instances[static_cast<std::size_t>(member)];
-      ctx[static_cast<std::size_t>(ag.core)].planner.force_free(block);
+      int& slot = member_slot[static_cast<std::size_t>(member)];
+      ctx[static_cast<std::size_t>(ag.core)].planner.force_free(slot);
       ctx[static_cast<std::size_t>(ag.core)].stamp();
+      slot = -1;
     }
-    for (const ProviderInfo& info : provider_infos) {
-      for (int host :
-           layout.partition_host_cores[static_cast<std::size_t>(pi)]) {
-        CoreCtx& core = ctx[static_cast<std::size_t>(host)];
-        core.floors[info.provider][pi] = kRowInf;
-        retire_packets(host, info.provider);
+    slotted.clear();
+    for (std::size_t k = 0; k < nprov; ++k) {
+      for (std::size_t h = 0; h < hosts.size(); ++h) {
+        const InletRef ref = refs[h * nprov + k];
+        Inlet& inlet = ctx[static_cast<std::size_t>(hosts[h])]
+                           .inlets[static_cast<std::size_t>(ref.inlet)];
+        inlet.floors[static_cast<std::size_t>(ref.floor)].second = kRowInf;
+        retire_packets(hosts[h], inlet);
       }
     }
   }
