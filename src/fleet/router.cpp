@@ -254,11 +254,14 @@ bool Router::forward(Backend& backend, const std::string& line,
 // Health probing + stats.
 // ---------------------------------------------------------------------------
 
+/// Connect/recv budget of one health probe, in seconds.
+constexpr int kHealthTimeoutSeconds = 2;
+
 bool Router::probe(const Backend& backend) const {
   try {
     serve::CompileClient client =
         serve::CompileClient::connect(backend.endpoint);
-    client.set_timeout(options_.health_timeout_seconds);
+    client.set_timeout(kHealthTimeoutSeconds);
     client.set_auth_token(options_.auth_token);
     return client.ping();
   } catch (const std::exception&) {

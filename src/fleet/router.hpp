@@ -34,7 +34,6 @@ struct RouterOptions {
   /// backends keep their last-known health (optimistically up at start)
   /// and are only marked down by forwarding failures.
   int health_interval_seconds = 2;
-  int health_timeout_seconds = 2;   ///< per-probe connect/recv budget
   /// Per-read budget while streaming a forwarded compile. Generous: a
   /// backend legitimately goes quiet for the length of its longest mapping
   /// stage, and real death is detected by EOF/reset long before this.

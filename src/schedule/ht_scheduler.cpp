@@ -1,6 +1,7 @@
 #include "schedule/ht_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,35 +11,12 @@
 #include "core/pipeline.hpp"
 #include "mapping/fitness.hpp"
 #include "schedule/ag_layout.hpp"
+#include "schedule/core_emitter.hpp"
 #include "schedule/vec_placement.hpp"
 
 namespace pimcomp {
 
 namespace {
-
-/// Emission context for one core: its program plus the scratchpad planner.
-struct CoreCtx {
-  std::vector<Operation> program;
-  LocalMemoryPlanner planner;
-  std::int64_t last_stamp = -1;
-
-  CoreCtx(MemoryPolicy policy, std::int64_t capacity)
-      : planner(policy, capacity, /*spill_on_overflow=*/true) {}
-
-  Operation& emit(Operation op) {
-    program.push_back(op);
-    return program.back();
-  }
-
-  /// Stamps the current planner usage onto the most recent op when changed.
-  void stamp() {
-    if (program.empty()) return;
-    if (planner.usage() != last_stamp) {
-      program.back().local_usage = planner.usage();
-      last_stamp = planner.usage();
-    }
-  }
-};
 
 /// Windows of group `g` processed in its batch `k`.
 int batch_windows(const AccumGroup& g, int k, int flush) {
@@ -60,36 +38,12 @@ Schedule schedule_ht(const MappingSolution& solution,
   const int flush = options.flush_windows;
   const int cores = solution.core_count();
 
-  std::vector<CoreCtx> ctx;
+  std::vector<CoreEmitter> ctx;
   ctx.reserve(static_cast<std::size_t>(cores));
   for (int c = 0; c < cores; ++c) {
-    ctx.emplace_back(options.memory_policy, hw.local_memory_bytes);
+    ctx.emplace_back(options.memory_policy, hw.local_memory_bytes,
+                     /*spill_on_overflow=*/true);
   }
-
-  // Group ids each core participates in (sorted ascending = the globally
-  // consistent iteration order that keeps channel FIFOs matched).
-  std::vector<std::vector<int>> core_groups(static_cast<std::size_t>(cores));
-  // Member instances per (group, core).
-  std::vector<std::vector<std::pair<int, std::vector<int>>>> group_core_members(
-      layout.groups.size());
-  for (std::size_t gid = 0; gid < layout.groups.size(); ++gid) {
-    const AccumGroup& g = layout.groups[gid];
-    if (g.empty()) continue;
-    for (int member : g.members) {
-      const int core = layout.instances[static_cast<std::size_t>(member)].core;
-      auto& per_core = group_core_members[gid];
-      auto it = std::find_if(per_core.begin(), per_core.end(),
-                             [core](const auto& e) { return e.first == core; });
-      if (it == per_core.end()) {
-        per_core.push_back({core, {member}});
-        core_groups[static_cast<std::size_t>(core)].push_back(
-            static_cast<int>(gid));
-      } else {
-        it->second.push_back(member);
-      }
-    }
-  }
-  for (auto& groups : core_groups) std::sort(groups.begin(), groups.end());
 
   const int fused_bit_count = graph.node_count();
   std::vector<bool> has_fused_act(static_cast<std::size_t>(fused_bit_count),
@@ -113,8 +67,10 @@ Schedule schedule_ht(const MappingSolution& solution,
 
   // --- Crossbar-node batches (Algorithm 1 lines 1-9) -------------------------
   for (int c = 0; c < cores; ++c) {
-    CoreCtx& core = ctx[static_cast<std::size_t>(c)];
-    const auto& groups = core_groups[static_cast<std::size_t>(c)];
+    CoreEmitter& core = ctx[static_cast<std::size_t>(c)];
+    // Ascending group ids: the globally consistent iteration order that
+    // keeps channel FIFOs matched.
+    const auto& groups = layout.core_groups[static_cast<std::size_t>(c)];
     int total_batches = 0;
     for (int gid : groups) {
       const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
@@ -149,19 +105,15 @@ Schedule schedule_ht(const MappingSolution& solution,
                                  node.conv.stride * node.conv.stride);
         }
         std::int64_t bytes = 0;
-        for (const auto& [core_id, members] :
-             group_core_members[static_cast<std::size_t>(gid)]) {
-          if (core_id != c) continue;
-          for (int m : members) {
-            const double slice_share =
-                static_cast<double>(AgLayout::slice_rows(
-                    p, layout.instances[static_cast<std::size_t>(m)], hw)) /
-                static_cast<double>(p.matrix_rows);
-            bytes += static_cast<std::int64_t>(
-                static_cast<double>(b) *
-                static_cast<double>(new_elems_per_window) * slice_share *
-                static_cast<double>(act_bytes));
-          }
+        for (int m : g.members_on(c)) {
+          const double slice_share =
+              static_cast<double>(AgLayout::slice_rows(
+                  p, layout.instances[static_cast<std::size_t>(m)], hw)) /
+              static_cast<double>(p.matrix_rows);
+          bytes += static_cast<std::int64_t>(
+              static_cast<double>(b) *
+              static_cast<double>(new_elems_per_window) * slice_share *
+              static_cast<double>(act_bytes));
         }
         if (bytes == 0) continue;
         auto it =
@@ -190,27 +142,23 @@ Schedule schedule_ht(const MappingSolution& solution,
           const int b = batch_windows(g, k, flush);
           if (w_off >= b) continue;
           const int window = g.window_begin + k * flush + w_off;
-          for (const auto& [core_id, members] :
-               group_core_members[static_cast<std::size_t>(gid)]) {
-            if (core_id != c) continue;
-            for (int m : members) {
-              const AgInstance& ag =
-                  layout.instances[static_cast<std::size_t>(m)];
-              if (w_off == 0) {
-                const int block = core.planner.alloc(
-                    static_cast<std::int64_t>(b) * g.cols * act_bytes,
-                    BlockClass::kPartial);
-                partial_blocks.push_back({m, block});
-              }
-              Operation op;
-              op.kind = OpKind::kMvm;
-              op.node = g.node;
-              op.ag = m;
-              op.window = window;
-              op.xbars = ag.xbars;
-              core.emit(op);
-              core.stamp();
+          for (int m : g.members_on(c)) {
+            const AgInstance& ag =
+                layout.instances[static_cast<std::size_t>(m)];
+            if (w_off == 0) {
+              const int block = core.planner.alloc(
+                  static_cast<std::int64_t>(b) * g.cols * act_bytes,
+                  BlockClass::kPartial);
+              partial_blocks.push_back({m, block});
             }
+            Operation op;
+            op.kind = OpKind::kMvm;
+            op.node = g.node;
+            op.ag = m;
+            op.window = window;
+            op.xbars = ag.xbars;
+            core.emit(op);
+            core.stamp();
           }
         }
       }
@@ -231,12 +179,7 @@ Schedule schedule_ht(const MappingSolution& solution,
             static_cast<std::int64_t>(b) * g.cols * act_bytes;
         const std::int64_t add_elems = static_cast<std::int64_t>(b) * g.cols;
 
-        std::vector<int> members_here;
-        for (const auto& [core_id, members] :
-             group_core_members[static_cast<std::size_t>(gid)]) {
-          if (core_id == c) members_here = members;
-        }
-        if (members_here.empty()) continue;
+        const std::span<const int> members_here = g.members_on(c);
 
         // Local accumulation chain: the first local partial becomes (or
         // feeds) the accumulator; a zero-element VFU op pins the MVM
@@ -263,12 +206,7 @@ Schedule schedule_ht(const MappingSolution& solution,
         }
 
         if (g.owner_core == c) {
-          bool has_remote = false;
-          for (const auto& [core_id, members] :
-               group_core_members[static_cast<std::size_t>(gid)]) {
-            if (core_id != c) has_remote = true;
-          }
-          if (has_remote) {
+          if (g.cores.size() > 1) {
             // Cross-core accumulation is deferred to the drain phase: in HT
             // the pipeline stages work on different inferences, so pulling
             // batch k's remote partials must not stall batch k+1's MVM
@@ -320,8 +258,7 @@ Schedule schedule_ht(const MappingSolution& solution,
           layout.groups[static_cast<std::size_t>(entry.gid)];
       const int acc =
           core.planner.alloc(entry.payload, BlockClass::kAccumulator);
-      for (const auto& [core_id, members] :
-           group_core_members[static_cast<std::size_t>(entry.gid)]) {
+      for (int core_id : g.cores) {
         if (core_id == c) continue;
         Operation recv;
         recv.kind = OpKind::kCommRecv;
@@ -359,7 +296,7 @@ Schedule schedule_ht(const MappingSolution& solution,
   // --- Standalone vector operations (Algorithm 1 line 10) --------------------
   int rr_core = 0;
   for (NodeId v : standalone_vec_nodes(graph)) {
-    CoreCtx& core = ctx[static_cast<std::size_t>(rr_core)];
+    CoreEmitter& core = ctx[static_cast<std::size_t>(rr_core)];
     rr_core = (rr_core + 1) % cores;
     const std::int64_t in_bytes = node_input_bytes(graph, v, hw);
     const std::int64_t out_bytes = node_output_bytes(graph, v, hw);
@@ -387,18 +324,7 @@ Schedule schedule_ht(const MappingSolution& solution,
     core.stamp();
   }
 
-  Schedule schedule;
-  schedule.ag_count = static_cast<int>(layout.instances.size());
-  schedule.programs.reserve(static_cast<std::size_t>(cores));
-  schedule.spill_bytes.reserve(static_cast<std::size_t>(cores));
-  schedule.peak_local_bytes.reserve(static_cast<std::size_t>(cores));
-  for (CoreCtx& core : ctx) {
-    schedule.total_ops += static_cast<std::int64_t>(core.program.size());
-    schedule.spill_bytes.push_back(core.planner.spill_traffic_bytes());
-    schedule.peak_local_bytes.push_back(core.planner.peak_usage());
-    schedule.programs.push_back(std::move(core.program));
-  }
-  return schedule;
+  return assemble_schedule(ctx, static_cast<int>(layout.instances.size()));
 }
 
 namespace {

@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "mapping/fitness.hpp"
 #include "schedule/ag_layout.hpp"
+#include "schedule/core_emitter.hpp"
 #include "schedule/receptive_field.hpp"
 #include "schedule/vec_placement.hpp"
 
@@ -55,43 +56,21 @@ struct Inlet {
   std::vector<std::pair<int, int>> floors;  ///< (consumer, floor)
 };
 
-struct CoreCtx {
-  std::vector<Operation> program;
-  LocalMemoryPlanner planner;
-  std::int64_t last_stamp = -1;
+/// A core's emitter plus the packets and inlets LL tracks on it.
+struct CoreCtx : CoreEmitter {
   std::vector<HeldPacket> held;  ///< live packets, in arrival order
   std::vector<Inlet> inlets;
   int input_rows_loaded = 0;
 
   CoreCtx(MemoryPolicy policy, std::int64_t capacity)
-      : planner(policy, capacity, /*spill_on_overflow=*/false) {}
-
-  void emit(Operation op) { program.push_back(op); }
-
-  void stamp() {
-    if (program.empty()) return;
-    if (planner.usage() != last_stamp) {
-      program.back().local_usage = planner.usage();
-      last_stamp = planner.usage();
-    }
-  }
-};
-
-/// Static per-group indexes: the distinct member cores (ascending), each
-/// member's position among them, each distinct core's position among the
-/// partition's hosts, and the channel to each subscriber of the partition.
-struct GroupIndex {
-  std::vector<int> cores;
-  std::vector<int> member_pos;
-  std::vector<int> host_pos;
-  std::vector<int> out_channels;
+      : CoreEmitter(policy, capacity, /*spill_on_overflow=*/false) {}
 };
 
 /// Per-(group, row) accumulation state while the row is in flight.
 struct RowAcc {
   int windows = 0;           ///< windows of this group in the row
   int owner_acc_block = -1;  ///< accumulator on the owner core
-  std::vector<int> remote;   ///< per GroupIndex::cores: row buffer or -1
+  std::vector<int> remote;   ///< per AccumGroup::cores: row buffer or -1
   std::vector<std::pair<int, int>> transients;  ///< (core, block) to retire
 };
 
@@ -173,44 +152,23 @@ Schedule schedule_ll(const MappingSolution& solution,
   }
   for (auto& subs : subscribers) std::sort(subs.begin(), subs.end());
 
-  // --- Static per-group indexes and dense channel ids ------------------------
-  std::vector<GroupIndex> index(layout.groups.size());
-  std::vector<std::vector<int>> owned(static_cast<std::size_t>(cores));
-  for (std::size_t gid = 0; gid < layout.groups.size(); ++gid) {
-    const AccumGroup& g = layout.groups[gid];
-    GroupIndex& gi = index[gid];
-    for (int member : g.members) {
-      gi.cores.push_back(
-          layout.instances[static_cast<std::size_t>(member)].core);
-    }
-    std::sort(gi.cores.begin(), gi.cores.end());
-    gi.cores.erase(std::unique(gi.cores.begin(), gi.cores.end()),
-                   gi.cores.end());
-    for (int member : g.members) {
-      gi.member_pos.push_back(position_of(
-          gi.cores, layout.instances[static_cast<std::size_t>(member)].core));
-    }
-    const auto& hosts =
-        layout.partition_host_cores[static_cast<std::size_t>(g.partition)];
-    for (int core : gi.cores) gi.host_pos.push_back(position_of(hosts, core));
-    if (!g.empty()) {
-      owned[static_cast<std::size_t>(g.owner_core)].push_back(
-          static_cast<int>(gid));
-    }
-  }
-  // One channel per distinct (owner core, subscriber core) pair.
+  // --- Dense channel ids: one per distinct (owner, subscriber) pair --------
+  // out_channels[gid][i]: the channel from group gid's owner to the i-th
+  // subscriber of its partition.
+  std::vector<std::vector<int>> out_channels(layout.groups.size());
   std::vector<ChannelGen> channels;
   std::vector<int> channel_to(static_cast<std::size_t>(cores), -1);
   for (int owner = 0; owner < cores; ++owner) {
-    for (int gid : owned[static_cast<std::size_t>(owner)]) {
+    for (int gid : layout.core_groups[static_cast<std::size_t>(owner)]) {
       const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
+      if (g.owner_core != owner) continue;
       for (int sub : subscribers[static_cast<std::size_t>(g.partition)]) {
         int& id = channel_to[static_cast<std::size_t>(sub)];
         if (id < 0 || channels[static_cast<std::size_t>(id)].src != owner) {
           id = static_cast<int>(channels.size());
           channels.emplace_back().src = owner;
         }
-        index[static_cast<std::size_t>(gid)].out_channels.push_back(id);
+        out_channels[static_cast<std::size_t>(gid)].push_back(id);
       }
     }
   }
@@ -245,8 +203,8 @@ Schedule schedule_ll(const MappingSolution& solution,
       for (int gid :
            layout.partition_groups[static_cast<std::size_t>(provider)]) {
         if (layout.groups[static_cast<std::size_t>(gid)].empty()) continue;
-        const int ch = index[static_cast<std::size_t>(gid)]
-                           .out_channels[static_cast<std::size_t>(sub)];
+        const int ch = out_channels[static_cast<std::size_t>(gid)]
+                                   [static_cast<std::size_t>(sub)];
         if (channel_seen[static_cast<std::size_t>(ch)] != inlets_built) {
           channel_seen[static_cast<std::size_t>(ch)] = inlets_built;
           inlet.channels.push_back(ch);
@@ -330,12 +288,13 @@ Schedule schedule_ll(const MappingSolution& solution,
     }
   };
 
-  auto publish_row = [&](const AccumGroup& g, const GroupIndex& gi, int row,
-                         std::int64_t bytes) {
+  auto publish_row = [&](int gid, int row, std::int64_t bytes) {
+    const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
     CoreCtx& owner = ctx[static_cast<std::size_t>(g.owner_core)];
     const auto& subs = subscribers[static_cast<std::size_t>(g.partition)];
+    const auto& outs = out_channels[static_cast<std::size_t>(gid)];
     for (std::size_t i = 0; i < subs.size(); ++i) {
-      ChannelGen& ch = channels[static_cast<std::size_t>(gi.out_channels[i])];
+      ChannelGen& ch = channels[static_cast<std::size_t>(outs[i])];
       PIMCOMP_ASSERT(ch.packets.empty() ||
                          ch.packets.back().provider < g.partition ||
                          (ch.packets.back().provider == g.partition &&
@@ -366,6 +325,7 @@ Schedule schedule_ll(const MappingSolution& solution,
   std::vector<RowAcc> row_accs;
   std::vector<int> member_slot(layout.instances.size(), -1);
   std::vector<int> slotted;
+  std::vector<int> host_slot(static_cast<std::size_t>(cores), -1);
 
   // --- Main emission: partitions in topological order, rows in stream order.
   for (int pi = 0; pi < part_count; ++pi) {
@@ -379,9 +339,10 @@ Schedule schedule_ll(const MappingSolution& solution,
     const auto& provider_infos = providers[static_cast<std::size_t>(pi)];
     const std::size_t nprov = provider_infos.size();
 
-    // refs[host * nprov + k]: provider k's inlet on that host.
+    // refs[host_slot[core] * nprov + k]: provider k's inlet on that host.
     refs.assign(hosts.size() * nprov, {});
     for (std::size_t h = 0; h < hosts.size(); ++h) {
+      host_slot[static_cast<std::size_t>(hosts[h])] = static_cast<int>(h);
       for (std::size_t k = 0; k < nprov; ++k) {
         const int id = inlet_of(hosts[h], provider_infos[k].provider, pi);
         Inlet& inlet = ctx[static_cast<std::size_t>(hosts[h])]
@@ -426,7 +387,8 @@ Schedule schedule_ll(const MappingSolution& solution,
         acc.windows = 0;
         acc.owner_acc_block = -1;
         acc.remote.assign(
-            index[static_cast<std::size_t>(active[a])].cores.size(), -1);
+            layout.groups[static_cast<std::size_t>(active[a])].cores.size(),
+            -1);
         acc.transients.clear();
       }
 
@@ -435,16 +397,16 @@ Schedule schedule_ll(const MappingSolution& solution,
           const int gid = active[a];
           const AccumGroup& g = layout.groups[static_cast<std::size_t>(gid)];
           if (w < g.window_begin || w >= g.window_end) continue;
-          const GroupIndex& gi = index[static_cast<std::size_t>(gid)];
           RowAcc& acc = row_accs[a];
           ++acc.windows;
 
           // Stage inputs + advance retirement floors on every member core.
-          for (std::size_t m = 0; m < gi.cores.size(); ++m) {
-            const int member_core = gi.cores[m];
+          for (int member_core : g.cores) {
             CoreCtx& core = ctx[static_cast<std::size_t>(member_core)];
             const std::size_t base =
-                static_cast<std::size_t>(gi.host_pos[m]) * nprov;
+                static_cast<std::size_t>(
+                    host_slot[static_cast<std::size_t>(member_core)]) *
+                nprov;
             for (const RowNeed& need : needs) {
               const ProviderInfo& info =
                   provider_infos[static_cast<std::size_t>(need.provider_slot)];
@@ -516,7 +478,7 @@ Schedule schedule_ll(const MappingSolution& solution,
             } else {
               core.emit(fold);
               int& slot =
-                  acc.remote[static_cast<std::size_t>(gi.member_pos[mi])];
+                  acc.remote[static_cast<std::size_t>(g.member_pos[mi])];
               if (slot < 0) {
                 slot = core.planner.alloc(row_buffer_bytes,
                                           BlockClass::kAccumulator);
@@ -537,17 +499,16 @@ Schedule schedule_ll(const MappingSolution& solution,
       for (std::size_t a = 0; a < active.size(); ++a) {
         const auto gid = static_cast<std::size_t>(active[a]);
         const AccumGroup& g = layout.groups[gid];
-        const GroupIndex& gi = index[gid];
         RowAcc& acc = row_accs[a];
         CoreCtx& owner = ctx[static_cast<std::size_t>(g.owner_core)];
         const std::int64_t row_bytes =
             static_cast<std::int64_t>(acc.windows) * g.cols * act_bytes;
 
         // Remote member cores ship their row buffers to the owner.
-        for (std::size_t m = 0; m < gi.cores.size(); ++m) {
+        for (std::size_t m = 0; m < g.cores.size(); ++m) {
           const int row_block = acc.remote[m];
           if (row_block < 0) continue;
-          const int member_core = gi.cores[m];
+          const int member_core = g.cores[m];
           CoreCtx& member = ctx[static_cast<std::size_t>(member_core)];
           Operation send;
           send.kind = OpKind::kCommSend;
@@ -593,7 +554,7 @@ Schedule schedule_ll(const MappingSolution& solution,
         }
 
         if (has_crossbar_consumer[static_cast<std::size_t>(pi)]) {
-          publish_row(g, gi, row, row_bytes);
+          publish_row(active[a], row, row_bytes);
         } else {
           Operation store;
           store.kind = OpKind::kStoreGlobal;
@@ -633,18 +594,7 @@ Schedule schedule_ll(const MappingSolution& solution,
     }
   }
 
-  Schedule schedule;
-  schedule.ag_count = static_cast<int>(layout.instances.size());
-  schedule.programs.reserve(static_cast<std::size_t>(cores));
-  schedule.spill_bytes.reserve(static_cast<std::size_t>(cores));
-  schedule.peak_local_bytes.reserve(static_cast<std::size_t>(cores));
-  for (CoreCtx& core : ctx) {
-    schedule.total_ops += static_cast<std::int64_t>(core.program.size());
-    schedule.spill_bytes.push_back(core.planner.spill_traffic_bytes());
-    schedule.peak_local_bytes.push_back(core.planner.peak_usage());
-    schedule.programs.push_back(std::move(core.program));
-  }
-  return schedule;
+  return assemble_schedule(ctx, static_cast<int>(layout.instances.size()));
 }
 
 namespace {

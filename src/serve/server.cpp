@@ -264,8 +264,7 @@ void CompileServer::handle_compile(
       prepared.deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(request.deadline_ms);
     }
-    prepared.entry =
-        resolve_session(std::move(resolved.graph), resolved.hardware);
+    prepared.entry = resolve_session(std::move(resolved));
   } catch (const std::exception& e) {
     connection->enqueue_frame(to_json(ErrorMessage{id, e.what()}));
     return;
@@ -552,18 +551,16 @@ Json CompileServer::stats_payload() const {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<CompileServer::SessionEntry> CompileServer::resolve_session(
-    Graph&& graph, const HardwareConfig& hw) {
-  if (!graph.finalized()) graph.finalize();
-  const std::uint64_t key =
-      combine_fingerprints(fingerprint(graph), fingerprint(hw));
+    ResolvedRequest&& resolved) {
+  const std::uint64_t key = resolved.fingerprint;
 
   MutexLock lock(session_mutex_);
   prune_retired_locked();
   const auto it = sessions_.find(key);
   if (it != sessions_.end()) return it->second;
 
-  auto entry =
-      std::make_shared<SessionEntry>(std::move(graph), hw, options_.cache);
+  auto entry = std::make_shared<SessionEntry>(
+      std::move(resolved.graph), resolved.hardware, options_.cache);
   entry->session.set_jobs(options_.jobs);
   sessions_.emplace(key, entry);
   session_order_.push_back(key);

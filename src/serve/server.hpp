@@ -169,11 +169,10 @@ class CompileServer final : public Frontend {
                        std::uint64_t tag, const ScenarioOutcome& outcome);
   void flush_outcomes(const std::shared_ptr<RequestState>& request);
 
-  /// Returns the shared session for (graph, hw), creating (and possibly
-  /// retiring) under the registry lock. `graph` is consumed on the create
-  /// path only.
-  std::shared_ptr<SessionEntry> resolve_session(Graph&& graph,
-                                                const HardwareConfig& hw);
+  /// Returns the shared session for the resolved request, keyed by its
+  /// fingerprint, creating (and possibly retiring) under the registry lock.
+  /// `resolved.graph` is consumed on the create path only.
+  std::shared_ptr<SessionEntry> resolve_session(ResolvedRequest&& resolved);
   /// Destroys retired sessions nobody references anymore. Keeps session
   /// destruction off the sessions' own workers.
   void prune_retired_locked() PIMCOMP_REQUIRES(session_mutex_);
