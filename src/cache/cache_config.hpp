@@ -47,11 +47,6 @@ struct CacheConfig {
   /// (DiskStore documents when it walks). 0 = unbounded.
   std::uint64_t max_bytes = 256ull << 20;  // 256 MiB
 
-  /// Read the disk tier but never write it: no stores, no mtime bumps, no
-  /// eviction. For fleets where one producer warms a cache many read-only
-  /// consumers share.
-  bool read_only = false;
-
   /// Peer pimcompd endpoints ("unix:/run/a.sock", "10.0.0.2:7878") forming
   /// the remote cache tier: misses that fall through memory and disk are
   /// resolved against these daemons' caches over the wire protocol

@@ -61,8 +61,7 @@ class CacheStore {
 
   /// Stores `entry` under `key`. Returns true when this store newly
   /// accepted the entry, false when nothing was stored (slot already
-  /// occupied, read-only tier, or I/O failure — stores are best-effort and
-  /// never throw).
+  /// occupied or I/O failure — stores are best-effort and never throw).
   virtual bool store(std::uint64_t key, const CacheEntry& entry) = 0;
 
   /// Drops `key` where this store can (e.g. after the caller found a
@@ -73,9 +72,6 @@ class CacheStore {
   /// stats() without work that grows with the contents: a store whose
   /// entries/bytes take a walk (DiskStore) reports them as 0 here.
   virtual CacheStoreStats counters() const { return stats(); }
-
-  /// Current entry count (stats().entries shortcut).
-  std::uint64_t entry_count() const { return stats().entries; }
 };
 
 /// Formats a cache key the way the disk tier names files: 16 lowercase hex

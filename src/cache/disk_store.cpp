@@ -144,20 +144,16 @@ std::optional<CacheHit> DiskStore::load(std::uint64_t key) {
     // between our read and our remove: only unlink while the file still
     // has the size we actually read. A racing rename that slips through
     // anyway costs one recompute, never correctness.
-    if (!config_.read_only) {
-      std::error_code ec;
-      const std::uintmax_t size_now = fs::file_size(path, ec);
-      if (!ec && size_now == text->size()) fs::remove(path, ec);
-    }
+    std::error_code ec;
+    const std::uintmax_t size_now = fs::file_size(path, ec);
+    if (!ec && size_now == text->size()) fs::remove(path, ec);
     return miss();
   }
 
-  if (!config_.read_only) {
-    // LRU bookkeeping: a hit makes this artifact the youngest. Best-effort;
-    // a filesystem that refuses just ages the entry faster.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-  }
+  // LRU bookkeeping: a hit makes this artifact the youngest. Best-effort;
+  // a filesystem that refuses just ages the entry faster.
+  std::error_code ec;
+  fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
   {
     MutexLock lock(stats_mutex_);
     ++counters_.hits;
@@ -168,7 +164,7 @@ std::optional<CacheHit> DiskStore::load(std::uint64_t key) {
 }
 
 bool DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
-  if (config_.read_only || !entry.has_artifact()) return false;
+  if (!entry.has_artifact()) return false;
   const fs::path path = artifact_path(key);
   std::error_code ec;
   if (fs::exists(path, ec)) return false;  // first writer won already
@@ -231,13 +227,11 @@ bool DiskStore::store(std::uint64_t key, const CacheEntry& entry) {
 }
 
 void DiskStore::erase(std::uint64_t key) {
-  if (config_.read_only) return;
   std::error_code ec;
   fs::remove(artifact_path(key), ec);
 }
 
 std::uint64_t DiskStore::purge() {
-  if (config_.read_only) return 0;
   std::uint64_t removed = 0;
   std::error_code ec;
   const StoreScan scan = scan_store(config_.dir);

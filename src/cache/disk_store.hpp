@@ -38,12 +38,10 @@ namespace pimcomp {
 /// instances in one process) are invisible to the count until the next
 /// walk, so k writers may overshoot by about k x max_bytes / 8 between
 /// walks; every walk brings the directory back within budget.
-/// read_only mode does none of the writes: no stores, no mtime bumps, no
-/// unlinks, no eviction. Destructive maintenance (eviction, purge) walks
-/// ONLY the store's own layout — paths matching
-/// `v<digits>/<2-hex>/<16-hex>.json` and this store's temp-file pattern —
-/// so pointing `dir` at a populated directory never endangers foreign
-/// files.
+/// Destructive maintenance (eviction, purge) walks ONLY the store's own
+/// layout — paths matching `v<digits>/<2-hex>/<16-hex>.json` and this
+/// store's temp-file pattern — so pointing `dir` at a populated directory
+/// never endangers foreign files.
 class DiskStore final : public CacheStore {
  public:
   /// Does not touch the filesystem; directories appear on first store.

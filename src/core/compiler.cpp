@@ -18,19 +18,19 @@ Compiler::Compiler(Graph graph, HardwareConfig hw)
 
 CompileResult Compiler::compile(const CompileOptions& options,
                                 PipelineObserver* observer) const {
-  PipelineContext ctx;
-  ctx.graph = &graph_;
-  ctx.hardware = &hw_;
-  ctx.options = &options;
+  PipelineInputs in;
+  in.graph = &graph_;
+  in.hardware = &hw_;
+  in.options = &options;
   if (!options.backend.empty()) {
     // Bind the lowered stream to the same cache identity a CompilerSession
     // would file this compilation under, so artifacts emitted through the
     // low-level Compiler and through a cached session are interchangeable.
-    ctx.stream_binding = combine_fingerprints(
+    in.stream_binding = combine_fingerprints(
         combine_fingerprints(fingerprint(graph_), fingerprint(hw_)),
         fingerprint(options));
   }
-  return run_pipeline(std::move(ctx), observer);
+  return run_pipeline(std::move(in), observer);
 }
 
 SimReport Compiler::simulate(const CompileResult& result) const {

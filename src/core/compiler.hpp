@@ -51,7 +51,7 @@ struct CompileOptions {
 };
 
 /// Wall-clock seconds per compilation stage (paper Table II rows), recorded
-/// by the pipeline's generic stage loop. A cached partitioning stage (see
+/// by run_stage() (core/pipeline.hpp). A cached partitioning stage (see
 /// CompilerSession) does not run and leaves `partitioning` at zero.
 struct StageTimes {
   double partitioning = 0.0;

@@ -1,14 +1,12 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <optional>
 #include <utility>
 
-// pimcomp-layer-exempt: the generic stage loop resolves the lowering stage
+// pimcomp-layer-exempt: run_pipeline resolves the lowering backend
 // through BackendRegistry's interface header only; concrete backends stay
 // above core and register themselves.
 #include "backend/backend.hpp"
-#include "common/error.hpp"
 #include "core/registry.hpp"
 
 namespace pimcomp {
@@ -29,118 +27,6 @@ detail::RegistryStore<SchedulerRegistry::Factory>& scheduler_store() {
   // pimcomp-lint: internally-synchronized (RegistryStore owns a Mutex)
   static detail::RegistryStore<SchedulerRegistry::Factory> store;
   return store;
-}
-
-// ---------------------------------------------------------------------------
-// Built-in stages.
-// ---------------------------------------------------------------------------
-
-/// Stage 1: node partitioning (paper §IV-B).
-class PartitionStage : public Stage {
- public:
-  std::string name() const override { return stage_names::kPartitioning; }
-
-  void run(PipelineContext& ctx) override {
-    PIMCOMP_CHECK(ctx.graph != nullptr && ctx.hardware != nullptr,
-                  "partitioning stage needs a graph and hardware config");
-    ctx.workload =
-        std::make_shared<const Workload>(*ctx.graph, *ctx.hardware);
-  }
-};
-
-/// Stages 2+3: weight replicating + core mapping through the registered
-/// strategy, plus the mode's objective estimate on the final solution.
-class MappingStage : public Stage {
- public:
-  MappingStage(std::unique_ptr<Mapper> mapper,
-               std::shared_ptr<const Scheduler> scheduler)
-      : mapper_(std::move(mapper)), scheduler_(std::move(scheduler)) {}
-
-  std::string name() const override { return stage_names::kMapping; }
-
-  void run(PipelineContext& ctx) override {
-    PIMCOMP_CHECK(ctx.workload != nullptr,
-                  "mapping stage needs a partitioned workload");
-    const CompileOptions& options = *ctx.options;
-
-    MapperOptions mapper_options;
-    mapper_options.mode = options.mode;
-    mapper_options.parallelism_degree = options.parallelism_degree;
-    mapper_options.max_nodes_per_core = options.max_nodes_per_core;
-    mapper_options.seed = options.seed;
-    mapper_options.cancel = ctx.cancel;
-
-    ctx.solution = mapper_->map(*ctx.workload, mapper_options);
-    ctx.mapper_name = mapper_->name();
-    if (const GaStats* stats = mapper_->convergence()) ctx.ga_stats = *stats;
-
-    const FitnessParams params = FitnessParams::from(
-        ctx.workload->hardware(), options.parallelism_degree);
-    ctx.fitness =
-        scheduler_->estimate_fitness(*ctx.workload, *ctx.solution, params);
-  }
-
- private:
-  std::unique_ptr<Mapper> mapper_;
-  std::shared_ptr<const Scheduler> scheduler_;
-};
-
-/// Stage 4: dataflow scheduling through the registered generator.
-class ScheduleStage : public Stage {
- public:
-  explicit ScheduleStage(std::shared_ptr<const Scheduler> scheduler)
-      : scheduler_(std::move(scheduler)) {}
-
-  std::string name() const override { return stage_names::kScheduling; }
-
-  void run(PipelineContext& ctx) override {
-    PIMCOMP_CHECK(ctx.solution.has_value(),
-                  "scheduling stage needs a mapping solution");
-    ctx.schedule = scheduler_->build(*ctx.solution, *ctx.options);
-  }
-
- private:
-  std::shared_ptr<const Scheduler> scheduler_;
-};
-
-/// Stage 5 (optional): lower the schedule into the instruction-stream
-/// artifact through the registered backend.
-class LoweringStage : public Stage {
- public:
-  explicit LoweringStage(std::unique_ptr<Backend> backend)
-      : backend_(std::move(backend)) {}
-
-  std::string name() const override { return stage_names::kLowering; }
-
-  void run(PipelineContext& ctx) override {
-    PIMCOMP_CHECK(ctx.solution.has_value(),
-                  "lowering stage needs a mapping solution");
-    LowerInput input;
-    input.schedule = &ctx.schedule;
-    input.solution = &*ctx.solution;
-    input.graph = ctx.graph;
-    input.hardware = ctx.hardware;
-    input.options = ctx.options;
-    input.mapping_key = ctx.stream_binding;
-    ctx.stream = std::make_shared<const InstructionStream>(
-        backend_->lower(input));
-  }
-
- private:
-  std::unique_ptr<Backend> backend_;
-};
-
-void record_stage_time(StageTimes& times, const std::string& stage,
-                       double seconds) {
-  if (stage == stage_names::kPartitioning) {
-    times.partitioning += seconds;
-  } else if (stage == stage_names::kMapping) {
-    times.mapping += seconds;
-  } else if (stage == stage_names::kScheduling) {
-    times.scheduling += seconds;
-  } else if (stage == stage_names::kLowering) {
-    times.lowering += seconds;
-  }
 }
 
 }  // namespace
@@ -180,80 +66,104 @@ std::vector<std::string> SchedulerRegistry::keys() {
 
 void validate_strategies(const CompileOptions& options) {
   // Resolve every key without invoking the factories: same error messages
-  // as build_stages(), none of the instantiation cost.
+  // as run_pipeline(), none of the instantiation cost.
   mapper_store().get("mapper", options.mapper);
   scheduler_store().get("scheduler", options.scheduler_key());
   if (!options.backend.empty()) {
-    // BackendRegistry::create would instantiate; contains() + create() in
-    // build_stages shares the same store, so reuse its error message by
-    // resolving through the registry here.
+    // BackendRegistry::create would instantiate, so only a missing key
+    // goes through it, for run_pipeline()'s error message.
     if (!BackendRegistry::contains(options.backend)) {
       BackendRegistry::create(options.backend);  // throws with the key list
     }
   }
 }
 
-std::vector<std::unique_ptr<Stage>> build_stages(const PipelineContext& ctx) {
-  PIMCOMP_CHECK(ctx.options != nullptr, "pipeline context needs options");
+CompileResult run_pipeline(PipelineInputs in, PipelineObserver* observer) {
+  const CompileOptions& options = *in.options;
 
-  // Both registry keys are resolved up front so a bad key fails before any
-  // stage — in particular before paying for node partitioning. The
-  // scheduler is shared: the mapping stage uses its fitness estimator, the
-  // scheduling stage its dataflow generator.
-  std::unique_ptr<Mapper> mapper =
-      MapperRegistry::create(ctx.options->mapper, *ctx.options);
-  std::shared_ptr<const Scheduler> scheduler =
-      SchedulerRegistry::create(ctx.options->scheduler_key());
-
-  // The optional lowering backend resolves up front too: a bad --backend
-  // key must fail before partitioning, like any other bad key.
+  // Every registry key resolves up front, so a bad key (the optional
+  // backend's included) fails before any stage — in particular before
+  // paying for node partitioning. The scheduler serves two stages: mapping
+  // uses its fitness estimator, scheduling its dataflow generator.
+  const std::unique_ptr<Mapper> mapper =
+      MapperRegistry::create(options.mapper, options);
+  const std::unique_ptr<Scheduler> scheduler =
+      SchedulerRegistry::create(options.scheduler_key());
   std::unique_ptr<Backend> backend;
-  if (!ctx.options->backend.empty()) {
-    backend = BackendRegistry::create(ctx.options->backend);
+  if (!options.backend.empty()) {
+    backend = BackendRegistry::create(options.backend);
   }
 
-  std::vector<std::unique_ptr<Stage>> stages;
-  if (!ctx.workload) stages.push_back(std::make_unique<PartitionStage>());
-  stages.push_back(
-      std::make_unique<MappingStage>(std::move(mapper), scheduler));
-  stages.push_back(std::make_unique<ScheduleStage>(scheduler));
+  const auto stage = [&](const char* name) {
+    return StageInfo{name, in.scenario_label, in.scenario_index, 0.0, in.tag};
+  };
+  StageTimes times;
+  times.partitioning = in.partition_seconds;
+
+  // Node partitioning (paper §IV-B), unless the caller pre-seeded it.
+  std::shared_ptr<const Workload> workload = std::move(in.workload);
+  if (!workload) {
+    run_stage(stage(stage_names::kPartitioning), observer, in.cancel,
+              &times.partitioning, [&] {
+                workload =
+                    std::make_shared<const Workload>(*in.graph, *in.hardware);
+              });
+  }
+
+  // Weight replicating + core mapping through the registered strategy,
+  // plus the mode's objective estimate on the final solution.
+  std::optional<MappingSolution> solution;
+  double fitness = 0.0;
+  run_stage(stage(stage_names::kMapping), observer, in.cancel, &times.mapping,
+            [&] {
+              MapperOptions mapper_options;
+              mapper_options.mode = options.mode;
+              mapper_options.parallelism_degree = options.parallelism_degree;
+              mapper_options.max_nodes_per_core = options.max_nodes_per_core;
+              mapper_options.seed = options.seed;
+              mapper_options.cancel = in.cancel;
+              solution.emplace(mapper->map(*workload, mapper_options));
+              fitness = scheduler->estimate_fitness(
+                  *workload, *solution,
+                  FitnessParams::from(workload->hardware(),
+                                      options.parallelism_degree));
+            });
+  const GaStats* ga_stats = mapper->convergence();
+  CompileResult result{std::move(workload),
+                       std::move(*solution),
+                       Schedule{},
+                       options,
+                       StageTimes{},
+                       fitness,
+                       mapper->name(),
+                       ga_stats != nullptr ? *ga_stats : GaStats{},
+                       nullptr};
+
+  // Dataflow scheduling through the registered generator.
+  run_stage(stage(stage_names::kScheduling), observer, in.cancel,
+            &times.scheduling, [&] {
+              result.schedule = scheduler->build(result.solution, options);
+            });
+
+  // Lowering into the instruction-stream artifact, when a backend is
+  // selected.
   if (backend) {
-    stages.push_back(std::make_unique<LoweringStage>(std::move(backend)));
-  }
-  return stages;
-}
-
-CompileResult run_pipeline(PipelineContext ctx, PipelineObserver* observer) {
-  const std::vector<std::unique_ptr<Stage>> stages = build_stages(ctx);
-  for (const std::unique_ptr<Stage>& stage : stages) {
-    // Cooperative cancellation boundary: a cancelled compilation aborts
-    // between stages (CancelledError) instead of burning minutes of mapping
-    // it will throw away. The GA additionally polls between generations.
-    if (ctx.cancel != nullptr) {
-      ctx.cancel->throw_if_cancelled(stage->name().c_str());
-    }
-    StageInfo info{stage->name(), ctx.scenario_label, ctx.scenario_index, 0.0,
-                   ctx.tag};
-    if (observer != nullptr) observer->on_stage_begin(info);
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      stage->run(ctx);
-    } catch (...) {
-      // Keep begin/end callbacks paired even when a stage fails (capacity
-      // overflow in partitioning is a routine, caught error).
-      info.seconds = seconds_since(t0);
-      if (observer != nullptr) observer->on_stage_end(info);
-      throw;
-    }
-    info.seconds = seconds_since(t0);
-    record_stage_time(ctx.stage_times, info.stage, info.seconds);
-    if (observer != nullptr) observer->on_stage_end(info);
+    run_stage(stage(stage_names::kLowering), observer, in.cancel,
+              &times.lowering, [&] {
+                LowerInput input;
+                input.schedule = &result.schedule;
+                input.solution = &result.solution;
+                input.graph = in.graph;
+                input.hardware = in.hardware;
+                input.options = &options;
+                input.mapping_key = in.stream_binding;
+                result.stream = std::make_shared<const InstructionStream>(
+                    backend->lower(input));
+              });
   }
 
-  return CompileResult{std::move(ctx.workload), std::move(*ctx.solution),
-                       std::move(ctx.schedule), *ctx.options, ctx.stage_times,
-                       ctx.fitness, std::move(ctx.mapper_name),
-                       std::move(ctx.ga_stats), std::move(ctx.stream)};
+  result.stage_times = times;
+  return result;
 }
 
 }  // namespace pimcomp

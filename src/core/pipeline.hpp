@@ -3,9 +3,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,9 +26,8 @@ inline constexpr const char kScheduling[] = "scheduling";
 inline constexpr const char kLowering[] = "lowering";  ///< backend lowering
 }  // namespace stage_names
 
-/// Wall-clock seconds elapsed since `start` — shared by every place that
-/// measures a stage (the pipeline's stage loop and the session's
-/// out-of-loop partitioning timing), so they can never diverge.
+/// Wall-clock seconds elapsed since `start` — the clock run_stage() times
+/// every stage with.
 inline double seconds_since(
     const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -62,14 +61,15 @@ struct CacheEvent {
                             ///< (store count for on_cache_store)
   std::uint64_t tag = 0;    ///< caller-chosen job tag (0 = untagged)
   std::string source;       ///< tier that served/accepted the entry
-                            ///< (cache_sources:: "memory" / "disk")
+                            ///< (cache_sources: "memory" / "disk" / "remote")
 };
 
-/// Per-stage callbacks around the pipeline's stage loop. Default methods are
-/// no-ops so observers override only what they need. This subsumes the old
-/// ad-hoc StageTimes bookkeeping: timings are recorded by the same loop that
-/// fires these callbacks. Callbacks are always paired: a stage that throws
-/// still fires on_stage_end before the exception propagates.
+/// Per-stage callbacks around the pipeline's stages. Default methods are
+/// no-ops so observers override only what they need. StageTimes is
+/// recorded by the same helper (run_stage) that fires these callbacks.
+/// Callbacks are always paired: on_stage_end fires whenever on_stage_begin
+/// was called — even when the stage or on_stage_begin itself throws — and
+/// the exception then propagates.
 ///
 /// Thread safety: a parallel CompilerSession (set_jobs > 1) serializes every
 /// callback behind one mutex, so observer implementations never run
@@ -90,9 +90,37 @@ class PipelineObserver {
   virtual void on_cache_store(const CacheEvent& event) { (void)event; }
 };
 
-/// Mutable state threaded through the stage loop. Stages read what earlier
-/// stages produced and fill in their own slot.
-struct PipelineContext {
+/// Runs one stage: polls `cancel` (nullptr = not cancellable; a cancelled
+/// compilation throws CancelledError before the stage begins), fires
+/// on_stage_begin, runs `body`, then fires on_stage_end with the elapsed
+/// seconds and adds them to `*seconds`. When on_stage_begin or `body`
+/// throws, `on_failure` sees the exception before the paired on_stage_end
+/// fires, and the exception propagates. `observer` may be nullptr.
+template <typename Body,
+          typename OnFailure = void (*)(const std::exception_ptr&)>
+void run_stage(
+    StageInfo info, PipelineObserver* observer, const CancelToken* cancel,
+    double* seconds, Body&& body,
+    OnFailure&& on_failure = [](const std::exception_ptr&) {}) {
+  if (cancel != nullptr) cancel->throw_if_cancelled(info.stage.c_str());
+  auto t0 = std::chrono::steady_clock::now();
+  try {
+    if (observer != nullptr) observer->on_stage_begin(info);
+    t0 = std::chrono::steady_clock::now();
+    body();
+  } catch (...) {
+    on_failure(std::current_exception());
+    info.seconds = seconds_since(t0);
+    if (observer != nullptr) observer->on_stage_end(info);
+    throw;
+  }
+  info.seconds = seconds_since(t0);
+  *seconds += info.seconds;
+  if (observer != nullptr) observer->on_stage_end(info);
+}
+
+/// The caller's inputs to one compilation.
+struct PipelineInputs {
   const Graph* graph = nullptr;
   const HardwareConfig* hardware = nullptr;
   const CompileOptions* options = nullptr;
@@ -112,36 +140,15 @@ struct PipelineContext {
   /// CancelledError instead of producing a result.
   const CancelToken* cancel = nullptr;
 
-  /// Stage 1 output. Pre-seeding this (CompilerSession's workload cache)
-  /// elides the partitioning stage entirely.
+  /// Pre-seeding the partitioned workload (CompilerSession's workload
+  /// cache) skips the partitioning stage; `partition_seconds` is what that
+  /// partitioning cost, reported in StageTimes::partitioning.
   std::shared_ptr<const Workload> workload;
-
-  // Stage 2+3 outputs.
-  std::optional<MappingSolution> solution;
-  std::string mapper_name;
-  GaStats ga_stats;
-  double fitness = 0.0;
-
-  // Stage 4 output.
-  Schedule schedule;
+  double partition_seconds = 0.0;
 
   /// Fingerprint binding stamped into the lowered stream (the session's
   /// mapping cache key; 0 when the caller carries no cache identity).
   std::uint64_t stream_binding = 0;
-
-  /// Stage 5 output (only when options->backend selects a backend).
-  std::shared_ptr<const InstructionStream> stream;
-
-  StageTimes stage_times;
-};
-
-/// One pass of the compilation pipeline. Stages are composed by
-/// build_stages() and driven by run_pipeline()'s generic loop.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual std::string name() const = 0;
-  virtual void run(PipelineContext& ctx) = 0;
 };
 
 /// A mode's dataflow generator paired with its fitness estimator (the mapper
@@ -213,24 +220,20 @@ class SchedulerRegistry {
       pimcomp_scheduler_registered_, __COUNTER__) =                 \
       ::pimcomp::SchedulerRegistry::add(key, factory)
 
-/// Composes the stage list for `ctx`: partitioning (skipped when
-/// ctx.workload is pre-seeded), then mapping and scheduling resolved from
-/// the registries, then — when options->backend is non-empty — the
-/// lowering stage resolved from BackendRegistry. Throws ConfigError for
-/// unknown registry keys.
-std::vector<std::unique_ptr<Stage>> build_stages(const PipelineContext& ctx);
-
 /// Resolves every registry key of `options` (mapper, scheduler, and the
 /// backend when one is selected) without instantiating anything: the
-/// fail-fast check build_stages() performs, callable before paying for
+/// fail-fast check run_pipeline() performs, callable before paying for
 /// node partitioning. Throws ConfigError for unknown keys (and reports any
 /// duplicate registrations recorded at static initialization).
 void validate_strategies(const CompileOptions& options);
 
-/// Drives the stage loop: per stage, fires observer begin/end callbacks,
-/// times the run, and accumulates StageTimes; then assembles the
-/// CompileResult. `observer` may be nullptr.
-CompileResult run_pipeline(PipelineContext ctx, PipelineObserver* observer);
+/// Compiles in the paper's order (Fig 3): node partitioning (skipped when
+/// the workload is pre-seeded), weight replicating + core mapping with the
+/// mode's fitness estimate, dataflow scheduling, and — when
+/// options->backend is non-empty — lowering. Every registry key resolves
+/// before any stage runs (ConfigError for unknown keys). Each stage goes
+/// through run_stage(). `observer` may be nullptr.
+CompileResult run_pipeline(PipelineInputs in, PipelineObserver* observer);
 
 }  // namespace pimcomp
 

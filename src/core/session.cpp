@@ -581,18 +581,18 @@ CompileResult CompilerSession::compile_scenario(const Scenario& scenario,
     std::shared_ptr<const Workload> workload = resolve_workload(
         workload_key, hw, scenario.label, index, tag, &partition_seconds);
 
-    PipelineContext ctx;
-    ctx.graph = &graph_;
-    ctx.hardware = &hw;
-    ctx.options = &scenario.options;
-    ctx.scenario_label = scenario.label;
-    ctx.scenario_index = index;
-    ctx.tag = tag;
-    ctx.cancel = cancel;
-    ctx.workload = std::move(workload);  // pre-seeded => partitioning skipped
-    ctx.stage_times.partitioning = partition_seconds;
-    ctx.stream_binding = mapping_key;  // lowered streams carry their cache key
-    return run_pipeline(std::move(ctx), gate_.get());
+    PipelineInputs in;
+    in.graph = &graph_;
+    in.hardware = &hw;
+    in.options = &scenario.options;
+    in.scenario_label = scenario.label;
+    in.scenario_index = index;
+    in.tag = tag;
+    in.cancel = cancel;
+    in.workload = std::move(workload);  // pre-seeded => partitioning skipped
+    in.partition_seconds = partition_seconds;
+    in.stream_binding = mapping_key;  // lowered streams carry their cache key
+    return run_pipeline(std::move(in), gate_.get());
   };
 
   if (ticket.owned == nullptr) {
@@ -697,60 +697,56 @@ std::shared_ptr<const Workload> CompilerSession::resolve_workload(
                      cache_sources::kMemory);
     return ticket.value;
   }
-  const auto t0 = std::chrono::steady_clock::now();
   if (ticket.owned == nullptr) {
     // Re-entrant compile of the same fingerprint from inside this thread's
     // own partitioning observer callback: waiting would be waiting on
     // ourselves. Build a private workload instead (the pre-cache
     // behavior); the outer frame settles the shared one.
+    const auto t0 = std::chrono::steady_clock::now();
     auto private_workload = std::make_shared<const Workload>(graph_, hw);
     *partition_seconds = seconds_since(t0);
     return private_workload;
   }
 
-  // The partitioning stage runs here, outside the pipeline's stage loop, so
-  // its once-per-fingerprint semantics hold under concurrency — but with
-  // the same observer events and timing the loop would produce.
+  // The partitioning stage runs here, before run_pipeline, so its
+  // once-per-fingerprint semantics hold under concurrency — through the
+  // same run_stage, hence with the same observer events and timing.
   // Deliberately no cancellation check on this path: a cancelled owner
   // would strand innocent peers waiting on the same fingerprint
   // (partitioning is the cheap stage; cancellation lands at the next stage
   // boundary instead).
-  StageInfo info{stage_names::kPartitioning, label, index, 0.0, tag};
   std::shared_ptr<const Workload> workload;
-  try {
-    // The begin callback runs inside the try: an observer that throws must
-    // take the failure path below, or the claim would stay unsettled
-    // forever and strand every waiter on this fingerprint.
-    gate_->on_stage_begin(info);
-    workload = std::make_shared<const Workload>(graph_, hw);
-  } catch (...) {
-    // Publish the failure so waiting peers rethrow it instead of
-    // re-partitioning, keeping the observer's begin/end pairing.
-    // Deterministic failures of the input itself (CapacityError: the model
-    // cannot fit; ConfigError: the graph/config is unusable) keep their
-    // claim as the negative cache — every retry would fail identically.
-    // Anything else (e.g. a transient bad_alloc under memory pressure)
-    // retires the claim so a later compile retries partitioning instead of
-    // rethrowing a stale error for the session's lifetime.
-    info.seconds = seconds_since(t0);
-    const std::exception_ptr failure = std::current_exception();
-    bool deterministic = false;
-    try {
-      std::rethrow_exception(failure);
-    } catch (const CapacityError&) {
-      deterministic = true;
-    } catch (const ConfigError&) {
-      deterministic = true;
-    } catch (...) {
-    }
-    workloads_.fail(key, ticket.owned, failure, deterministic);
-    gate_->on_stage_end(info);
-    throw;
-  }
-  *partition_seconds = seconds_since(t0);
-  info.seconds = *partition_seconds;
-  workloads_.settle(key, ticket.owned, workload);
-  gate_->on_stage_end(info);
+  run_stage(
+      StageInfo{stage_names::kPartitioning, label, index, 0.0, tag},
+      gate_.get(), /*cancel=*/nullptr, partition_seconds,
+      [&] {
+        workload = std::make_shared<const Workload>(graph_, hw);
+        // Settled before on_stage_end, so the observer already sees the
+        // cached workload.
+        workloads_.settle(key, ticket.owned, workload);
+      },
+      [&](const std::exception_ptr& failure) {
+        // Also reached when on_stage_begin throws: an unsettled claim would
+        // strand every waiter on this fingerprint. Waiting peers rethrow
+        // the published failure instead of re-partitioning.
+        // Deterministic failures of the input itself (CapacityError: the
+        // model cannot fit; ConfigError: the graph/config is unusable) keep
+        // their claim as the negative cache — every retry would fail
+        // identically. Anything else (e.g. a transient bad_alloc under
+        // memory pressure) retires the claim so a later compile retries
+        // partitioning instead of rethrowing a stale error for the
+        // session's lifetime.
+        bool deterministic = false;
+        try {
+          std::rethrow_exception(failure);
+        } catch (const CapacityError&) {
+          deterministic = true;
+        } catch (const ConfigError&) {
+          deterministic = true;
+        } catch (...) {
+        }
+        workloads_.fail(key, ticket.owned, failure, deterministic);
+      });
   return workload;
 }
 
@@ -786,9 +782,10 @@ std::optional<CompileResult> CompilerSession::load_mapping(
   } catch (const Error&) {
     // Corrupt, mismatched, or invariant-violating artifact: erase it and
     // report a miss so the caller computes — without consulting the deeper
-    // tiers, so a read-only tier serving the same bad artifact forever
-    // cannot livelock anything. Never a compile failure: the cache must
-    // not be able to break a compilation it could only have accelerated.
+    // tiers, so a tier that cannot erase (a peer's) serving the same bad
+    // artifact forever cannot livelock anything. Never a compile failure:
+    // the cache must not be able to break a compilation it could only have
+    // accelerated.
     for (const std::unique_ptr<CacheStore>& each : mapping_tiers_) {
       each->erase(mapping_key);
     }

@@ -3,8 +3,7 @@
 // session recompiles the same batch from disk only — with byte-identical
 // reports and observer proof that the mapping stage never ran. Plus the
 // failure-containment properties: corrupt artifacts recompute (and
-// self-heal), fingerprint-mismatched artifacts are rejected, read-only
-// caches never write.
+// self-heal), and fingerprint-mismatched artifacts are rejected.
 
 #include <gtest/gtest.h>
 
@@ -118,6 +117,19 @@ int count_events(const TraceRecorder& recorder, PipelineEvent::Kind kind,
 
 TEST(DiskCache, WarmRunFromDiskOnlyIsByteIdenticalAndNeverMaps) {
   TempDir dir;
+
+  // Without a persistent tier, the store event names memory: the settled
+  // claim is the only tier that took the result.
+  {
+    CompilerSession memory_only(small_cnn(), small_hw());
+    TraceRecorder trace;
+    memory_only.set_observer(&trace);
+    memory_only.compile(tiny_options(2));
+    EXPECT_EQ(memory_only.mapping_cache_stores(), 1u);
+    EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheStore,
+                           cache_names::kMapping, cache_sources::kMemory),
+              1);
+  }
 
   // --- Cold: compile the batch, populating the disk tier. ------------------
   std::vector<std::string> memory_hit_renders;
@@ -367,41 +379,6 @@ TEST(DiskCache, RejectsArtifactsWithMismatchedWorkloadFingerprint) {
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->entry.artifact.get("workload_fp", std::string()),
             cache_key_hex(other_workload_fp));
-}
-
-TEST(DiskCache, ReadOnlyCacheServesButNeverWrites) {
-  TempDir dir;
-  {
-    CompilerSession producer(small_cnn(), small_hw(), cache_at(dir.path));
-    producer.compile(tiny_options(2));
-  }
-  const auto files_before = [&] {
-    std::vector<std::string> files;
-    for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
-      if (entry.is_regular_file()) files.push_back(entry.path().string());
-    }
-    return files;
-  }();
-
-  CacheConfig config = cache_at(dir.path);
-  config.read_only = true;
-  CompilerSession consumer(small_cnn(), small_hw(), config);
-  TraceRecorder trace;
-  consumer.set_observer(&trace);
-  consumer.compile(tiny_options(2));  // warm: served from disk
-  EXPECT_EQ(consumer.mapping_tier_hits(cache_sources::kDisk), 1u);
-  consumer.compile(tiny_options(5));  // cold: computed, NOT persisted
-  EXPECT_EQ(consumer.mapping_cache_stores(), 1u);  // memory tier only
-  // The store event names the deepest tier that newly took the result.
-  EXPECT_EQ(count_events(trace, PipelineEvent::Kind::kCacheStore,
-                         cache_names::kMapping, cache_sources::kMemory),
-            1);
-
-  std::vector<std::string> files_after;
-  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
-    if (entry.is_regular_file()) files_after.push_back(entry.path().string());
-  }
-  EXPECT_EQ(files_after, files_before);
 }
 
 // ---------------------------------------------------------------------------

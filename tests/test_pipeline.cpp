@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,39 +143,44 @@ TEST(MapperRegistry, ContainsEveryBuiltinKey) {
 }
 
 // ---------------------------------------------------------------------------
-// Observer callbacks and the stage loop.
+// Observer callbacks and stage order.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineObserver, StagesFireInOrderWithPairedCallbacks) {
   Compiler compiler(small_cnn(), HardwareConfig::puma_default());
-  CountingObserver observer;
-  const CompileResult result =
-      compiler.compile(tiny_options(), &observer);
-  EXPECT_GT(result.schedule.total_ops, 0);
+  // Without a backend the compile stops at the schedule; with one, the
+  // lowering stage runs last.
+  for (const std::string backend : {"", "isa-json"}) {
+    SCOPED_TRACE("backend '" + backend + "'");
+    CompileOptions options = tiny_options();
+    options.backend = backend;
+    CountingObserver observer;
+    const CompileResult result = compiler.compile(options, &observer);
+    EXPECT_GT(result.schedule.total_ops, 0);
+    EXPECT_EQ(result.stream != nullptr, !backend.empty());
 
-  ASSERT_EQ(observer.events.size(), 6u);  // 3 stages x begin+end
-  const char* expected[] = {stage_names::kPartitioning, stage_names::kMapping,
-                            stage_names::kScheduling};
-  for (int stage = 0; stage < 3; ++stage) {
-    const auto& begin = observer.events[2 * stage];
-    const auto& end = observer.events[2 * stage + 1];
-    EXPECT_EQ(begin.stage, expected[stage]);
-    EXPECT_TRUE(begin.begin);
-    EXPECT_EQ(begin.seconds, 0.0);
-    EXPECT_EQ(end.stage, expected[stage]);
-    EXPECT_FALSE(end.begin);
-    EXPECT_GE(end.seconds, 0.0);
+    std::vector<std::string> expected = {stage_names::kPartitioning,
+                                         stage_names::kMapping,
+                                         stage_names::kScheduling};
+    if (!backend.empty()) expected.push_back(stage_names::kLowering);
+    ASSERT_EQ(observer.events.size(), 2 * expected.size());
+    double observed_total = 0.0;
+    for (std::size_t stage = 0; stage < expected.size(); ++stage) {
+      const auto& begin = observer.events[2 * stage];
+      const auto& end = observer.events[2 * stage + 1];
+      EXPECT_EQ(begin.stage, expected[stage]);
+      EXPECT_TRUE(begin.begin);
+      EXPECT_EQ(begin.seconds, 0.0);
+      EXPECT_EQ(end.stage, expected[stage]);
+      EXPECT_FALSE(end.begin);
+      EXPECT_GE(end.seconds, 0.0);
+      observed_total += end.seconds;
+    }
+    // StageTimes is recorded by the same helper that fires the callbacks.
+    EXPECT_NEAR(result.stage_times.total(), observed_total, 1e-9);
+    EXPECT_GT(result.stage_times.mapping, 0.0);
+    EXPECT_EQ(result.stage_times.lowering > 0.0, !backend.empty());
   }
-}
-
-TEST(PipelineObserver, StageTimesComeFromTheSameLoop) {
-  Compiler compiler(small_cnn(), HardwareConfig::puma_default());
-  CountingObserver observer;
-  const CompileResult result = compiler.compile(tiny_options(), &observer);
-  double observed_total = 0.0;
-  for (const auto& event : observer.events) observed_total += event.seconds;
-  EXPECT_NEAR(result.stage_times.total(), observed_total, 1e-9);
-  EXPECT_GT(result.stage_times.mapping, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,31 +289,73 @@ TEST(CompilerSession, MatchesSingleShotCompilerAtSameSeed) {
   }
 }
 
-TEST(CompilerSession, UnknownMapperKeyFailsBeforeAnyStageRuns) {
-  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
-  CountingObserver observer;
-  session.set_observer(&observer);
-  CompileOptions options = tiny_options();
-  options.mapper = "not-a-mapper";
-  EXPECT_THROW(session.compile(options), ConfigError);
-  // Fail-fast: the key is resolved before partitioning is paid for.
-  EXPECT_TRUE(observer.events.empty());
+TEST(PipelineObserver, UnknownStrategyKeyFailsBeforeAnyStageRuns) {
+  // Each registry key, on both entry points: resolved before partitioning
+  // is paid for, so the observer sees nothing.
+  CompileOptions bad_mapper = tiny_options();
+  bad_mapper.mapper = "not-a-mapper";
+  CompileOptions bad_scheduler = tiny_options();
+  bad_scheduler.scheduler = "not-a-scheduler";
+  CompileOptions bad_backend = tiny_options();
+  bad_backend.backend = "not-a-backend";
+  for (const CompileOptions& options :
+       {bad_mapper, bad_scheduler, bad_backend}) {
+    SCOPED_TRACE(options.mapper + "/" + options.scheduler_key() + "/" +
+                 options.backend);
+    Compiler compiler(small_cnn(), HardwareConfig::puma_default());
+    CountingObserver compiler_observer;
+    EXPECT_THROW(compiler.compile(options, &compiler_observer), ConfigError);
+    EXPECT_TRUE(compiler_observer.events.empty());
+
+    CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+    CountingObserver session_observer;
+    session.set_observer(&session_observer);
+    EXPECT_THROW(session.compile(options), ConfigError);
+    EXPECT_TRUE(session_observer.events.empty());
+  }
 }
 
+/// Throws from every on_stage_begin, after recording it.
+class ThrowingBeginObserver : public CountingObserver {
+ public:
+  void on_stage_begin(const StageInfo& info) override {
+    CountingObserver::on_stage_begin(info);
+    throw std::runtime_error("observer refuses " + info.stage);
+  }
+};
+
 TEST(PipelineObserver, CallbacksStayPairedWhenAStageThrows) {
+  // A failing stage, and a failing on_stage_begin on both entry points:
+  // each begin still gets its paired end before the exception propagates.
   HardwareConfig hw = HardwareConfig::puma_default();
   // A one-crossbar machine: partitioning throws CapacityError.
   hw.core_count = 1;
   hw.cores_per_chip = 1;
   hw.xbars_per_core = 1;
-  Compiler compiler(small_cnn(), hw);
-  CountingObserver observer;
-  EXPECT_THROW(compiler.compile(tiny_options(), &observer), CapacityError);
-  ASSERT_EQ(observer.events.size(), 2u);
-  EXPECT_EQ(observer.events[0].stage, stage_names::kPartitioning);
-  EXPECT_TRUE(observer.events[0].begin);
-  EXPECT_EQ(observer.events[1].stage, stage_names::kPartitioning);
-  EXPECT_FALSE(observer.events[1].begin);
+  Compiler infeasible(small_cnn(), hw);
+  CountingObserver stage_throws;
+  EXPECT_THROW(infeasible.compile(tiny_options(), &stage_throws),
+               CapacityError);
+
+  Compiler compiler(small_cnn(), HardwareConfig::puma_default());
+  ThrowingBeginObserver compiler_begin_throws;
+  EXPECT_THROW(compiler.compile(tiny_options(), &compiler_begin_throws),
+               std::runtime_error);
+
+  CompilerSession session(small_cnn(), HardwareConfig::puma_default());
+  ThrowingBeginObserver session_begin_throws;
+  session.set_observer(&session_begin_throws);
+  EXPECT_THROW(session.compile(tiny_options()), std::runtime_error);
+
+  const CountingObserver* observers[] = {
+      &stage_throws, &compiler_begin_throws, &session_begin_throws};
+  for (const CountingObserver* observer : observers) {
+    ASSERT_EQ(observer->events.size(), 2u);
+    EXPECT_EQ(observer->events[0].stage, stage_names::kPartitioning);
+    EXPECT_TRUE(observer->events[0].begin);
+    EXPECT_EQ(observer->events[1].stage, stage_names::kPartitioning);
+    EXPECT_FALSE(observer->events[1].begin);
+  }
 }
 
 }  // namespace
